@@ -46,13 +46,6 @@ def poly_mul(p: RatPoly, q: RatPoly) -> RatPoly:
     return poly_trim(out)
 
 
-def poly_pow(p: RatPoly, n: int) -> RatPoly:
-    out: RatPoly = (ONE,)
-    for _ in range(n):
-        out = poly_mul(out, p)
-    return out
-
-
 def poly_eval(p: RatPoly, x):
     """Horner evaluation; exact if x is a Fraction."""
     acc = p[-1]
@@ -66,16 +59,6 @@ def poly_derivative(p: RatPoly, order: int = 1) -> RatPoly:
     for _ in range(order):
         c = [c[i] * i for i in range(1, len(c))] or [ZERO]
     return poly_trim(c)
-
-
-def poly_antiderivative(p: RatPoly) -> RatPoly:
-    """Antiderivative with zero constant term."""
-    return poly_trim([ZERO] + [p[i] / (i + 1) for i in range(len(p))])
-
-
-def poly_integral(p: RatPoly, a, b) -> Fraction:
-    P = poly_antiderivative(p)
-    return poly_eval(P, Fraction(b)) - poly_eval(P, Fraction(a))
 
 
 def binomial_one_minus_r(ell: int) -> RatPoly:

@@ -2,10 +2,10 @@
 
 Oscillatory radial Fourier integrals are computed on Gauss-Legendre panels
 whose width never exceeds a quarter period pi/(4*omega) of the oscillation,
-so each panel sees a smooth, slowly varying integrand.  A high precision
-(mpmath) variant of the same rule is available for regimes where the result
-is many orders of magnitude below the integrand scale and float64
-cancellation would dominate.
+so each panel sees a smooth, slowly varying integrand.  High-precision
+(mpmath) Gauss-Legendre nodes serve regimes where the result is many orders
+of magnitude below the integrand scale and float64 cancellation would
+dominate.
 """
 
 from __future__ import annotations
@@ -72,23 +72,6 @@ def gl_nodes_mp(n: int, dps: int):
         return tuple(xs), tuple(ws)
 
 
-def gl_panel_quad_mp(f, a: float, b: float, omega: float = 0.0, nodes: int = 12,
-                     dps: int = 30):
-    """mpmath counterpart of gl_panel_quad; f maps an mpf to an mpf."""
-    if b <= a:
-        return mp.mpf(0)
-    xs, ws = gl_nodes_mp(nodes, dps)
-    edges = panel_edges(a, b, omega)
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            c1 = (mp.mpf(hi) - mp.mpf(lo)) / 2
-            c2 = (mp.mpf(hi) + mp.mpf(lo)) / 2
-            for x, w in zip(xs, ws):
-                total += c1 * w * f(c1 * x + c2)
-        return total
-
-
 def fourier_cos_semiinf(f, omega: float, a: float = 0.0) -> tuple[float, float]:
     """(integral of f(t) cos(omega t) over [a, inf), error estimate).
 
@@ -98,11 +81,6 @@ def fourier_cos_semiinf(f, omega: float, a: float = 0.0) -> tuple[float, float]:
         val, err = quad(f, a, np.inf, limit=400)
     else:
         val, err = quad(f, a, np.inf, weight="cos", wvar=omega, limlst=200)
-    return val, err
-
-
-def fourier_sin_semiinf(f, omega: float, a: float = 0.0) -> tuple[float, float]:
-    val, err = quad(f, a, np.inf, weight="sin", wvar=omega, limlst=200)
     return val, err
 
 

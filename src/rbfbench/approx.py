@@ -206,8 +206,35 @@ def quasi_interpolant(tf: TestFunction, Phi, X: PointSet, degree: int, c3: float
 
 
 def collocation_matrix(pts: np.ndarray, X: PointSet, Phi) -> np.ndarray:
-    pts = np.atleast_2d(pts)
-    return Phi.profile(cdist(pts, X.points))
+    """Matrix of Phi(|pt - xi|): one row per point of pts, one column per xi in X.
+
+    pts holds points of R^d, one per row; in d = 1 a flat array or a scalar
+    is read as one point per entry.  For a compactly supported kernel the
+    profile is evaluated only on pairs inside the support radius; pairs at
+    or beyond it are exactly 0 and are not evaluated.  The values are
+    written into the distance array, so no second full-size array is made.
+    """
+    D = cdist(np.reshape(pts, (-1, X.dim)), X.points)
+    radius = Phi.support_radius
+    if not np.isfinite(radius):
+        return Phi.profile(D)
+    inside = D < radius
+    vals = Phi.profile(D[inside])
+    D.fill(0.0)
+    D[inside] = vals
+    return D
+
+
+def _ls_fit(f_vals: np.ndarray, grid: np.ndarray, Phi, X: PointSet,
+            rcond: float | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Least-squares fit on the grid: (coefficients, fitted values, rank).
+
+    The fitted values are the collocation matrix of the solve times the
+    coefficients, so one matrix per grid serves both.
+    """
+    A = collocation_matrix(grid, X, Phi)
+    coeffs, _, rank, _ = lstsq(A, f_vals, cond=rcond, lapack_driver="gelsd")
+    return coeffs, A @ coeffs, int(rank)
 
 
 def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi, X: PointSet,
@@ -223,11 +250,14 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi, X: PointSet,
     floors the attainable error for the smoothest kernels, whose
     collocation spectra decay below it while the discarded modes still
     carry needed signal.
+
+    The collocation matrix is built once per call.  The rate experiments
+    take the witness values on the same grid from that matrix as well,
+    instead of rebuilding it through evaluate_combination.
     """
-    A = collocation_matrix(grid, X, Phi)
-    coeffs, _, rank, _ = lstsq(A, f_vals, cond=rcond, lapack_driver="gelsd")
+    coeffs, _, rank = _ls_fit(f_vals, grid, Phi, X, rcond)
     if return_rank:
-        return coeffs, int(rank)
+        return coeffs, rank
     return coeffs
 
 

@@ -22,6 +22,7 @@ from .experiments import (
     ExperimentConfig,
     report_to_csv,
     report_to_json,
+    reproduction_defaults,
     run_rate_experiment,
 )
 from .geometry import Box, make_quasi_uniform
@@ -95,16 +96,17 @@ def _cmd_property2(args) -> int:
             return EXIT_CONFIG
         Phi = wendland_construct(d, args.k)
         kappa = args.kappa if args.kappa is not None else 2.0 * args.k
-        degree = max(1, 2 * args.k - 1)
+        order = args.k
     else:
         if args.gamma is None:
             print("property2: sobolev needs --gamma", file=sys.stderr)
             return EXIT_CONFIG
         Phi = sobolev_spline_construct(args.gamma, d)
         kappa = args.kappa if args.kappa is not None else float(args.gamma - d)
-        degree = args.gamma
+        order = args.gamma
+    degree, c3 = reproduction_defaults(args.kernel, order)
+    c3 = args.c3 if args.c3 is not None else c3
     ell = args.l if args.l is not None else d + 1
-    c3 = args.c3 if args.c3 is not None else 2.0 * (degree + 1) * 4.0
     X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), args.h, jitter=args.jitter,
                            seed=args.seed, pad=2.0)
     scan = property2_scan(Phi, X, kappa, ell, args.budget, degree=degree,

@@ -5,8 +5,10 @@ quasi-uniform set per level (padded beyond the evaluation region so
 boundary effects stay out of the interior error norms), fits a
 least-squares witness in the kernel translate space, measures L^p errors
 on the interior region, and fits the log-log slope against the measured
-fill distance.  Reports are deterministic for a fixed config: the config
-hash is embedded and no timestamps are written.
+fill distance.  Each level builds one collocation matrix on its
+evaluation grid: the least-squares solve uses it, and the witness values
+on the grid are taken from it.  Reports are deterministic for a fixed
+config: the config hash is embedded and no timestamps are written.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from ._quad import trapezoid_weights
 from .approx import (
     SmoothBump,
     TestFunction,
+    _ls_fit,
     evaluate_combination,
     fit_rate,
     lp_error,
-    ls_witness,
     quasi_interpolant,
     synth_test_function,
 )
@@ -37,12 +39,14 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_rate_experiment",
+    "reproduction_defaults",
     "config_hash",
     "report_to_json",
     "report_to_csv",
 ]
 
 RATE_TOLERANCE = 0.4   # fitted slope must reach theory_rate - RATE_TOLERANCE
+RHO_MAX = 4.0          # default bound on the mesh ratio of each level's point set
 
 
 @dataclass
@@ -61,7 +65,7 @@ class ExperimentConfig:
     seed: int = 7
     c3: float | None = None          # star radius factor (default per degree)
     c2_cap: float = 2.0
-    rho_max: float = 4.0
+    rho_max: float = RHO_MAX
     pad: float | None = None         # point-set padding beyond the region
     bump_center: float = 0.5
     bump_width: float = 0.2
@@ -152,12 +156,17 @@ def _build_kernel(cfg: ExperimentConfig):
     return sobolev_spline_construct(cfg.gamma, cfg.d)
 
 
-def _default_degree(cfg: ExperimentConfig) -> int:
-    # Reproduction degree: one less than the comparison order used by the
-    # local Taylor argument (2k for Wendland, gamma for Sobolev splines).
-    if cfg.family == "wendland":
-        return max(1, 2 * cfg.k - 1)
-    return cfg.gamma
+def reproduction_defaults(family: str, order: int,
+                          rho_max: float = RHO_MAX) -> tuple[int, float]:
+    """Default local reproduction degree and star radius factor c3.
+
+    order is k for the Wendland family and gamma for Sobolev splines.  The
+    degree is max(1, 2k - 1) for Wendland, from the comparison order 2k of
+    the local Taylor argument, and gamma for Sobolev splines; the star
+    radius factor is c3 = 2 (degree + 1) rho_max.
+    """
+    degree = max(1, 2 * order - 1) if family == "wendland" else order
+    return degree, 2.0 * (degree + 1) * rho_max
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
@@ -174,8 +183,9 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
     else:
         f = bump
 
-    degree = _default_degree(cfg)
-    c3 = cfg.c3 if cfg.c3 is not None else 2.0 * (degree + 1) * cfg.rho_max
+    order = cfg.k if cfg.family == "wendland" else cfg.gamma
+    degree, c3 = reproduction_defaults(cfg.family, order, cfg.rho_max)
+    c3 = cfg.c3 if cfg.c3 is not None else c3
     level_rows: list[dict] = []
     errors: dict[float, list[tuple[float, float]]] = {p: [] for p in cfg.p_list}
     f_scale = 0.0
@@ -202,8 +212,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
             coeffs = quasi_interpolant(tf, tf.G_green, X, degree, c3)
             s_vals = evaluate_combination(coeffs, X, tf.G_green, grid)
         else:
-            coeffs = ls_witness(f_vals, grid, kernel, X)
-            s_vals = evaluate_combination(coeffs, X, kernel, grid)
+            _, s_vals, _ = _ls_fit(f_vals, grid, kernel, X)
         row = {"spacing": spacing, "h": X.h, "q": X.q, "rho": X.rho,
                "n_points": X.n, "witness": cfg.witness}
         for p in cfg.p_list:

@@ -99,12 +99,6 @@ class PiecewisePolyRadial:
         vals = _float_horner(self._fcoeffs, r)
         return np.where(r < 1.0, vals, 0.0)
 
-    def profile_exact(self, r) -> Fraction:
-        r = Fraction(r)
-        if r >= 1:
-            return ZERO
-        return poly_eval(self.coeffs, r)
-
     def radial_derivative(self, order: int) -> RatPoly:
         """Exact coefficients of the order-th derivative of the profile."""
         return poly_derivative(self.coeffs, order)

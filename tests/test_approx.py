@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 
+from rbfbench import approx, experiments
 from rbfbench._quad import trapezoid_weights
 from rbfbench.approx import (
     SmoothBump,
+    _ls_fit,
+    collocation_matrix,
     evaluate_combination,
     fit_rate,
     lp_error,
@@ -16,7 +20,7 @@ from rbfbench.approx import (
     synth_test_function,
 )
 from rbfbench.geometry import Box, make_quasi_uniform
-from rbfbench.kernels import sobolev_spline_construct, wendland_construct
+from rbfbench.kernels import ScaledKernel, sobolev_spline_construct, wendland_construct
 
 UNIT_1D = Box((0.0,), (1.0,))
 
@@ -116,6 +120,81 @@ def test_ls_witness_recovers_translates():
     assert np.abs(f2 - s2).max() < 1e-10
     expected[j0 - 2] = 0.7
     assert np.allclose(c2, expected, atol=1e-8)
+
+
+def _full_profile_matrix(pts, X, Phi):
+    """Reference collocation matrix: the profile evaluated on every pair."""
+    return Phi.profile(cdist(np.reshape(pts, (-1, X.dim)), X.points))
+
+
+COLLOCATION_KERNELS = (
+    [pytest.param(wendland_construct(d, k), id=f"wendland_d{d}_k{k}")
+     for d in (1, 2, 3) for k in (0, 1, 2, 3)]
+    + [pytest.param(ScaledKernel(wendland_construct(2, 1), 0.37), id="scaled_wendland"),
+       pytest.param(ScaledKernel(sobolev_spline_construct(4, 3), 0.37),
+                    id="scaled_sobolev"),
+       pytest.param(sobolev_spline_construct(4, 1), id="sobolev_d1_closed_form"),
+       pytest.param(sobolev_spline_construct(4, 3), id="sobolev_d3_closed_form"),
+       pytest.param(sobolev_spline_construct(4, 2), id="sobolev_d2_bessel")])
+
+
+@pytest.mark.parametrize("Phi", COLLOCATION_KERNELS)
+def test_collocation_matrix_bit_identical_to_full_profile(Phi):
+    # Masking pairs outside the support changes which entries are
+    # evaluated, never their values: the least-squares solves downstream
+    # are ill-conditioned enough to amplify any last-digit change.
+    d = Phi.dim
+    X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), 1 / 4, seed=5, pad=0.5)
+    pts = np.random.default_rng(d).uniform(-0.5, 1.5, size=(60, d))
+    A = collocation_matrix(pts, X, Phi)
+    assert np.array_equal(A, _full_profile_matrix(pts, X, Phi))
+    if np.isfinite(Phi.support_radius):
+        outside = cdist(pts, X.points) >= Phi.support_radius
+        assert outside.any() and (~outside).any()
+        assert np.all(A[outside] == 0.0)
+
+
+def test_collocation_matrix_takes_flat_points_in_1d():
+    Phi = wendland_construct(1, 1)
+    ps = make_quasi_uniform(UNIT_1D, 1 / 8)
+    coeffs = np.random.default_rng(0).normal(size=ps.n)
+    xs = np.linspace(0, 1, 5)
+    s_vals = evaluate_combination(coeffs, ps, Phi, xs)
+    assert s_vals.shape == (5,)
+    assert np.array_equal(s_vals, evaluate_combination(coeffs, ps, Phi, xs[:, None]))
+    assert evaluate_combination(coeffs, ps, Phi, 0.5).shape == (1,)
+
+
+@pytest.mark.parametrize("Phi", [wendland_construct(2, 1), sobolev_spline_construct(4, 2)],
+                         ids=["wendland_d2_k1", "sobolev_d2_g4"])
+def test_ls_fit_values_equal_evaluate_combination(Phi):
+    X = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 4, seed=2, pad=1.0)
+    axis = np.linspace(0, 1, 21)
+    grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], -1)
+    f_vals = SmoothBump((0.5, 0.5), 0.3)(grid)
+    coeffs, s_vals, rank = _ls_fit(f_vals, grid, Phi, X)
+    w_coeffs, w_rank = ls_witness(f_vals, grid, Phi, X, return_rank=True)
+    assert np.array_equal(coeffs, w_coeffs) and rank == w_rank
+    assert np.array_equal(s_vals, evaluate_combination(w_coeffs, X, Phi, grid))
+
+
+def test_rate_report_equals_two_build_reference(monkeypatch):
+    # One matrix per level gives the same report as solving on a
+    # full-profile matrix and building it again to evaluate the witness.
+    cfg = experiments.ExperimentConfig(family="wendland", d=2, k=1, levels=2,
+                                       h0=1 / 4, p_list=(2.0, np.inf), seed=0)
+    fast = {key: rep.to_dict() for key, rep in
+            experiments.run_rate_experiment(cfg).items()}
+
+    def two_builds(f_vals, grid, Phi, X):
+        coeffs, rank = ls_witness(f_vals, grid, Phi, X, return_rank=True)
+        return coeffs, evaluate_combination(coeffs, X, Phi, grid), rank
+
+    monkeypatch.setattr(approx, "collocation_matrix", _full_profile_matrix)
+    monkeypatch.setattr(experiments, "_ls_fit", two_builds)
+    reference = {key: rep.to_dict() for key, rep in
+                 experiments.run_rate_experiment(cfg).items()}
+    assert fast == reference
 
 
 def test_lp_error_basics():
