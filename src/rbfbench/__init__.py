@@ -1,106 +1,86 @@
 """Radial basis function kernels, explicit Fourier transforms, local
-polynomial reproduction, and empirical L^p convergence-rate experiments."""
+polynomial reproduction, and empirical L^p convergence-rate experiments.
 
-from .approx import (
-    GreensPair,
-    SmoothBump,
-    TestFunction,
-    evaluate_combination,
-    fit_rate,
-    lp_error,
-    ls_witness,
-    quasi_interpolant,
-    sobolev_greens_pair,
-    synth_test_function,
-)
-from .experiments import ExperimentConfig, ExperimentReport, run_rate_experiment
-from .geometry import (
-    Box,
-    PointSet,
-    fill_distance,
-    local_star,
-    make_quasi_uniform,
-    separation_radius,
-)
-from .kernels import (
-    PiecewisePolyRadial,
-    ScaledKernel,
-    SmoothnessError,
-    SobolevSpline,
-    kernel_derivative,
-    kernel_eval,
-    sobolev_spline_construct,
-    wendland_construct,
-)
-from .polyrep import (
-    LocalPolyBuilder,
-    ReproFunctional,
-    build_functional,
-    kernel_K,
-    property2_scan,
-)
-from .spectral import (
-    FiniteMeasure,
-    PartialFractionTable,
-    Wend1DDecomposition,
-    build_measure_1d,
-    calibrate_amplitude,
-    f_m_eval,
-    hankel_oracle,
-    measure_convolve,
-    measure_ft,
-    partial_fractions,
-    ratio_diagnostic,
-    wend1d_decompose,
-    wendland_hat,
-)
+Names load on first use: ``import rbfbench`` binds only the table below,
+and the first lookup of an exported name (or of a submodule such as
+``rbfbench.spectral``) imports the submodule that defines it (PEP 562).
+So ``rbfbench.wendland_construct`` never loads scipy or sympy, while
+``rbfbench.ls_witness`` loads scipy with ``approx``.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Box",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FiniteMeasure",
-    "GreensPair",
-    "LocalPolyBuilder",
-    "PartialFractionTable",
-    "PiecewisePolyRadial",
-    "PointSet",
-    "ReproFunctional",
-    "ScaledKernel",
-    "SmoothBump",
-    "SmoothnessError",
-    "SobolevSpline",
-    "TestFunction",
-    "Wend1DDecomposition",
-    "build_functional",
-    "build_measure_1d",
-    "calibrate_amplitude",
-    "evaluate_combination",
-    "f_m_eval",
-    "fill_distance",
-    "fit_rate",
-    "hankel_oracle",
-    "kernel_K",
-    "kernel_derivative",
-    "kernel_eval",
-    "local_star",
-    "lp_error",
-    "ls_witness",
-    "make_quasi_uniform",
-    "measure_convolve",
-    "measure_ft",
-    "partial_fractions",
-    "property2_scan",
-    "quasi_interpolant",
-    "ratio_diagnostic",
-    "run_rate_experiment",
-    "separation_radius",
-    "sobolev_greens_pair",
-    "sobolev_spline_construct",
-    "synth_test_function",
-    "wend1d_decompose",
-    "wendland_construct",
-    "wendland_hat",
-]
+_EXPORTS = {
+    "approx": (
+        "GreensPair",
+        "SmoothBump",
+        "TestFunction",
+        "evaluate_combination",
+        "fit_rate",
+        "lp_error",
+        "ls_witness",
+        "quasi_interpolant",
+        "sobolev_greens_pair",
+        "synth_test_function",
+    ),
+    "experiments": ("ExperimentConfig", "ExperimentReport", "run_rate_experiment"),
+    "geometry": (
+        "Box",
+        "PointSet",
+        "fill_distance",
+        "local_star",
+        "make_quasi_uniform",
+        "separation_radius",
+    ),
+    "kernels": (
+        "PiecewisePolyRadial",
+        "ScaledKernel",
+        "SmoothnessError",
+        "SobolevSpline",
+        "kernel_derivative",
+        "kernel_eval",
+        "sobolev_spline_construct",
+        "wendland_construct",
+    ),
+    "polyrep": (
+        "LocalPolyBuilder",
+        "ReproFunctional",
+        "build_functional",
+        "kernel_K",
+        "property2_scan",
+    ),
+    "spectral": (
+        "FiniteMeasure",
+        "PartialFractionTable",
+        "Wend1DDecomposition",
+        "build_measure_1d",
+        "calibrate_amplitude",
+        "f_m_eval",
+        "hankel_oracle",
+        "measure_convolve",
+        "measure_ft",
+        "partial_fractions",
+        "ratio_diagnostic",
+        "wend1d_decompose",
+        "wendland_hat",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    # Not cached in globals(): the submodule's attribute stays the one
+    # source, so a name rebound there is seen here too.
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name in _SOURCE:
+        return getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 
 def panel_edges(a: float, b: float, omega: float, max_width: float | None = None) -> np.ndarray:
@@ -70,18 +69,6 @@ def gl_nodes_mp(n: int, dps: int):
             xs.append(x)
             ws.append(2 / ((1 - x * x) * dp * dp))
         return tuple(xs), tuple(ws)
-
-
-def fourier_cos_semiinf(f, omega: float, a: float = 0.0) -> tuple[float, float]:
-    """(integral of f(t) cos(omega t) over [a, inf), error estimate).
-
-    Uses the QUADPACK Fourier algorithm; f must decay at infinity.
-    """
-    if omega == 0.0:
-        val, err = quad(f, a, np.inf, limit=400)
-    else:
-        val, err = quad(f, a, np.inf, weight="cos", wvar=omega, limlst=200)
-    return val, err
 
 
 def trapezoid_weights(n: int, spacing: float) -> np.ndarray:

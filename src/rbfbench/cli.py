@@ -5,7 +5,9 @@ Subcommands are thin wrappers over the library: `kernels table`,
 Exit codes: 0 all asserted invariants pass, 1 invariant failure,
 2 configuration error.  Physical parameters (d, k, gamma) are always
 explicit; reports carry the config hash and no timestamps, so identical
-invocations produce byte-identical files.
+invocations produce byte-identical files.  Each handler imports the library
+modules it calls, so a command loads only what it runs: `kernels table`,
+`spectral check`, `measure check` and `ratio-diag` never load scipy or sympy.
 """
 
 from __future__ import annotations
@@ -17,25 +19,6 @@ from math import factorial
 from pathlib import Path
 
 import numpy as np
-
-from .experiments import (
-    ExperimentConfig,
-    report_to_csv,
-    report_to_json,
-    reproduction_defaults,
-    run_rate_experiment,
-)
-from .geometry import Box, make_quasi_uniform
-from .kernels import sobolev_spline_construct, wendland_coeff_json, wendland_construct
-from .polyrep import property2_scan
-from .spectral import (
-    build_measure_1d,
-    measure_ft,
-    ratio_diagnostic,
-    spectral_check,
-    wend1d_decompose,
-    wendland_hat,
-)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -51,12 +34,16 @@ def _emit(payload: dict | list, out: str | None) -> None:
 
 
 def _cmd_kernels_table(args) -> int:
+    from .kernels import wendland_coeff_json, wendland_construct
+
     kernel = wendland_construct(args.d, args.k)
     _emit(wendland_coeff_json(kernel), args.out)
     return EXIT_OK
 
 
 def _cmd_spectral_check(args) -> int:
+    from .spectral import spectral_check
+
     report = spectral_check(args.d, args.k)
     _emit(report, args.out)
     worst = max(report["validation_residuals"])
@@ -64,6 +51,8 @@ def _cmd_spectral_check(args) -> int:
 
 
 def _cmd_measure_check(args) -> int:
+    from .spectral import build_measure_1d, measure_ft, wend1d_decompose, wendland_hat
+
     k = args.k
     decomp = wend1d_decompose(k)
     mu = build_measure_1d(k, decomp)
@@ -89,6 +78,11 @@ def _cmd_measure_check(args) -> int:
 
 
 def _cmd_property2(args) -> int:
+    from .experiments import reproduction_defaults
+    from .geometry import Box, make_quasi_uniform
+    from .kernels import sobolev_spline_construct, wendland_construct
+    from .polyrep import property2_scan
+
     d = args.d
     if args.kernel == "wendland":
         if args.k is None:
@@ -127,6 +121,9 @@ def _cmd_property2(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from .experiments import (ExperimentConfig, report_to_csv, report_to_json,
+                              run_rate_experiment)
+
     base = {}
     if args.config:
         base = json.loads(Path(args.config).read_text())
@@ -156,6 +153,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_ratio_diag(args) -> int:
+    from .spectral import ratio_diagnostic
+
     diag = ratio_diagnostic(args.d, args.k, args.gamma_target)
     payload = {
         "d": diag["d"], "k": diag["k"], "gamma": diag["gamma"],

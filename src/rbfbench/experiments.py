@@ -85,6 +85,12 @@ class ExperimentConfig:
             raise ValueError("need at least one level")
         if self.witness not in ("ls", "quasi"):
             raise ValueError(f"unknown witness type {self.witness!r}")
+        if self.witness == "quasi" and self.family != "sobolev":
+            raise ValueError("the constructive witness needs a synthesized "
+                             "test function (sobolev family)")
+        if self.family == "sobolev" and self.d != 1:
+            raise ValueError("sobolev experiments synthesize their test function "
+                             f"in d = 1 only, got d={self.d}")
 
     @property
     def kernel_label(self) -> dict:
@@ -206,9 +212,6 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
         f_scale = max(f_scale, float(np.abs(f_vals).max()))
         if cfg.witness == "quasi":
-            if tf is None:
-                raise ValueError("the constructive witness needs a synthesized "
-                                 "test function (sobolev family)")
             coeffs = quasi_interpolant(tf, tf.G_green, X, degree, c3)
             s_vals = evaluate_combination(coeffs, X, tf.G_green, grid)
         else:

@@ -24,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gamma as gamma_fn
 
 import numpy as np
-import sympy as sp
-from scipy.special import kv
 
 from ._exact import (
     RatPoly,
@@ -61,7 +59,7 @@ class SmoothnessError(ValueError):
 
 
 def _float_horner(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    acc = np.full_like(r, coeffs[-1])
+    acc = np.full_like(r, coeffs[-1], dtype=float)
     for c in reversed(coeffs[:-1]):
         acc = acc * r + c
     return acc
@@ -199,10 +197,12 @@ class SobolevSpline:
 
     def profile_bessel(self, r) -> np.ndarray:
         """Evaluation through K_nu; valid for any dim, used as fallback path."""
+        from scipy.special import kv
+
         r = np.asarray(r, dtype=float)
         nu = float(self.nu)
         scale = 1.0 / (2 ** (self.gamma / 2 - 1) * factorial(self.gamma // 2 - 1))
-        at_zero = 2 ** (nu - 1) * float(sp.gamma(sp.Rational(self.nu))) * scale
+        at_zero = 2 ** (nu - 1) * gamma_fn(nu) * scale
         out = np.where(
             r > 0.0,
             scale * np.power(np.maximum(r, 1e-300), nu) * kv(nu, np.maximum(r, 1e-300)),
@@ -317,6 +317,8 @@ def _origin_derivative(series: RatPoly, alpha: tuple[int, ...], scale: float) ->
 
 @lru_cache(maxsize=None)
 def _deriv_lambdified(K, alpha: tuple[int, ...]):
+    import sympy as sp
+
     xs = sp.symbols(f"x0:{K.dim}", real=True)
     rr = sp.sqrt(sum(xi ** 2 for xi in xs))
     if isinstance(K, PiecewisePolyRadial):

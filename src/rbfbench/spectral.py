@@ -54,7 +54,7 @@ from ._exact import (
     trig_series,
 )
 from ._quad import gl_panel_quad, gl_nodes_mp, panel_edges
-from .kernels import PiecewisePolyRadial, SobolevSpline, wendland_construct
+from .kernels import PiecewisePolyRadial, SobolevSpline, _float_horner, wendland_construct
 
 __all__ = [
     "PartialFractionTable",
@@ -212,9 +212,9 @@ def f_m_eval(t: PartialFractionTable, r) -> np.ndarray | float:
     """Evaluate f_m at r >= 0 (vectorized).  Always real."""
     P, Q, S = _trig_form_cached(t.m)
     r_arr = np.asarray(r, dtype=float)
-    out = (_horner(P, r_arr)
-           + _horner(Q, r_arr) * np.cos(r_arr)
-           + _horner(S, r_arr) * np.sin(r_arr))
+    out = (_float_horner(P, r_arr)
+           + _float_horner(Q, r_arr) * np.cos(r_arr)
+           + _float_horner(S, r_arr) * np.sin(r_arr))
     return out if isinstance(r, np.ndarray) else float(out)
 
 
@@ -224,13 +224,6 @@ def _trig_form_cached(m: int):
     return (tuple(float(c) for c in P),
             tuple(float(c) for c in Q),
             tuple(float(c) for c in S))
-
-
-def _horner(coeffs, r):
-    acc = np.full_like(r, coeffs[-1], dtype=float)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * r + c
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +284,7 @@ class _WendlandTransform:
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr < 0):
             raise ValueError("radius must be non-negative")
-        small = _horner(self.series, r_arr)
+        small = _float_horner(self.series, r_arr)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             direct = f_m_eval(self.table, r_arr) * np.power(
                 np.maximum(r_arr, 1e-300), -(3 * self.m + 2))
@@ -317,7 +310,7 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     # the series path until direct evaluation agrees with it to 1e-10.
     switch = 3.0
     for r_try in (0.6, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5):
-        s_val = float(_horner(reduced, np.asarray(r_try)))
+        s_val = float(_float_horner(reduced, np.asarray(r_try)))
         d_val = float(f_m_eval(table, r_try)) * r_try ** (-lead)
         if abs(d_val - s_val) <= 1e-10 * abs(s_val):
             switch = r_try
@@ -559,7 +552,7 @@ class FiniteMeasure:
     def density(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
-        vals = _horner(tuple(float(c) for c in self.density_poly), a)
+        vals = _float_horner(tuple(float(c) for c in self.density_poly), a)
         return np.where(a <= self.support_radius, vals, 0.0)
 
     def discrete_ft(self, omega) -> np.ndarray | float:

@@ -1,8 +1,10 @@
-"""Shared test utilities: reference polynomials and convolution trials."""
+"""Shared test utilities: reference polynomials, a Fourier quadrature oracle
+and convolution trials."""
 
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import quad
 
 from rbfbench._exact import binomial_one_minus_r, poly_mul, poly_trim
 from rbfbench.spectral import FiniteMeasure, measure_convolve
@@ -41,6 +43,18 @@ def proportionality_factor(p, q):
             elif a != lam * b:
                 return None
     return lam
+
+
+def fourier_cos_semiinf(f, omega: float, a: float = 0.0) -> tuple[float, float]:
+    """(integral of f(t) cos(omega t) over [a, inf), error estimate).
+
+    Uses the QUADPACK Fourier algorithm; f must decay at infinity.
+    """
+    if omega == 0.0:
+        val, err = quad(f, a, np.inf, limit=400)
+    else:
+        val, err = quad(f, a, np.inf, weight="cos", wvar=omega, limlst=200)
+    return val, err
 
 
 class PiecewiseLinear:

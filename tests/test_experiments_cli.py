@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from rbfbench import experiments
 from rbfbench.cli import main
 from rbfbench.experiments import (
     ExperimentConfig,
@@ -76,6 +77,10 @@ def test_config_validation():
         ExperimentConfig(family="sobolev", d=1)         # gamma missing
     with pytest.raises(ValueError):
         ExperimentConfig(family="sobolev", d=1, gamma=2, ratio=1.5)
+    with pytest.raises(ValueError, match="constructive witness"):
+        ExperimentConfig(family="wendland", d=1, k=1, witness="quasi")
+    with pytest.raises(ValueError, match="d = 1 only"):
+        ExperimentConfig(family="sobolev", d=2, gamma=4)
 
 
 def test_config_infinity_roundtrip():
@@ -164,6 +169,16 @@ def test_cli_rates_with_config_file(tmp_path):
 
 def test_cli_rates_bad_config():
     assert main(["rates", "--kernel", "wendland", "--d", "1"]) == 2
+
+
+def test_cli_rates_refuses_quasi_wendland_before_any_level(capsys, monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built for a refused config")
+
+    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    assert main(["rates", "--kernel", "wendland", "--d", "2", "--k", "1",
+                 "--witness", "quasi", "--levels", "1", "--h0", "0.03125"]) == 2
+    assert "rates: bad configuration:" in capsys.readouterr().err
 
 
 def test_cli_byte_identical_across_processes(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rbfbench._exact import poly_derivative, poly_eval
-from rbfbench._quad import fourier_cos_semiinf
 from rbfbench.kernels import (
     SmoothnessError,
     kernel_derivative,
@@ -15,7 +14,12 @@ from rbfbench.kernels import (
     wendland_construct,
 )
 
-from helpers import TABULATED_WENDLAND, proportionality_factor, tabulated_poly
+from helpers import (
+    TABULATED_WENDLAND,
+    fourier_cos_semiinf,
+    proportionality_factor,
+    tabulated_poly,
+)
 
 ALL_PAIRS = sorted(TABULATED_WENDLAND)
 
