@@ -1,16 +1,16 @@
 """Explicit Wendland transforms and their ingredients.
 
 For odd d = 2n+1 and m = n+k the transform is B_m f_m(r) r^(-3m-2), with
-f_m recovered from an exact partial fraction table and B_m calibrated once
-against an independent quadrature oracle.  The script prints the exact
-tables, cross-checks the transform against the oracle, and shows the
-r^(-2m-2) decay.
+f_m recovered from an exact partial fraction table and B_m taken in closed
+form from the exact moment of the kernel.  The script prints the exact
+tables, cross-checks the transform against an independent quadrature
+oracle, and shows the r^(-2m-2) decay.
 """
 
 import numpy as np
 
 from rbfbench import (
-    calibrate_amplitude,
+    amplitude_from_moments,
     f_m_eval,
     hankel_oracle,
     partial_fractions,
@@ -36,15 +36,15 @@ for d, k in [(1, 1), (3, 2)]:
     K = wendland_construct(d, k)
     for rr in (0.5, 5.0, 20.0):
         explicit = float(wendland_hat(d, k, rr))
-        oracle = hankel_oracle(K, d, rr, dps=35)
+        oracle = hankel_oracle(K, d, rr)
         print(f"({d},{k})  {rr:5.1f}  {explicit:.10e}  {oracle:.10e}  "
               f"{abs(explicit - oracle) / oracle:.1e}")
 
 # --- amplitudes and decay ----------------------------------------------------
 print("\namplitudes:")
 for d, k in [(1, 1), (1, 2), (3, 1), (3, 2)]:
-    print(f"  B({d},{k}) = {calibrate_amplitude(d, k):.9g}")
-print("sqrt(2 pi) B(1,1) =", np.sqrt(2 * np.pi) * calibrate_amplitude(1, 1),
+    print(f"  B({d},{k}) = {amplitude_from_moments(d, k):.9g}")
+print("sqrt(2 pi) B(1,1) =", np.sqrt(2 * np.pi) * amplitude_from_moments(1, 1),
       "(the exact atom weight 8 of the associated measure)")
 
 rs = np.geomspace(1, 1000, 7)

@@ -55,8 +55,8 @@ _EXPORTS = {
         "FiniteMeasure",
         "PartialFractionTable",
         "Wend1DDecomposition",
+        "amplitude_from_moments",
         "build_measure_1d",
-        "calibrate_amplitude",
         "f_m_eval",
         "hankel_oracle",
         "measure_convolve",

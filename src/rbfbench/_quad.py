@@ -2,17 +2,13 @@
 
 Oscillatory radial Fourier integrals are computed on Gauss-Legendre panels
 whose width never exceeds a quarter period pi/(4*omega) of the oscillation,
-so each panel sees a smooth, slowly varying integrand.  High-precision
-(mpmath) Gauss-Legendre nodes serve regimes where the result is many orders
-of magnitude below the integrand scale and float64 cancellation would
-dominate.
+so each panel sees a smooth, slowly varying integrand.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 
@@ -48,27 +44,6 @@ def gl_panel_quad(f, a: float, b: float, omega: float = 0.0, nodes: int = 16,
     pts = mid[:, None] + half[:, None] * x[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
     return float(np.sum(half * (vals @ w)))
-
-
-@lru_cache(maxsize=8)
-def gl_nodes_mp(n: int, dps: int):
-    """Gauss-Legendre nodes/weights on [-1, 1] at dps-digit precision."""
-    with mp.workdps(dps + 10):
-        xs, ws = [], []
-        for i in range(1, n + 1):
-            x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
-            for _ in range(100):
-                p0, p1 = mp.mpf(1), x
-                for j in range(2, n + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mp.mpf(10) ** (-(dps + 6)):
-                    break
-            xs.append(x)
-            ws.append(2 / ((1 - x * x) * dp * dp))
-        return tuple(xs), tuple(ws)
 
 
 def trapezoid_weights(n: int, spacing: float) -> np.ndarray:

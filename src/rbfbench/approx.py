@@ -27,7 +27,7 @@ from scipy.spatial.distance import cdist
 
 from ._quad import gl_panel_quad
 from .geometry import PointSet, cube_center
-from .polyrep import LocalPolyBuilder
+from .polyrep import LocalPolyBuilder, _basis_matrix
 
 __all__ = [
     "SmoothBump",
@@ -198,8 +198,7 @@ def quasi_interpolant(tf: TestFunction, Phi, X: PointSet, degree: int, c3: float
         if not np.any(gv):
             continue
         star, V, anchor, scale, _ = builder.cube_map(idx)
-        z = (samples - anchor) / scale
-        beta = np.stack([np.prod(z ** np.asarray(e), axis=1) for e in builder.exponents])
+        beta = _basis_matrix(samples, anchor, scale, builder.exponents)
         alpha = V @ beta                      # (n_star, n_samples)
         coeffs[star] += w_quad * (alpha @ gv)
     return coeffs

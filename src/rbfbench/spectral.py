@@ -9,9 +9,9 @@ where f_m is the inverse Laplace transform of 1/(s^(m+1) (1+s^2)^(m+1)) and
 B_m > 0 is an amplitude depending on the kernel normalization.  This module
 computes the partial fraction decomposition of that rational function in
 exact Gaussian-rational arithmetic, evaluates f_m in the real trigonometric
-form, calibrates B_m against an independent high-precision quadrature
-oracle, and exposes the transform with a cancellation-free series path near
-r = 0.
+form, takes B_m in closed form from the exact moment of the kernel,
+validates the transform against an independent quadrature oracle, and
+exposes it with a cancellation-free series path near r = 0.
 
 It also houses the 1-D asymptotic decomposition
 
@@ -31,7 +31,6 @@ from functools import lru_cache
 from math import factorial, gamma as gamma_fn, pi
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from ._exact import (
@@ -53,7 +52,7 @@ from ._exact import (
     shifted_inverse_power_series,
     trig_series,
 )
-from ._quad import gl_panel_quad, gl_nodes_mp, panel_edges
+from ._quad import gl_panel_quad
 from .kernels import PiecewisePolyRadial, SobolevSpline, _float_horner, wendland_construct
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "f_m_eval",
     "f_m_series",
     "wendland_hat",
-    "calibrate_amplitude",
     "amplitude_from_moments",
     "hankel_oracle",
     "wend1d_decompose",
@@ -79,11 +77,13 @@ __all__ = [
 
 MAX_M = 12
 SERIES_EXTRA = 48        # series terms kept past the leading power
-SERIES_SWITCH = 0.7      # below this radius the series path is used
+# Radii tried, in order, for the hand-over from the series to direct evaluation.
+SWITCH_CANDIDATES = (0.6, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0,
+                     8.0, 10.0, 12.0, 16.0)
 
 
 class CalibrationError(RuntimeError):
-    """Amplitude calibration disagreed with the quadrature oracle."""
+    """The transform failed a self-check or its oracle validation."""
 
 
 # ----------------------------------------------------------------------------
@@ -277,7 +277,7 @@ class _WendlandTransform:
     amplitude: float
     validation_residuals: tuple[float, ...]
     series: tuple[float, ...] = field(repr=False)   # f_m(r)/r^(3m+2) near 0
-    series_switch: float = SERIES_SWITCH
+    series_switch: float
 
     def hat(self, r) -> np.ndarray | float:
         """Transform value at radius r >= 0 (vectorized)."""
@@ -308,21 +308,17 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
 
     # Direct evaluation of f_m cancels down to scale r^(3m+2); hand radii to
     # the series path until direct evaluation agrees with it to 1e-10.
-    switch = 3.0
-    for r_try in (0.6, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5):
-        s_val = float(_float_horner(reduced, np.asarray(r_try)))
-        d_val = float(f_m_eval(table, r_try)) * r_try ** (-lead)
+    for switch in SWITCH_CANDIDATES:
+        s_val = float(_float_horner(reduced, np.asarray(switch)))
+        d_val = float(f_m_eval(table, switch)) * switch ** (-lead)
         if abs(d_val - s_val) <= 1e-10 * abs(s_val):
-            switch = r_try
             break
+    else:
+        raise CalibrationError(
+            f"series and direct evaluation of f_{m} agree at no switch radius "
+            f"up to {SWITCH_CANDIDATES[-1]} for (d={d}, k={k})")
 
-    # Amplitude: match the quadrature oracle at r0 = 1, then validate.  The
-    # oracle runs at high precision and f_m(1) is summed exactly from the
-    # series, since both sit 3m+2 orders below the integrand scale.
-    r0 = 1.0
-    oracle_r0 = hankel_oracle(kernel, d, r0, dps=40)
-    f_r0 = float(sum(series[lead:]))
-    amplitude = oracle_r0 * r0 ** lead / f_r0
+    amplitude = amplitude_from_moments(d, k)
     if amplitude <= 0:
         raise CalibrationError(f"non-positive amplitude for (d={d}, k={k})")
 
@@ -344,19 +340,14 @@ def wendland_hat(d: int, k: int, r) -> np.ndarray | float:
     """Fourier transform of the Wendland function at radius r (d odd).
 
     Uses the exact trigonometric form away from zero and the exact Taylor
-    series of f_m below r = 0.7, where direct evaluation would cancel
-    catastrophically.
+    series of f_m below the transform's series_switch radius, where direct
+    evaluation would cancel catastrophically.
     """
     return wendland_transform(d, k).hat(r)
 
 
-def calibrate_amplitude(d: int, k: int) -> float:
-    """Amplitude B_m, calibrated against the quadrature oracle at r0 = 1."""
-    return wendland_transform(d, k).amplitude
-
-
 def amplitude_from_moments(d: int, k: int) -> float:
-    """Independent closed form for the amplitude.
+    """The amplitude B_m of the transform, in closed form for any odd d.
 
     hat(Phi)(0) = (2 pi)^(-d/2) * omega_{d-1} * int_0^1 Phi(t) t^(d-1) dt and
     f_m(r) r^(-3m-2) -> 1/(3m+2)! as r -> 0, so B_m = hat(Phi)(0) * (3m+2)!.
@@ -374,7 +365,7 @@ def amplitude_from_moments(d: int, k: int) -> float:
 # Quadrature oracle for radial Fourier transforms
 # ----------------------------------------------------------------------------
 
-def hankel_oracle(kernel, d: int, r: float, *, dps: int | None = None,
+def hankel_oracle(kernel, d: int, r: float, *,
                   truncation: float | None = None, nodes: int = 20,
                   return_err: bool = False):
     """Radial Fourier transform at radius r by independent panel quadrature.
@@ -390,10 +381,6 @@ def hankel_oracle(kernel, d: int, r: float, *, dps: int | None = None,
     kernel : PiecewisePolyRadial | SobolevSpline | callable
         Radial profile.  Callables must be vectorized and require an
         explicit truncation radius.
-    dps : int, optional
-        If given, evaluate in mpmath arithmetic with this many digits
-        (exact-polynomial kernels, d in {1, 3} only).  Needed when the
-        transform value sits many orders of magnitude below the integrand.
     return_err : bool
         Also return a refinement-based error estimate.
     """
@@ -410,16 +397,6 @@ def hankel_oracle(kernel, d: int, r: float, *, dps: int | None = None,
             raise ValueError("callable kernels need an explicit truncation radius")
         upper = float(truncation)
         profile = kernel
-
-    if dps is not None:
-        if not isinstance(kernel, PiecewisePolyRadial) or d not in (1, 3):
-            raise ValueError("high-precision oracle supports exact polynomial "
-                             "kernels in d = 1 or 3 only")
-        val = _hankel_mp(kernel, d, r, dps)
-        if return_err:
-            err = abs(val - _hankel_mp(kernel, d, r, dps + 10))
-            return float(val), float(err)
-        return float(val)
 
     val = _hankel_float(profile, d, r, upper, nodes)
     if return_err:
@@ -439,34 +416,6 @@ def _hankel_float(profile, d: int, r: float, upper: float, nodes: int) -> float:
     nu = (d - 2) / 2.0
     integrand = lambda t: profile(t) * np.power(t, d / 2.0) * jv(nu, r * t)
     return r ** (-nu) * gl_panel_quad(integrand, 0.0, upper, r, nodes)
-
-
-def _hankel_mp(kernel: PiecewisePolyRadial, d: int, r: float, dps: int):
-    coeffs = [mp.mpf(c.numerator) / c.denominator for c in kernel.coeffs]
-
-    def poly_mpf(t):
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * t + c
-        return acc
-
-    xs, ws = gl_nodes_mp(14, dps)
-    edges = panel_edges(0.0, 1.0, r)
-    with mp.workdps(dps):
-        rr = mp.mpf(r)
-        total = mp.mpf(0)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            c1 = (mp.mpf(hi) - mp.mpf(lo)) / 2
-            c2 = (mp.mpf(hi) + mp.mpf(lo)) / 2
-            for x, w in zip(xs, ws):
-                t = c1 * x + c2
-                if d == 1:
-                    total += c1 * w * poly_mpf(t) * mp.cos(rr * t)
-                else:
-                    total += c1 * w * poly_mpf(t) * t * mp.sin(rr * t)
-        if d == 1:
-            return mp.sqrt(2 / mp.pi) * total
-        return mp.sqrt(2 / mp.pi) / rr * total
 
 
 # ----------------------------------------------------------------------------
@@ -716,7 +665,6 @@ def spectral_check(d: int, k: int, decay_radii: np.ndarray | None = None) -> dic
         "alpha": [str(a) for a in tf.table.alpha],
         "beta": [[str(b.re), str(b.im)] for b in tf.table.beta],
         "amplitude": tf.amplitude,
-        "amplitude_from_moments": amplitude_from_moments(d, k),
         "validation_residuals": list(tf.validation_residuals),
         "decay_table": [{"r": float(r), "scaled_hat": float(v)}
                         for r, v in zip(decay_radii, decay)],

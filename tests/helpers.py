@@ -1,12 +1,16 @@
-"""Shared test utilities: reference polynomials, a Fourier quadrature oracle
+"""Shared test utilities: reference polynomials, Fourier quadrature oracles
 and convolution trials."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
 from rbfbench._exact import binomial_one_minus_r, poly_mul, poly_trim
+from rbfbench._quad import panel_edges
+from rbfbench.kernels import PiecewisePolyRadial
 from rbfbench.spectral import FiniteMeasure, measure_convolve
 
 # Classical tabulated Wendland polynomials: (d, k) -> (base power, factor poly).
@@ -55,6 +59,65 @@ def fourier_cos_semiinf(f, omega: float, a: float = 0.0) -> tuple[float, float]:
     else:
         val, err = quad(f, a, np.inf, weight="cos", wvar=omega, limlst=200)
     return val, err
+
+
+@lru_cache(maxsize=8)
+def _gl_nodes_mp(n: int, dps: int):
+    """Gauss-Legendre nodes/weights on [-1, 1] at dps-digit precision."""
+    with mp.workdps(dps + 10):
+        xs, ws = [], []
+        for i in range(1, n + 1):
+            x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
+            for _ in range(100):
+                p0, p1 = mp.mpf(1), x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                dx = p1 / dp
+                x -= dx
+                if abs(dx) < mp.mpf(10) ** (-(dps + 6)):
+                    break
+            xs.append(x)
+            ws.append(2 / ((1 - x * x) * dp * dp))
+        return tuple(xs), tuple(ws)
+
+
+def hankel_oracle_mp(kernel, d: int, r: float, dps: int) -> float:
+    """Radial Fourier transform at radius r in dps-digit mpmath arithmetic.
+
+    The same panel quadrature as ``spectral.hankel_oracle``, for exact
+    polynomial kernels in d = 1 or 3, where the Bessel factor is cos or
+    sin.  It resolves transform values that sit many orders of magnitude
+    below the integrand scale, where float64 cancellation dominates.
+    """
+    if not isinstance(kernel, PiecewisePolyRadial) or d not in (1, 3):
+        raise ValueError("high-precision oracle supports exact polynomial "
+                         "kernels in d = 1 or 3 only")
+    coeffs = [mp.mpf(c.numerator) / c.denominator for c in kernel.coeffs]
+
+    def poly_mpf(t):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * t + c
+        return acc
+
+    xs, ws = _gl_nodes_mp(14, dps)
+    edges = panel_edges(0.0, 1.0, r)
+    with mp.workdps(dps):
+        rr = mp.mpf(r)
+        total = mp.mpf(0)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            c1 = (mp.mpf(hi) - mp.mpf(lo)) / 2
+            c2 = (mp.mpf(hi) + mp.mpf(lo)) / 2
+            for x, w in zip(xs, ws):
+                t = c1 * x + c2
+                if d == 1:
+                    total += c1 * w * poly_mpf(t) * mp.cos(rr * t)
+                else:
+                    total += c1 * w * poly_mpf(t) * t * mp.sin(rr * t)
+        if d == 1:
+            return float(mp.sqrt(2 / mp.pi) * total)
+        return float(mp.sqrt(2 / mp.pi) / rr * total)
 
 
 class PiecewiseLinear:

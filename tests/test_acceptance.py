@@ -17,7 +17,6 @@ from rbfbench.kernels import wendland_construct
 from rbfbench.polyrep import LocalPolyBuilder, monomial_exponents, property2_scan
 from rbfbench.spectral import (
     build_measure_1d,
-    hankel_oracle,
     multiply_back,
     partial_fractions,
     wend1d_decompose,
@@ -26,6 +25,7 @@ from rbfbench.spectral import (
 
 from helpers import (
     TABULATED_WENDLAND,
+    hankel_oracle_mp,
     proportionality_factor,
     tabulated_poly,
     young_trials,
@@ -79,7 +79,7 @@ def test_criterion_03_transform_agreement():
         kernel = wendland_construct(d, k)
         devs = []
         for r in radii:
-            oracle = hankel_oracle(kernel, d, float(r), dps=35)
+            oracle = hankel_oracle_mp(kernel, d, float(r), 35)
             val = float(wendland_hat(d, k, float(r)))
             devs.append(abs(val - oracle) / abs(oracle))
         worst[(d, k)] = max(devs)

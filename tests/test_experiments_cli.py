@@ -124,6 +124,15 @@ def test_cli_rejects_unknown_and_missing_flags():
     assert proc.returncode == 2          # physical parameter k must be explicit
 
 
+def test_cli_spectral_check_odd_d5(tmp_path):
+    out = tmp_path / "check.json"
+    assert main(["spectral", "check", "--d", "5", "--k", "1",
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["m"] == 3
+    assert max(data["validation_residuals"]) < 1e-5
+
+
 def test_cli_measure_check(tmp_path):
     out = tmp_path / "measure.json"
     assert main(["measure", "check", "--k", "1", "--out", str(out)]) == 0

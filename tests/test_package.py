@@ -86,3 +86,4 @@ def test_transform_commands_load_no_scipy_or_sympy(argv, tmp_path):
             f"assert main({argv + ['--out', out]!r}) == 0")
     loaded = _loaded_roots(code, tmp_path)
     assert "scipy" not in loaded and "sympy" not in loaded
+    assert "mpmath" not in loaded

@@ -3,15 +3,17 @@
 from fractions import Fraction
 from math import factorial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from rbfbench._exact import GaussianRational
 from rbfbench.kernels import wendland_construct
+from rbfbench import spectral
 from rbfbench.spectral import (
+    CalibrationError,
     amplitude_from_moments,
-    calibrate_amplitude,
     f_m_eval,
     f_m_series,
     hankel_oracle,
@@ -23,7 +25,11 @@ from rbfbench.spectral import (
     wendland_transform,
 )
 
+from helpers import hankel_oracle_mp
+
 ACCEPT_PAIRS = [(1, 1), (1, 2), (3, 1), (3, 2)]
+# Every pair inside the exact construction guard: odd d <= 9, k <= 5.
+SCOPE_PAIRS = [(d, k) for d in (1, 3, 5, 7, 9) for k in range(6)]
 
 
 # ----------------------------------------------------------------------------
@@ -129,17 +135,37 @@ def test_amplitude_is_positive_and_validated():
         assert max(tf.validation_residuals) < 1e-6
 
 
+@pytest.mark.parametrize("d,k", SCOPE_PAIRS)
+def test_transform_validates_across_scope(d, k):
+    tf = wendland_transform(d, k)
+    assert tf.amplitude == amplitude_from_moments(d, k)
+    assert max(tf.validation_residuals) < 1e-5
+
+
+def test_no_agreeing_switch_radius_raises(monkeypatch):
+    # (3,5) needs r >= 5 before direct evaluation of f_6 agrees with the
+    # series; with only small candidates it must refuse, not fall back.
+    monkeypatch.setattr(spectral, "SWITCH_CANDIDATES", (0.6, 0.8, 1.0))
+    with pytest.raises(CalibrationError, match="no switch radius"):
+        wendland_transform.__wrapped__(3, 5)
+
+
 def test_amplitude_against_exact_moment_formula():
+    # Independent one-point calibration: the high-precision oracle at r0 = 1
+    # divided by f_m(1), summed exactly from the series.
     for d, k in ACCEPT_PAIRS:
-        B = calibrate_amplitude(d, k)
-        assert B == pytest.approx(amplitude_from_moments(d, k), rel=1e-9)
+        m = (d - 1) // 2 + k
+        lead = 3 * m + 2
+        oracle = hankel_oracle_mp(wendland_construct(d, k), d, 1.0, 40)
+        calibrated = oracle / float(sum(f_m_series(m)[lead:]))
+        assert amplitude_from_moments(d, k) == pytest.approx(calibrated, rel=1e-9)
 
 
 def test_amplitude_frozen_values():
     # Derived from the jumps of the (2k+1)-th derivative of the kernel:
     # sqrt(2 pi) B = 8 for (1,1) and 96 for (1,2).
-    assert calibrate_amplitude(1, 1) == pytest.approx(8.0 / np.sqrt(2 * np.pi), rel=1e-9)
-    assert calibrate_amplitude(1, 2) == pytest.approx(96.0 / np.sqrt(2 * np.pi), rel=1e-9)
+    assert amplitude_from_moments(1, 1) == pytest.approx(8.0 / np.sqrt(2 * np.pi), rel=1e-9)
+    assert amplitude_from_moments(1, 2) == pytest.approx(96.0 / np.sqrt(2 * np.pi), rel=1e-9)
 
 
 @pytest.mark.parametrize("d,k", ACCEPT_PAIRS)
@@ -151,6 +177,31 @@ def test_transform_agrees_with_float_oracle(d, k):
             oracle, rel=1e-6, abs=10 * abs(err))
 
 
+@pytest.mark.parametrize("m", range(10))
+def test_both_paths_match_exact_f_m(m):
+    # One (d, k) inside the guard per m <= 9.  On both sides of the switch
+    # the reduced transform must match f_m(r) r^(-3m-2) summed at 80 digits
+    # from the exact table: f_m(r) = sum_j r^j/j! (alpha_j
+    # + 2 Re(beta_j) cos r + 2 Im(beta_j) sin r).
+    k = min(m, 5)
+    tf = wendland_transform(2 * (m - k) + 1, k)
+    table = partial_fractions(m)
+    frac = lambda q: mp.mpf(q.numerator) / q.denominator
+    with mp.workdps(80):
+        def exact(r):
+            r = mp.mpf(r)
+            c, s = mp.cos(r), mp.sin(r)
+            total = mp.mpf(0)
+            for j, (a, b) in enumerate(zip(table.alpha, table.beta)):
+                total += r ** j / mp.factorial(j) * (
+                    frac(a) + 2 * frac(b.re) * c + 2 * frac(b.im) * s)
+            return float(total / r ** (3 * m + 2))
+
+        for r in np.linspace(0.05, 4 * tf.series_switch, 40):
+            got = float(tf.hat(float(r))) / tf.amplitude
+            assert got == pytest.approx(exact(r), rel=1e-9, abs=0), (r, tf.series_switch)
+
+
 def test_small_radius_series_path():
     for d, k in ((1, 1), (3, 2)):
         tf = wendland_transform(d, k)
@@ -159,7 +210,7 @@ def test_small_radius_series_path():
         # radii; check it against the high-precision oracle at r = 1e-2,
         # where direct evaluation of f_m has fully cancelled away.
         kernel = wendland_construct(d, k)
-        oracle = hankel_oracle(kernel, d, 1e-2, dps=40)
+        oracle = hankel_oracle_mp(kernel, d, 1e-2, 40)
         assert float(wendland_hat(d, k, 1e-2)) == pytest.approx(oracle, rel=1e-9)
         # Relative agreement of the two paths where both are solid.
         r = tf.series_switch + 0.05
@@ -215,8 +266,6 @@ def test_oracle_guards():
         hankel_oracle(K, 1, 0.0)
     with pytest.raises(ValueError):
         hankel_oracle(lambda t: np.exp(-t), 1, 1.0)   # missing truncation
-    with pytest.raises(ValueError):
-        hankel_oracle(K, 5, 1.0, dps=30)              # mp path needs d in {1,3}
 
 
 # ----------------------------------------------------------------------------
