@@ -26,7 +26,7 @@ from scipy.linalg import lstsq
 from scipy.spatial.distance import cdist
 
 from ._quad import gl_panel_quad
-from .geometry import PointSet, cube_center
+from .geometry import PointSet, cube_center, tensor_grid
 from .polyrep import LocalPolyBuilder, _basis_matrix
 
 __all__ = [
@@ -170,23 +170,22 @@ def synth_test_function(G, bump: SmoothBump, nodes: int = 48,
 
 
 def quasi_interpolant(tf: TestFunction, Phi, X: PointSet, degree: int, c3: float,
-                      spacing: float | None = None) -> np.ndarray:
+                      spacing: float | None = None, c2_cap: float = 2.0) -> np.ndarray:
     """Constructive coefficients: c_xi = integral of g(t) A(t, xi) dt.
 
     The integral runs over the cubes meeting the support of g = T f, with a
-    midpoint rule of the given spacing (default h/4) inside each cube.
-    Returns one coefficient per point of X.
+    midpoint rule of the given spacing (default h/4) inside each cube, and
+    A(t, .) from LocalPolyBuilder(X, degree, c3, c2_cap).  Returns one
+    coefficient per point of X.
     """
     g = tf.g
     d = X.dim
     side = X.h
     spacing = side / 4.0 if spacing is None else spacing
     m = max(1, int(np.ceil(side / spacing)))
-    offs_1d = (np.arange(m) + 0.5) / m * side - side / 2.0
-    mesh = np.meshgrid(*([offs_1d] * d), indexing="ij")
-    offsets = np.stack([mm.ravel() for mm in mesh], axis=-1)
+    offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
     w_quad = (side / m) ** d
-    builder = LocalPolyBuilder(X, degree, c3)
+    builder = LocalPolyBuilder(X, degree, c3, c2_cap)
     lo = np.floor((np.asarray(g.center) - g.width) / side + 0.5).astype(int)
     hi = np.floor((np.asarray(g.center) + g.width) / side + 0.5).astype(int)
     coeffs = np.zeros(X.n)
@@ -301,7 +300,7 @@ def fit_rate(levels, f_scale: float = 1.0) -> tuple[float, float]:
         raise ValueError(f"need at least 4 usable levels, have {len(usable)}")
     lh = np.log([h for h, _ in usable])
     le = np.log([e for _, e in usable])
-    (slope, intercept), res = np.polyfit(lh, le, 1), None
+    slope, intercept = np.polyfit(lh, le, 1)
     fit = slope * lh + intercept
     residual = float(np.sqrt(np.mean((le - fit) ** 2)))
     return float(slope), residual

@@ -7,9 +7,9 @@ Exit codes: 0 all asserted invariants pass, 1 invariant failure,
 explicit; reports carry the config hash and no timestamps, so identical
 invocations produce byte-identical files.  Each handler imports the library
 modules it calls, so a command loads only what it runs: `kernels table`,
-`spectral check`, `measure check` and `ratio-diag` never load sympy or
-mpmath, and load scipy only for the Bessel oracle of `spectral check` in
-d >= 5.
+`spectral check`, `measure check` and `ratio-diag` never load mpmath, and
+load scipy only for the Bessel oracle of `spectral check` in d >= 5.  The
+library itself depends on numpy and scipy only.
 """
 
 from __future__ import annotations

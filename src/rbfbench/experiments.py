@@ -32,7 +32,7 @@ from .approx import (
     quasi_interpolant,
     synth_test_function,
 )
-from .geometry import Box, make_quasi_uniform
+from .geometry import Box, make_quasi_uniform, tensor_grid
 from .kernels import sobolev_spline_construct, wendland_construct
 
 __all__ = [
@@ -203,16 +203,13 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
         grid_spacing = X.q / cfg.grid_factor
         counts = [int(np.ceil(1.0 / grid_spacing)) + 1] * cfg.d
         axes = [np.linspace(0.0, 1.0, n) for n in counts]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=-1)
-        w1 = [trapezoid_weights(n, ax[1] - ax[0]) for n, ax in zip(counts, axes)]
-        weights = w1[0]
-        for extra in w1[1:]:
-            weights = np.outer(weights, extra).ravel()
+        grid = tensor_grid(axes)
+        weights = tensor_grid([trapezoid_weights(n, ax[1] - ax[0])
+                               for n, ax in zip(counts, axes)]).prod(axis=1)
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
         f_scale = max(f_scale, float(np.abs(f_vals).max()))
         if cfg.witness == "quasi":
-            coeffs = quasi_interpolant(tf, tf.G_green, X, degree, c3)
+            coeffs = quasi_interpolant(tf, tf.G_green, X, degree, c3, c2_cap=cfg.c2_cap)
             s_vals = evaluate_combination(coeffs, X, tf.G_green, grid)
         else:
             _, s_vals, _ = _ls_fit(f_vals, grid, kernel, X)

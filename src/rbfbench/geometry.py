@@ -8,7 +8,8 @@ depends only on (seed, lattice index).
 
 The cube partition splits R^d into half-open cubes [c - s/2, c + s/2)
 centered at the lattice s*Z^d; local stars are anchored at cube centers so
-that every t in a given cube sees the same star.
+that every t in a given cube sees the same star.  Every neighbour search
+(fill distance, separation radius, stars) goes through a KD-tree.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy.spatial import cKDTree
 __all__ = [
     "Box",
     "PointSet",
+    "tensor_grid",
     "EmptyStarError",
     "make_quasi_uniform",
     "fill_distance",
@@ -37,6 +39,12 @@ __all__ = [
 
 class EmptyStarError(RuntimeError):
     """No points fell inside the requested star; enlarge the radius."""
+
+
+def tensor_grid(axes) -> np.ndarray:
+    """The (n, d) tensor product of d 1-D axes, in meshgrid(indexing="ij") order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -68,9 +76,7 @@ class Box:
         if total > max_nodes:
             raise ValueError(f"candidate grid would need {total} nodes; "
                              "coarsen the resolution")
-        axes = [np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_grid([np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)])
 
 
 def cube_index(t: np.ndarray, side: float) -> tuple[int, ...]:
@@ -85,7 +91,7 @@ def cube_center(idx: tuple[int, ...], side: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Scattered points with cached density functionals and a cube index."""
+    """Scattered points with cached density functionals and a KD-tree built once."""
 
     points: np.ndarray            # (n, d)
     domain: Box
@@ -94,8 +100,10 @@ class PointSet:
     q: float                      # separation radius (exact)
     seed: int | None = None
     jitter: float = 0.0
-    _grid: dict = field(default_factory=dict, repr=False, compare=False)
-    _grid_side: float = field(default=0.0, repr=False, compare=False)
+    _tree: cKDTree = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tree", cKDTree(self.points))
 
     @property
     def n(self) -> int:
@@ -109,34 +117,10 @@ class PointSet:
     def rho(self) -> float:
         return self.h / self.q
 
-    def grid_index(self, side: float | None = None) -> dict:
-        """Cube partition of the points; rebuilt if the side changes."""
-        side = self.h if side is None else float(side)
-        if not self._grid or self._grid_side != side:
-            table: dict[tuple[int, ...], list[int]] = {}
-            for i, p in enumerate(self.points):
-                table.setdefault(cube_index(p, side), []).append(i)
-            object.__setattr__(self, "_grid", {k: np.asarray(v) for k, v in table.items()})
-            object.__setattr__(self, "_grid_side", side)
-        return self._grid
-
     def within_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of points with |p - center| <= radius, via the cube index."""
-        side = self.h if self._grid_side == 0.0 else self._grid_side
-        grid = self.grid_index(side)
-        center = np.asarray(center, dtype=float)
-        lo = np.floor((center - radius) / side + 0.5).astype(int)
-        hi = np.floor((center + radius) / side + 0.5).astype(int)
-        hits = []
-        for idx in np.ndindex(*(hi - lo + 1)):
-            cell = tuple(lo + np.asarray(idx))
-            if cell in grid:
-                hits.append(grid[cell])
-        if not hits:
-            return np.empty(0, dtype=int)
-        cand = np.concatenate(hits)
-        dist = np.linalg.norm(self.points[cand] - center, axis=1)
-        return cand[dist <= radius]
+        """Indices of points with |p - center| <= radius, in ascending order."""
+        return np.asarray(self._tree.query_ball_point(center, radius, return_sorted=True),
+                          dtype=int)
 
 
 def fill_distance(points: np.ndarray, domain: Box, resolution: float,
@@ -159,7 +143,7 @@ def fill_distance(points: np.ndarray, domain: Box, resolution: float,
 
 
 def separation_radius(points: np.ndarray) -> float:
-    """Half the minimum pairwise distance (exact, grid-accelerated)."""
+    """Half the minimum pairwise distance (exact, by KD-tree)."""
     points = np.atleast_2d(points)
     if points.shape[0] < 2:
         raise ValueError("separation radius needs at least two points")
@@ -190,12 +174,8 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     if h_target >= min(domain.sides):
         raise ValueError("h_target must be smaller than the domain's shortest side")
     box = domain.pad(pad) if pad > 0 else domain
-    axes = []
-    for a, b in zip(box.lo, box.hi):
-        n = max(1, round((b - a) / h_target))
-        axes.append(np.linspace(a, b, n + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = tensor_grid([np.linspace(a, b, max(1, round((b - a) / h_target)) + 1)
+                       for a, b in zip(box.lo, box.hi)])
     if jitter > 0:
         rng = np.random.Generator(np.random.Philox(key=seed or 0))
         pts = pts + rng.uniform(-jitter * h_target, jitter * h_target, size=pts.shape)

@@ -21,10 +21,12 @@ modified-Bessel form is evaluated numerically.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gamma as gamma_fn
+from itertools import product
+from math import exp, factorial, gamma as gamma_fn
 
 import numpy as np
 
@@ -96,10 +98,6 @@ class PiecewisePolyRadial:
         r = np.asarray(r, dtype=float)
         vals = _float_horner(self._fcoeffs, r)
         return np.where(r < 1.0, vals, 0.0)
-
-    def radial_derivative(self, order: int) -> RatPoly:
-        """Exact coefficients of the order-th derivative of the profile."""
-        return poly_derivative(self.coeffs, order)
 
     def radial_series(self, order: int) -> RatPoly:
         """Taylor coefficients of the profile at r = 0 through r^order."""
@@ -189,6 +187,11 @@ class SobolevSpline:
     def support_radius(self) -> float:
         return np.inf
 
+    @property
+    def bessel_scale(self) -> float:
+        """The constant c with profile(r) = c r^nu K_nu(r)."""
+        return 1.0 / (2 ** (self.gamma / 2 - 1) * factorial(self.gamma // 2 - 1))
+
     def profile(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.poly is not None:
@@ -201,7 +204,7 @@ class SobolevSpline:
 
         r = np.asarray(r, dtype=float)
         nu = float(self.nu)
-        scale = 1.0 / (2 ** (self.gamma / 2 - 1) * factorial(self.gamma // 2 - 1))
+        scale = self.bessel_scale
         at_zero = 2 ** (nu - 1) * gamma_fn(nu) * scale
         out = np.where(
             r > 0.0,
@@ -315,37 +318,40 @@ def _origin_derivative(series: RatPoly, alpha: tuple[int, ...], scale: float) ->
     return float(series[n] * mult) * scale
 
 
-@lru_cache(maxsize=None)
-def _deriv_lambdified(K, alpha: tuple[int, ...]):
-    import sympy as sp
+def _radial_steps(K, r: float, top: int) -> tuple[float, list[dict[int, Fraction]]]:
+    """(w, L) with ((1/r) d/dr)^j profile = w * sum_p L[j][p] r^p at r, j <= top.
 
-    xs = sp.symbols(f"x0:{K.dim}", real=True)
-    rr = sp.sqrt(sum(xi ** 2 for xi in xs))
-    if isinstance(K, PiecewisePolyRadial):
-        expr = sum(sp.Rational(c.numerator, c.denominator) * rr ** i
-                   for i, c in enumerate(K.coeffs))
-    elif K.poly is not None:
-        pref = sp.sqrt(sp.pi / 2) / (2 ** (K.gamma // 2 - 1) * factorial(K.gamma // 2 - 1))
-        expr = pref * sp.exp(-rr) * sum(
-            sp.Rational(c.numerator, c.denominator) * rr ** i for i, c in enumerate(K.poly))
-    else:
-        scale = sp.Rational(1, 2 ** (K.gamma // 2 - 1) * factorial(K.gamma // 2 - 1))
-        expr = scale * rr ** sp.Rational(K.nu) * sp.besselk(sp.Rational(K.nu), rr)
-    for xi, a in zip(xs, alpha):
-        if a:
-            expr = sp.diff(expr, xi, a)
-    # The lambdified function is only evaluated away from the origin, where
-    # the distributional terms produced by d|x|/dx vanish.
-    expr = expr.replace(sp.DiracDelta, lambda *args: sp.S.Zero)
-    return sp.lambdify(xs, expr, modules=["scipy", "numpy"])
+    Exact for a rational profile and for exp(-r) times one (odd-d Sobolev):
+    a step maps c r^p to p c r^(p-2), and exp(-r) adds -c r^(p-1).  In even
+    d, d/dr [r^nu K_nu(r)] = -r^nu K_(nu-1)(r) gives one value per step.
+    """
+    if isinstance(K, SobolevSpline) and K.poly is None:
+        from scipy.special import kv
+
+        nu = float(K.nu)
+        return 1.0, [{0: Fraction((-1) ** j * K.bessel_scale * r ** (nu - j)
+                                  * float(kv(nu - j, r)))} for j in range(top + 1)]
+    decay = isinstance(K, SobolevSpline)
+    laurent = [dict(enumerate(K.poly if decay else K.coeffs))]
+    for _ in range(top):
+        step = Counter()
+        for p, c in laurent[-1].items():
+            step[p - 2] += p * c
+            if decay:
+                step[p - 1] -= c
+        laurent.append(step)
+    return (K.prefactor * exp(-r) if decay else 1.0), laurent
 
 
 def kernel_derivative(K, x, alpha) -> float:
     """Partial derivative D^alpha of the kernel at x.
 
-    alpha is a multi-index of length dim.  Derivatives are exact symbolic
-    derivatives of the radial profile composed with ||x||; at the origin the
-    even extension of the profile defines the value, and orders beyond the
+    alpha is a multi-index of length dim.  Away from the origin, with
+    F(x) = g(|x|^2 / 2) and g^(j) = ((1/r) d/dr)^j profile, the radial chain
+    rule gives D^alpha F(x) = sum over beta <= alpha/2 of
+    prod_i alpha_i! / (beta_i! (alpha_i - 2 beta_i)! 2^beta_i)
+    * x^(alpha - 2 beta) * g^(|alpha| - |beta|).  At the origin the even
+    extension of the profile defines the value, and orders beyond the
     available smoothness raise SmoothnessError.
     """
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
@@ -373,5 +379,20 @@ def kernel_derivative(K, x, alpha) -> float:
             return _origin_derivative(K.radial_series(n), alpha, K.prefactor)
     if n == 0:
         return float(K.profile(r))
-    fn = _deriv_lambdified(K, alpha)
-    return float(fn(*x))
+    w, laurent = _radial_steps(K, r, n)
+    # The sum is formed exactly in x and s = |x|^2, as even + r * odd, so
+    # singular terms that cancel in D^alpha (in d = 1, or on an axis)
+    # cancel exactly instead of in floating point.
+    xq = [Fraction(v) for v in x]
+    s = sum(v * v for v in xq)
+    even = odd = ZERO
+    for beta in product(*(range(a // 2 + 1) for a in alpha)):
+        c = Fraction(1)
+        for a, b, v in zip(alpha, beta, xq):
+            c *= factorial(a) // (factorial(b) * factorial(a - 2 * b) * 2 ** b) * v ** (a - 2 * b)
+        for p, coeff in laurent[n - sum(beta)].items():
+            if p % 2:
+                odd += c * coeff * s ** (p // 2)
+            else:
+                even += c * coeff * s ** (p // 2)
+    return w * (float(even) + r * float(odd))

@@ -37,6 +37,9 @@ __all__ = [
     "monomial_exponents",
 ]
 
+SVD_CUTOFF = 1e-10     # relative singular-value cutoff of the star pseudo-inverse
+MAX_RETRIES = 4        # star enlargements before a cube counts as unisolvent
+
 
 class UnisolvencyError(RuntimeError):
     """The local star cannot reproduce the requested polynomial degree."""
@@ -90,24 +93,21 @@ class ReproFunctional:
 class LocalPolyBuilder:
     """Builds and caches reproduction functionals, one linear map per cube.
 
-    On rank deficiency or an l1 norm above c2_cap, the star radius factor is
-    enlarged by 1.5 and the cube rebuilt, at most max_retries times.  Rank
-    deficiency that survives all retries raises UnisolvencyError; an l1 norm
-    still above the cap is reported on the functional, not raised.
+    Cubes have side X.h.  On rank deficiency or an l1 norm above c2_cap, the
+    star radius factor is enlarged by 1.5 and the cube rebuilt, at most
+    MAX_RETRIES times.  Rank deficiency that survives all retries raises
+    UnisolvencyError; an l1 norm still above the cap is reported on the
+    functional, not raised.
     """
 
-    def __init__(self, X: PointSet, degree: int, c3: float,
-                 c2_cap: float = 2.0, max_retries: int = 4,
-                 cube_side: float | None = None, svd_cutoff: float = 1e-10):
+    def __init__(self, X: PointSet, degree: int, c3: float, c2_cap: float = 2.0):
         if degree < 0:
             raise ValueError("degree must be non-negative")
         self.X = X
         self.degree = degree
         self.c3 = float(c3)
         self.c2_cap = c2_cap
-        self.max_retries = max_retries
-        self.side = X.h if cube_side is None else float(cube_side)
-        self.svd_cutoff = svd_cutoff
+        self.side = X.h
         self.exponents = monomial_exponents(X.dim, degree)
         self._cubes: dict[tuple[int, ...], tuple] = {}
 
@@ -119,7 +119,7 @@ class LocalPolyBuilder:
         anchor = cube_center(idx, self.side)
         c3 = self.c3
         last = None
-        for _ in range(self.max_retries + 1):
+        for _ in range(MAX_RETRIES + 1):
             star = self.X.within_ball(anchor, c3 * self.X.h)
             if star.size < len(self.exponents):
                 c3 *= 1.5
@@ -127,7 +127,7 @@ class LocalPolyBuilder:
             pts = self.X.points[star]
             scale = c3 * self.X.h
             M = _basis_matrix(pts, anchor, scale, self.exponents)
-            V = np.linalg.pinv(M, rcond=self.svd_cutoff)
+            V = np.linalg.pinv(M, rcond=SVD_CUTOFF)
             # Solvability and norm probe at the cube center and all cube
             # corners (the functional norm peaks towards the corners).
             corners = anchor + self.side / 2.0 * 0.999 * np.array(
@@ -148,7 +148,7 @@ class LocalPolyBuilder:
         if last is None:
             raise UnisolvencyError(
                 f"cube {idx} (center {anchor}): star cannot reproduce "
-                f"degree {self.degree} after {self.max_retries} enlargements")
+                f"degree {self.degree} after {MAX_RETRIES} enlargements")
         self._cubes[idx] = last
         return last
 

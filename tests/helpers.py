@@ -1,5 +1,5 @@
-"""Shared test utilities: reference polynomials, Fourier quadrature oracles
-and convolution trials."""
+"""Shared test utilities: reference polynomials, Fourier quadrature oracles,
+a high-precision derivative reference and convolution trials."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -118,6 +118,61 @@ def hankel_oracle_mp(kernel, d: int, r: float, dps: int) -> float:
         if d == 1:
             return float(mp.sqrt(2 / mp.pi) * total)
         return float(mp.sqrt(2 / mp.pi) / rr * total)
+
+
+def _besselk_int_mp(n: int, z):
+    """K_n(z) for integer n >= 0 by its ascending series (A&S 9.6.11).
+
+    mpmath's besselk reaches integer orders through a limit, which is two
+    orders of magnitude slower at the precision mp.diff works in.
+    """
+    h = z / 2
+    q = h * h
+    head = sum(mp.factorial(n - k - 1) / mp.factorial(k) * (-q) ** k
+               for k in range(n)) / (2 * h ** n)
+    harm = -2 * mp.euler + mp.fsum(mp.mpf(1) / j for j in range(1, n + 1))
+    term = 1 / mp.factorial(n)                    # q^k / (k! (n+k)!)
+    tail, k = harm * term, 0
+    while abs(term) > mp.eps * abs(tail):
+        k += 1
+        term *= q / (k * (n + k))
+        harm += mp.mpf(1) / k + mp.mpf(1) / (n + k)   # psi(k+1) + psi(n+k+1)
+        tail += harm * term
+    return head + (-1) ** (n + 1) * mp.log(h) * mp.besseli(n, z) + (-1) ** n * h ** n * tail / 2
+
+
+def kernel_derivative_mp(kernel, x, alpha, dps: int = 40) -> float:
+    """D^alpha of a kernel at x != 0, by mpmath differentiation at dps digits.
+
+    The profile is rebuilt from its definition, not from the library's
+    float code: the exact Wendland coefficients, or the Sobolev spline
+    r^nu K_nu(r) / (2^(gamma/2 - 1) Gamma(gamma/2)), composed with |x|.
+    """
+    with mp.workdps(dps):
+        if isinstance(kernel, PiecewisePolyRadial):
+            coeffs = [mp.mpf(c.numerator) / c.denominator for c in kernel.coeffs]
+
+            def profile(r):
+                return mp.polyval(coeffs[::-1], r)
+        else:
+            half = mp.mpf(kernel.gamma) / 2
+            scale = 1 / (2 ** (half - 1) * mp.gamma(half))
+            if kernel.nu.denominator == 1:
+                n = int(kernel.nu)
+
+                def profile(r):
+                    return scale * r ** n * _besselk_int_mp(n, r)
+            else:
+                nu = mp.mpf(kernel.nu.numerator) / kernel.nu.denominator
+
+                def profile(r):
+                    return scale * r ** nu * mp.besselk(nu, r)
+
+        def F(*xs):
+            return profile(mp.sqrt(mp.fsum(xi ** 2 for xi in xs)))
+
+        point = tuple(mp.mpf(float(xi)) for xi in x)
+        return float(mp.diff(F, point, tuple(int(a) for a in alpha)))
 
 
 class PiecewiseLinear:

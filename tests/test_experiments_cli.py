@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rbfbench import experiments
+from rbfbench import approx, experiments
 from rbfbench.cli import main
 from rbfbench.experiments import (
     ExperimentConfig,
@@ -81,6 +81,20 @@ def test_config_validation():
         ExperimentConfig(family="wendland", d=1, k=1, witness="quasi")
     with pytest.raises(ValueError, match="d = 1 only"):
         ExperimentConfig(family="sobolev", d=2, gamma=4)
+
+
+def test_quasi_witness_passes_c2_cap_to_builder(monkeypatch):
+    caps = []
+
+    class Recording(approx.LocalPolyBuilder):
+        def __init__(self, X, degree, c3, c2_cap=2.0):
+            caps.append(c2_cap)
+            super().__init__(X, degree, c3, c2_cap)
+
+    monkeypatch.setattr(approx, "LocalPolyBuilder", Recording)
+    run_rate_experiment(ExperimentConfig(**{**SMALL, "levels": 2, "witness": "quasi",
+                                            "c2_cap": 1.5}))
+    assert caps == [1.5, 1.5]
 
 
 def test_config_infinity_roundtrip():

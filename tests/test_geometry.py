@@ -8,6 +8,7 @@ from scipy.spatial.distance import pdist
 from rbfbench.geometry import (
     Box,
     EmptyStarError,
+    PointSet,
     cube_center,
     cube_index,
     fill_distance,
@@ -17,6 +18,7 @@ from rbfbench.geometry import (
     save_pointset,
     separation_radius,
 )
+from rbfbench.polyrep import LocalPolyBuilder
 
 UNIT_1D = Box((0.0,), (1.0,))
 UNIT_2D = Box((0.0, 0.0), (1.0, 1.0))
@@ -118,6 +120,32 @@ def test_local_star_constant_within_cube():
         if ref is None:
             ref = idx
         assert np.array_equal(ref, idx)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_within_ball_equals_brute_force(d):
+    box = Box((0.0,) * d, (1.0,) * d)
+    X = make_quasi_uniform(box, 1 / 8 if d < 3 else 1 / 4, jitter=0.25, seed=d, pad=0.25)
+    rng = np.random.default_rng(d)
+    centers = rng.uniform(-0.4, 1.4, size=(60, d))
+    radii = rng.uniform(0.0, 3.0, size=60) * X.h
+    want = [np.flatnonzero(np.linalg.norm(X.points - c, axis=1) <= r)
+            for c, r in zip(centers, radii)]
+    assert any(w.size == 0 for w in want) and any(w.size > 1 for w in want)
+
+    def query(ps):
+        return [ps.within_ball(c, r) for c, r in zip(centers, radii)]
+
+    # The same points, queried after builders with different stars and
+    # degrees ran on them in either order, give the same answers.
+    Y = PointSet(X.points, X.domain, X.h, X.h_slack, X.q)
+    idx = cube_index(np.full(d, 0.5), X.h)
+    for first, second in ((X, Y), (Y, X)):
+        LocalPolyBuilder(first, 1, 3.0).cube_map(idx)
+        LocalPolyBuilder(second, 2, 8.0).cube_map(idx)
+        for ps in (first, second):
+            for got, ref in zip(query(ps), want):
+                assert got.dtype.kind == "i" and np.array_equal(got, ref)
 
 
 def test_cube_assignment_half_open():

@@ -13,10 +13,12 @@ from rbfbench.kernels import (
     sobolev_spline_construct,
     wendland_construct,
 )
+from rbfbench.polyrep import monomial_exponents
 
 from helpers import (
     TABULATED_WENDLAND,
     fourier_cos_semiinf,
+    kernel_derivative_mp,
     proportionality_factor,
     tabulated_poly,
 )
@@ -173,3 +175,28 @@ def test_decay_bound_ratios():
     vals = np.array([abs(kernel_derivative(G, [r], (4,))) for r in rs])
     assert np.all(vals <= 10.0 * rs ** (-1.0))
     assert vals.max() < 5.0
+
+
+# (family, d, k or gamma, top order): Wendland up to its C^{2k} smoothness,
+# Sobolev splines up to order 4.
+DERIVATIVE_CASES = (
+    [("wendland", d, k, min(2 * k, 4)) for d in (1, 2, 3) for k in (1, 2, 3)]
+    + [("sobolev", d, gamma, 4) for gamma, d in
+       ((2, 1), (4, 1), (6, 1), (4, 2), (6, 2), (4, 3), (6, 3), (8, 3))])
+
+
+@pytest.mark.parametrize("family,d,order,top", DERIVATIVE_CASES,
+                         ids=[f"{f}_d{d}_{o}" for f, d, o, _ in DERIVATIVE_CASES])
+def test_derivative_matches_high_precision_reference(family, d, order, top):
+    K = wendland_construct(d, order) if family == "wendland" else sobolev_spline_construct(order, d)
+    rng = np.random.default_rng(d)
+    dirs = rng.normal(size=(3, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # On an axis (and always in d = 1) the singular terms of D^alpha cancel;
+    # near the origin they are largest.
+    points = [0.06 * np.eye(d)[0]] + [r * u for r, u in zip((0.06, 0.3, 0.65), dirs)]
+    for alpha in monomial_exponents(d, top)[1:]:
+        for x in points:
+            ref = kernel_derivative_mp(K, x, alpha, dps=40)
+            got = kernel_derivative(K, x, alpha)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (alpha, x, got, ref)

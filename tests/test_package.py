@@ -1,8 +1,10 @@
 """The package root resolves its names lazily, and loads only what is used."""
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,3 +89,30 @@ def test_transform_commands_load_no_scipy_or_sympy(argv, tmp_path):
     loaded = _loaded_roots(code, tmp_path)
     assert "scipy" not in loaded and "sympy" not in loaded
     assert "mpmath" not in loaded
+
+
+def test_kernel_derivative_loads_no_sympy(tmp_path):
+    code = ("from rbfbench.kernels import (kernel_derivative, "
+            "sobolev_spline_construct, wendland_construct)\n"
+            "kernel_derivative(wendland_construct(3, 2), [0.3, 0.1, -0.2], (2, 1, 0))\n"
+            "kernel_derivative(sobolev_spline_construct(4, 1), [0.4], (3,))\n"
+            "kernel_derivative(sobolev_spline_construct(4, 2), [0.4, 0.1], (1, 1))")
+    assert "sympy" not in _loaded_roots(code, tmp_path)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_imports_match_declared_dependencies():
+    import tomllib
+
+    found = set()
+    for path in Path(SRC, "rbfbench").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    third_party = found - set(sys.stdlib_module_names) - {"rbfbench"}
+    project = tomllib.loads(Path(SRC).parent.joinpath("pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in
+                project["project"]["dependencies"]}
+    assert sorted(third_party) == sorted(declared)

@@ -211,12 +211,12 @@ def test_small_radius_series_path():
         # where direct evaluation of f_m has fully cancelled away.
         kernel = wendland_construct(d, k)
         oracle = hankel_oracle_mp(kernel, d, 1e-2, 40)
-        assert float(wendland_hat(d, k, 1e-2)) == pytest.approx(oracle, rel=1e-9)
+        assert float(wendland_hat(d, k, 1e-2)) == pytest.approx(oracle, rel=1e-9, abs=0)
         # Relative agreement of the two paths where both are solid.
         r = tf.series_switch + 0.05
         direct = float(f_m_eval(tf.table, r)) * r ** (-lead)
         series = float(np.polynomial.polynomial.polyval(r, tf.series))
-        assert direct == pytest.approx(series, rel=1e-9)
+        assert direct == pytest.approx(series, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("d,k", ACCEPT_PAIRS)
