@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "approx": (
-        "GreensPair",
         "SmoothBump",
         "TestFunction",
         "evaluate_combination",
@@ -22,7 +21,6 @@ _EXPORTS = {
         "lp_error",
         "ls_witness",
         "quasi_interpolant",
-        "sobolev_greens_pair",
         "synth_test_function",
     ),
     "experiments": ("ExperimentConfig", "ExperimentReport", "run_rate_experiment"),
@@ -30,7 +28,6 @@ _EXPORTS = {
         "Box",
         "PointSet",
         "fill_distance",
-        "local_star",
         "make_quasi_uniform",
         "separation_radius",
     ),
@@ -47,7 +44,6 @@ _EXPORTS = {
     "polyrep": (
         "LocalPolyBuilder",
         "ReproFunctional",
-        "build_functional",
         "kernel_K",
         "property2_scan",
     ),

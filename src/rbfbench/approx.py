@@ -25,14 +25,13 @@ import numpy as np
 from scipy.linalg import lstsq
 from scipy.spatial.distance import cdist
 
-from ._quad import gl_panel_quad
+from ._quad import _gl_float, gl_panel_quad
 from .geometry import PointSet, cube_center, tensor_grid
 from .polyrep import LocalPolyBuilder, _basis_matrix
 
 __all__ = [
     "SmoothBump",
     "TestFunction",
-    "GreensPair",
     "synth_test_function",
     "quasi_interpolant",
     "ls_witness",
@@ -40,6 +39,10 @@ __all__ = [
     "lp_error",
     "fit_rate",
 ]
+
+_GL_NODES = 48         # Gauss-Legendre nodes per panel of the f = G_green * g quadrature
+_PANELS_PER_SIDE = 4   # panels on each side of the kink at t = x
+_BLOCK = 128           # evaluation points per block of that quadrature
 
 
 @dataclass(frozen=True)
@@ -86,30 +89,6 @@ class SmoothBump:
         return float((surface * val) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class GreensPair:
-    """A kernel G together with the operator T it inverts.
-
-    Only the operator's action on synthesized test functions is needed:
-    for f = G_green * g one has T f = g identically, where G_green is the
-    kernel scaled to the physical Green normalization.  smoothness_order is
-    the exponent of the smoothness space that membership of f certifies.
-    """
-
-    G: object
-    G_green: object
-    operator_symbol: str
-    smoothness_order: int
-
-
-def sobolev_greens_pair(gamma: int, d: int) -> GreensPair:
-    """The Sobolev spline G_gamma paired with (1 - Laplacian)^(gamma/2)."""
-    from .kernels import ScaledKernel, sobolev_spline_construct
-    G = sobolev_spline_construct(gamma, d)
-    green = ScaledKernel(G, (2.0 * pi) ** (-d / 2.0))
-    return GreensPair(G, green, f"(1 - Laplacian)^{gamma // 2}", gamma)
-
-
 @dataclass(frozen=True, eq=False)
 class TestFunction:
     """Test function f = G_green * g with exactly known source term T f = g.
@@ -133,38 +112,43 @@ class TestFunction:
         return self.g.norm_p(p)
 
 
-def synth_test_function(G, bump: SmoothBump, nodes: int = 48,
-                        panels_per_side: int = 4) -> TestFunction:
+def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     """Construct f = G_green * g by panel quadrature (one-dimensional).
 
     G_green = (2 pi)^(-d/2) G makes T f = g hold exactly under the
     symmetric transform convention (e.g. the Green's function of
     1 - Laplacian in d = 1 is exp(-|x|)/2).  The integrand has a kink at
-    y = x, so the bump support is split there; the bump vanishes to all
-    orders at its support ends, so panel Gauss-Legendre reaches near
-    machine precision.
+    t = x, so the bump support [a, b] is cut at c = clip(x, a, b), and
+    the same _PANELS_PER_SIDE panels of _GL_NODES Gauss-Legendre nodes are
+    mapped onto [a, c] and onto [c, b]; the bump vanishes to all orders at
+    a and b, so this reaches near machine precision.  f(x) is then one
+    weighted row sum, formed for _BLOCK points at a time so the
+    temporaries stay _BLOCK x 384 floats however many points are asked for.
     """
     if bump.dim != 1:
         raise ValueError("convolution synthesis is implemented for d = 1")
     from .kernels import ScaledKernel
     green = ScaledKernel(G, (2.0 * pi) ** (-bump.dim / 2.0))
     a, b = bump.support
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
+    center = bump.center[0]
+    x_gl, w_gl = _gl_float(_GL_NODES)
+    half = 0.5 / _PANELS_PER_SIDE
+    mids = np.arange(_PANELS_PER_SIDE)[:, None] * (2.0 * half) + half
+    u = (mids + half * x_gl).ravel()              # panel nodes on [0, 1]
+    wu = np.tile(half * w_gl, _PANELS_PER_SIDE)   # their weights
 
     def f(xs):
-        xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros_like(xs_arr)
-        for i, x in enumerate(xs_arr):
-            cuts = np.unique(np.clip([a, x, b], a, b))
-            acc = 0.0
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                edges = np.linspace(lo, hi, panels_per_side + 1)
-                for e0, e1 in zip(edges[:-1], edges[1:]):
-                    half = (e1 - e0) / 2.0
-                    t = (e1 + e0) / 2.0 + half * x_gl
-                    acc += half * float(w_gl @ (green.profile(np.abs(x - t)) * bump(t)))
-            out[i] = acc
-        return out if np.ndim(xs) else float(out[0])
+        xs_arr = np.asarray(xs, dtype=float)
+        flat = xs_arr.ravel()
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _BLOCK):
+            x = flat[start:start + _BLOCK, None]
+            c = np.clip(x, a, b)
+            t = np.hstack([a + (c - a) * u, c + (b - c) * u])
+            w = np.hstack([(c - a) * wu, (b - c) * wu])
+            vals = green.profile(np.abs(x - t)) * bump.radial(np.abs(t - center))
+            out[start:start + _BLOCK] = np.sum(w * vals, axis=1)
+        return out.reshape(xs_arr.shape) if xs_arr.ndim else float(out[0])
 
     return TestFunction(bump, G, green, f)
 

@@ -3,8 +3,10 @@
 The fill distance h = sup_x min_xi |x - xi| over the domain is estimated on
 a candidate grid with an explicit slack bound; the separation radius
 q = half the minimum pairwise distance is exact.  Quasi-uniform sets are
-generated by jittering a lattice with a counter-based RNG so the result
-depends only on (seed, lattice index).
+generated by jittering a lattice with a counter-based RNG.  The lattice
+spans the padded box and one random stream runs over it in lattice order,
+so the points depend on the seed, the box and ``pad``: changing the
+padding or the box moves every point, not only the added ones.
 
 The cube partition splits R^d into half-open cubes [c - s/2, c + s/2)
 centered at the lattice s*Z^d; local stars are anchored at cube centers so
@@ -14,9 +16,7 @@ that every t in a given cube sees the same star.  Every neighbour search
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,20 +25,12 @@ __all__ = [
     "Box",
     "PointSet",
     "tensor_grid",
-    "EmptyStarError",
     "make_quasi_uniform",
     "fill_distance",
     "separation_radius",
-    "local_star",
     "cube_index",
     "cube_center",
-    "save_pointset",
-    "load_pointset",
 ]
-
-
-class EmptyStarError(RuntimeError):
-    """No points fell inside the requested star; enlarge the radius."""
 
 
 def tensor_grid(axes) -> np.ndarray:
@@ -184,43 +176,3 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     h, slack = fill_distance(pts, domain, resolution, return_slack=True)
     q = separation_radius(pts)
     return PointSet(pts, domain, h, slack, q, seed=seed, jitter=jitter)
-
-
-def local_star(t: np.ndarray, X: PointSet, c3: float,
-               side: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Points of X within c3 * h of the center of t's cube.
-
-    The star is anchored at the cube center (cubes of the given side,
-    default the fill distance), so it is constant for all t in one cube.
-    Returns (indices, points); raises EmptyStarError when no point
-    qualifies, signalling that c3 is too small.
-    """
-    side = X.h if side is None else float(side)
-    center = cube_center(cube_index(t, side), side)
-    idx = X.within_ball(center, c3 * X.h)
-    if idx.size == 0:
-        raise EmptyStarError(
-            f"no points within {c3} * h of cube center {center}; enlarge c3")
-    return idx, X.points[idx]
-
-
-def save_pointset(ps: PointSet, path: str | Path) -> None:
-    """CSV dump (one row per point, header x0,x1,...) plus a JSON sidecar."""
-    path = Path(path)
-    header = ",".join(f"x{i}" for i in range(ps.dim))
-    np.savetxt(path, ps.points, delimiter=",", header=header, comments="")
-    meta = {
-        "h": ps.h, "h_slack": ps.h_slack, "q": ps.q, "rho": ps.rho,
-        "domain": {"lo": list(ps.domain.lo), "hi": list(ps.domain.hi)},
-        "seed": ps.seed, "jitter": ps.jitter,
-    }
-    path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2))
-
-
-def load_pointset(path: str | Path) -> PointSet:
-    path = Path(path)
-    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    meta = json.loads(path.with_suffix(".meta.json").read_text())
-    box = Box(tuple(meta["domain"]["lo"]), tuple(meta["domain"]["hi"]))
-    return PointSet(pts, box, meta["h"], meta["h_slack"], meta["q"],
-                    seed=meta.get("seed"), jitter=meta.get("jitter", 0.0))

@@ -352,8 +352,11 @@ def kernel_derivative(K, x, alpha) -> float:
     prod_i alpha_i! / (beta_i! (alpha_i - 2 beta_i)! 2^beta_i)
     * x^(alpha - 2 beta) * g^(|alpha| - |beta|).  At the origin the even
     extension of the profile defines the value, and orders beyond the
-    available smoothness raise SmoothnessError.
+    available smoothness raise SmoothnessError.  A ScaledKernel gives its
+    factor times the base kernel's derivative.
     """
+    if isinstance(K, ScaledKernel):
+        return K.factor * kernel_derivative(K.base, x, alpha)
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
     if len(alpha) != K.dim or any(a < 0 for a in alpha):
         raise ValueError(f"alpha must be a multi-index of length {K.dim}")

@@ -31,7 +31,6 @@ __all__ = [
     "ErrorKernelScan",
     "UnisolvencyError",
     "LocalPolyBuilder",
-    "build_functional",
     "kernel_K",
     "property2_scan",
     "monomial_exponents",
@@ -160,12 +159,6 @@ class LocalPolyBuilder:
         weights = V @ beta
         return ReproFunctional(t, star, self.X.points[star], weights,
                                self.degree, anchor, c3)
-
-
-def build_functional(t, X: PointSet, degree: int, c3: float,
-                     c2_cap: float = 2.0) -> ReproFunctional:
-    """One-off construction of the reproduction functional at t."""
-    return LocalPolyBuilder(X, degree, c3, c2_cap).functional_at(t)
 
 
 def kernel_K(x, Phi, F: ReproFunctional) -> np.ndarray | float:

@@ -1,5 +1,6 @@
 """Shared test utilities: reference polynomials, Fourier quadrature oracles,
-a high-precision derivative reference and convolution trials."""
+a high-precision derivative reference, a per-point convolution oracle and
+convolution trials."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -173,6 +174,34 @@ def kernel_derivative_mp(kernel, x, alpha, dps: int = 40) -> float:
 
         point = tuple(mp.mpf(float(xi)) for xi in x)
         return float(mp.diff(F, point, tuple(int(a) for a in alpha)))
+
+
+def synth_f_oracle(green, bump, nodes: int = 48, panels_per_side: int = 4):
+    """f = green * bump in d = 1, one evaluation point and one panel at a time.
+
+    The bump support is cut at t = x, each piece is split into
+    panels_per_side equal panels, and each panel gets a nodes-point
+    Gauss-Legendre rule; the reference for ``approx.synth_test_function``.
+    """
+    a, b = bump.support
+    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
+
+    def f(xs):
+        xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
+        out = np.zeros_like(xs_arr)
+        for i, x in enumerate(xs_arr):
+            cuts = np.unique(np.clip([a, x, b], a, b))
+            acc = 0.0
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                edges = np.linspace(lo, hi, panels_per_side + 1)
+                for e0, e1 in zip(edges[:-1], edges[1:]):
+                    half = (e1 - e0) / 2.0
+                    t = (e1 + e0) / 2.0 + half * x_gl
+                    acc += half * float(w_gl @ (green.profile(np.abs(x - t)) * bump(t)))
+            out[i] = acc
+        return out if np.ndim(xs) else float(out[0])
+
+    return f
 
 
 class PiecewiseLinear:

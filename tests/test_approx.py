@@ -1,5 +1,7 @@
 """Test-function synthesis, witnesses, error norms, and rate fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,11 +18,12 @@ from rbfbench.approx import (
     lp_error,
     ls_witness,
     quasi_interpolant,
-    sobolev_greens_pair,
     synth_test_function,
 )
 from rbfbench.geometry import Box, make_quasi_uniform
 from rbfbench.kernels import ScaledKernel, sobolev_spline_construct, wendland_construct
+
+from helpers import synth_f_oracle
 
 UNIT_1D = Box((0.0,), (1.0,))
 
@@ -52,15 +55,44 @@ def test_operator_identity_by_finite_differences(g2_testfunction):
 def test_greens_pair_continuum_reproduction(g2_testfunction):
     # Replacing the point set by a continuum quadrature grid must give f
     # back: integral of Tf(t) G_green(x - t) dt = f(x) at random points.
-    pair = sobolev_greens_pair(2, 1)
-    assert pair.smoothness_order == 2
     tf = g2_testfunction
     rng = np.random.default_rng(1)
     ts = np.linspace(0.3, 0.7, 20001)
     w = trapezoid_weights(ts.size, ts[1] - ts[0])
     for x in rng.uniform(-0.5, 1.5, size=12):
-        recon = np.sum(w * tf.Tf(ts) * pair.G_green.profile(np.abs(x - ts)))
+        recon = np.sum(w * tf.Tf(ts) * tf.G_green.profile(np.abs(x - ts)))
         assert recon == pytest.approx(tf.f(x), abs=5e-8)
+
+
+@pytest.mark.parametrize("gamma", [2, 4, 6])
+def test_synthesis_matches_per_point_oracle(gamma):
+    bump = SmoothBump((0.5,), 0.2)
+    tf = synth_test_function(sobolev_spline_construct(gamma, 1), bump)
+    a, b = bump.support
+    xs = np.concatenate([np.linspace(-0.5, 1.5, 37), [a, b, 0.5, 0.3001, 0.6999]])
+    oracle = synth_f_oracle(tf.G_green, bump)
+    want = oracle(xs)
+    tol = 1e-14 * np.abs(want).max()
+    got = tf.f(xs)
+    assert got.shape == xs.shape
+    assert np.abs(got - want).max() <= tol
+    for x in (a, 0.5, 1.2):
+        value = tf.f(x)
+        assert isinstance(value, float)
+        assert abs(value - oracle(x)) <= tol
+
+
+def test_synthesis_memory_is_bounded_in_the_number_of_points(g2_testfunction):
+    # Points are taken in fixed blocks, so the temporaries do not grow
+    # with the number of evaluation points.
+    xs = np.linspace(-0.5, 1.5, 20_000)
+    tracemalloc.start()
+    try:
+        g2_testfunction.f(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_seminorm_equals_source_norm(g2_testfunction):

@@ -7,15 +7,10 @@ from scipy.spatial.distance import pdist
 
 from rbfbench.geometry import (
     Box,
-    EmptyStarError,
     PointSet,
-    cube_center,
     cube_index,
     fill_distance,
-    load_pointset,
-    local_star,
     make_quasi_uniform,
-    save_pointset,
     separation_radius,
 )
 from rbfbench.polyrep import LocalPolyBuilder
@@ -89,37 +84,10 @@ def test_separation_radius_examples_and_oracle():
     assert separation_radius(pts) == pytest.approx(pdist(pts).min() / 2.0, rel=1e-14)
 
 
-def test_local_star_counts_on_uniform_grid():
-    s = 0.1
-    ps = make_quasi_uniform(UNIT_1D, s)
-    # cube side s anchors cubes on the data lattice; radius 1.1 s gives the
-    # three nearest points for interior cubes.
-    idx, pts = local_star(np.array([0.52]), ps, c3=1.1 * s / ps.h, side=s)
-    assert len(idx) == 3
-    assert np.allclose(np.sort(pts.ravel()), [0.4, 0.5, 0.6])
 
 
-def test_local_star_members_within_radius():
-    ps = make_quasi_uniform(UNIT_2D, 1 / 8, jitter=0.2, seed=3)
-    t = np.array([0.41, 0.77])
-    c3 = 3.0
-    idx, pts = local_star(t, ps, c3)
-    center = cube_center(cube_index(t, ps.h), ps.h)
-    assert np.all(np.linalg.norm(pts - center, axis=1) <= c3 * ps.h + 1e-12)
 
 
-def test_local_star_constant_within_cube():
-    ps = make_quasi_uniform(UNIT_1D, 1 / 16, jitter=0.25, seed=9)
-    side = ps.h
-    base = cube_center(cube_index(np.array([0.5]), side), side)
-    rng = np.random.default_rng(0)
-    ref = None
-    for _ in range(10):
-        t = base + (rng.uniform(-0.5, 0.5)) * side * 0.999
-        idx, _ = local_star(t, ps, c3=4.0)
-        if ref is None:
-            ref = idx
-        assert np.array_equal(ref, idx)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -156,11 +124,6 @@ def test_cube_assignment_half_open():
     assert cube_index(np.array([boundary - 1e-12]), side) == (0,)
 
 
-def test_empty_star_raises():
-    ps = make_quasi_uniform(UNIT_1D, 1 / 4)
-    # t = 0.4 sits in a cube whose center (0.375) is not a data point.
-    with pytest.raises(EmptyStarError):
-        local_star(np.array([0.4]), ps, c3=1e-6)
 
 
 def test_generator_guards():
@@ -168,14 +131,3 @@ def test_generator_guards():
         make_quasi_uniform(UNIT_1D, 2.0)
     with pytest.raises(ValueError):
         make_quasi_uniform(UNIT_1D, 0.25, jitter=0.5)
-
-
-def test_csv_roundtrip(tmp_path):
-    ps = make_quasi_uniform(UNIT_2D, 1 / 8, jitter=0.25, seed=4)
-    path = tmp_path / "points.csv"
-    save_pointset(ps, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x0,x1"
-    loaded = load_pointset(path)
-    assert np.allclose(loaded.points, ps.points)
-    assert loaded.h == ps.h and loaded.q == ps.q and loaded.seed == ps.seed

@@ -9,7 +9,6 @@ from rbfbench.kernels import sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import (
     LocalPolyBuilder,
     UnisolvencyError,
-    build_functional,
     kernel_K,
     monomial_exponents,
     property2_scan,
@@ -32,7 +31,7 @@ def _poly_at(coeffs, exponents, t):
 
 def test_two_point_linear_weights():
     ps = PointSet(np.array([[0.0], [1.0]]), UNIT_1D, h=0.5, h_slack=0.0, q=0.5)
-    F = build_functional(np.array([0.5]), ps, degree=1, c3=2.0)
+    F = LocalPolyBuilder(ps, degree=1, c3=2.0).functional_at(np.array([0.5]))
     assert np.allclose(np.sort(F.weights), [0.5, 0.5])
     assert F.l1_norm == pytest.approx(1.0)
 
@@ -105,7 +104,7 @@ def test_weights_continuous_in_t():
 def test_unisolvency_failure_reported():
     ps = PointSet(np.array([[0.0], [1.0]]), UNIT_1D, h=0.5, h_slack=0.0, q=0.5)
     with pytest.raises(UnisolvencyError):
-        build_functional(np.array([0.5]), ps, degree=4, c3=1.0)
+        LocalPolyBuilder(ps, degree=4, c3=1.0).functional_at(np.array([0.5]))
 
 
 def test_l1_cap_reported_not_raised():
@@ -113,14 +112,14 @@ def test_l1_cap_reported_not_raised():
     # an unreachable cap must still return the functional.
     ps = PointSet(np.array([[0.45], [0.55]]), Box((0.0,), (1.0,)),
                   h=0.45, h_slack=0.0, q=0.05)
-    F = build_functional(np.array([0.9]), ps, degree=1, c3=2.0, c2_cap=1.5)
+    F = LocalPolyBuilder(ps, degree=1, c3=2.0, c2_cap=1.5).functional_at(np.array([0.9]))
     assert F.l1_norm > 1.5
 
 
 def test_kernel_surrogate_basics():
     Phi = wendland_construct(1, 1)
     ps = make_quasi_uniform(UNIT_1D, 1 / 8)
-    F = build_functional(np.array([0.5]), ps, degree=1, c3=3.0)
+    F = LocalPolyBuilder(ps, degree=1, c3=3.0).functional_at(np.array([0.5]))
     zeroed = type(F)(F.t, F.star, F.points, np.zeros_like(F.weights),
                      F.degree, F.anchor, F.c3_used)
     assert kernel_K(np.array([0.4]), Phi, zeroed) == 0.0
@@ -132,7 +131,7 @@ def test_kernel_surrogate_basics():
 def test_single_point_star_reproduces_translate():
     Phi = wendland_construct(1, 1)
     ps = PointSet(np.array([[0.5]]), UNIT_1D, h=0.5, h_slack=0.0, q=0.25)
-    F = build_functional(np.array([0.5]), ps, degree=0, c3=1.0)
+    F = LocalPolyBuilder(ps, degree=0, c3=1.0).functional_at(np.array([0.5]))
     assert np.allclose(F.weights, [1.0])
     xs = np.linspace(0, 1, 21)[:, None]
     err = np.abs(Phi.profile(np.abs(xs[:, 0] - 0.5)) - kernel_K(xs, Phi, F))

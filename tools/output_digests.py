@@ -1,0 +1,61 @@
+"""Print the exit code and output digests of a fixed list of CLI commands.
+
+Each command runs as ``python -m rbfbench.cli ...`` against the ``src``
+tree of the checkout this script sits in, in a fresh temporary directory.
+One line is printed per command:
+
+    <exit code>  <sha256 of stdout>  <sha256 of the csv, or ->  <command>
+
+Run it in two checkouts and diff the outputs to see which reports moved:
+
+    python tools/output_digests.py > digests.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (arguments, csv file the command writes or None)
+COMMANDS = (
+    ("kernels table --d 3 --k 3", None),
+    ("spectral check --d 1 --k 4", None),
+    ("spectral check --d 3 --k 3", None),
+    ("spectral check --d 3 --k 5", None),
+    ("spectral check --d 5 --k 1", None),
+    ("measure check --k 2", None),
+    ("ratio-diag --d 3 --k 2", None),
+    ("property2 --kernel wendland --d 2 --k 1 --h 0.125 --csv w.csv", "w.csv"),
+    ("property2 --kernel sobolev --d 1 --gamma 4 --h 0.0625 --csv s.csv", "s.csv"),
+    ("rates --kernel sobolev --gamma 2 --d 1 --p 2 --levels 4 --seed 7", None),
+    ("rates --kernel wendland --k 2 --d 1 --p 2 inf --levels 5 --seed 7", None),
+    ("rates --kernel sobolev --gamma 2 --d 1 --witness quasi --levels 5 --seed 7", None),
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for args, csv_name in COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run([sys.executable, "-m", "rbfbench.cli", *args.split()],
+                                  capture_output=True, cwd=tmp, env=env)
+            csv_path = Path(tmp, csv_name) if csv_name else None
+            csv_digest = (_sha256(csv_path.read_bytes())
+                          if csv_path is not None and csv_path.exists() else "-")
+        print(f"{proc.returncode}  {_sha256(proc.stdout)}  {csv_digest}  {args}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
