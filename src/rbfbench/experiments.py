@@ -83,6 +83,11 @@ class ExperimentConfig:
             raise ValueError("schedule ratio must lie in (0, 1)")
         if self.levels < 1:
             raise ValueError("need at least one level")
+        if not self.h0 > 0:
+            raise ValueError(f"coarsest spacing h0 must be positive, got {self.h0}")
+        if not self.p_list or not all(1 <= p <= np.inf for p in self.p_list):
+            raise ValueError("p_list needs one or more p, each in [1, inf], "
+                             f"got {list(self.p_list)}")
         if self.witness not in ("ls", "quasi"):
             raise ValueError(f"unknown witness type {self.witness!r}")
         if self.witness == "quasi" and self.family != "sobolev":

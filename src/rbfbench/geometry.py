@@ -157,12 +157,14 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     counter-based generator keyed by the seed, so the set is reproducible
     independent of evaluation order.  jitter < 0.5 guarantees no collisions.
 
-    h_target must be smaller than the domain's shortest side; the returned
-    PointSet caches the measured fill distance (w.r.t. the unpadded domain),
-    separation radius, and mesh ratio.
+    h_target must be positive and smaller than the domain's shortest side;
+    the returned PointSet caches the measured fill distance (w.r.t. the
+    unpadded domain), separation radius, and mesh ratio.
     """
     if not 0.0 <= jitter <= 0.4:
         raise ValueError("jitter must lie in [0, 0.4]")
+    if not h_target > 0:
+        raise ValueError(f"h_target must be positive, got {h_target}")
     if h_target >= min(domain.sides):
         raise ValueError("h_target must be smaller than the domain's shortest side")
     box = domain.pad(pad) if pad > 0 else domain

@@ -7,11 +7,13 @@ transform of the Wendland function factors as
 
 where f_m is the inverse Laplace transform of 1/(s^(m+1) (1+s^2)^(m+1)) and
 B_m > 0 is an amplitude depending on the kernel normalization.  This module
-computes the partial fraction decomposition of that rational function in
-exact Gaussian-rational arithmetic, evaluates f_m in the real trigonometric
-form, takes B_m in closed form from the exact moment of the kernel,
-validates the transform against an independent quadrature oracle, and
-exposes it with a cancellation-free series path near r = 0.
+takes the partial fraction decomposition of that rational function and the
+Maclaurin series of f_m in closed form, in exact rationals, evaluates f_m in
+the real trigonometric form, takes B_m in closed form from the exact moment
+of the kernel, validates the transform against an independent quadrature
+oracle, and exposes it with a cancellation-free series path near r = 0.
+The table and the series are independent derivations, so the agreement of
+the two evaluation paths at the series-switch radius checks both.
 
 It also houses the 1-D asymptotic decomposition
 
@@ -28,29 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gamma as gamma_fn, pi
+from math import comb, factorial, gamma as gamma_fn, pi
 from typing import Callable
 
 import numpy as np
 
 from ._exact import (
-    COS_PARITY,
-    SIN_PARITY,
     GaussianRational,
-    GR_I,
-    GR_ZERO,
     RatPoly,
     ZERO,
-    gpoly_add,
-    gpoly_mul,
-    gpoly_scale,
     poly_add,
     poly_derivative,
     poly_eval,
     poly_scale,
     poly_trim,
-    shifted_inverse_power_series,
-    trig_series,
 )
 from ._quad import gl_panel_quad
 from .kernels import PiecewisePolyRadial, SobolevSpline, _float_horner, wendland_construct
@@ -61,7 +54,6 @@ __all__ = [
     "FiniteMeasure",
     "CalibrationError",
     "partial_fractions",
-    "multiply_back",
     "f_m_eval",
     "f_m_series",
     "wendland_hat",
@@ -102,115 +94,69 @@ class PartialFractionTable:
     at s = -i (the coefficients at s = +i are their conjugates).  Parity:
     alpha_j = 0 and beta_j purely imaginary for j + m odd; beta_j purely
     real for j + m even.  The top coefficients are alpha_m = 1 and
-    beta_m = (-1)^(m+1) / 2^(m+1).
+    beta_m = (-1)^(m+1) / 2^(m+1).  ``partial_fractions`` builds every
+    coefficient from its closed form, so these laws hold by construction.
     """
 
     m: int
     alpha: tuple[Fraction, ...]
     beta: tuple[GaussianRational, ...]
 
-    @property
-    def gamma_coeffs(self) -> tuple[GaussianRational, ...]:
-        """Coefficients at the pole s = +i (conjugates of beta)."""
-        return tuple(b.conj() for b in self.beta)
 
-
-@lru_cache(maxsize=None)
-def partial_fractions(m: int) -> PartialFractionTable:
-    """Exact partial fraction table for 1/(s^(m+1)(1+s^2)^(m+1)).
-
-    Residues are extracted from Taylor expansions of the cofactors at each
-    pole, computed in exact Gaussian-rational arithmetic.  The table is
-    verified on construction: parity laws, top coefficients, and the exact
-    multiply-back identity must all hold.
-    """
+def _check_guard(m: int) -> None:
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     if m > MAX_M:
         raise ValueError(f"m={m} exceeds the exact-arithmetic guard m <= {MAX_M}")
-    # Pole at 0: alpha_j is the coefficient of u^(m-j) in (1+u^2)^(-(m+1)).
-    a = [ZERO] * (m + 1)
-    for t in range(0, m + 1, 2):
-        n = t // 2
-        a[t] = Fraction((-1) ** n) * Fraction(
-            factorial(m + n), factorial(m) * factorial(n))
-    alpha = tuple(a[m - j] for j in range(m + 1))
-    # Pole at -i: beta_j is the coefficient of u^(m-j) in the expansion of
-    # (u - i)^-(m+1) (u - 2i)^-(m+1) around u = 0 (s = -i + u).
-    s1 = shifted_inverse_power_series(GaussianRational.of(0, -1), m + 1, m)
-    s2 = shifted_inverse_power_series(GaussianRational.of(0, -2), m + 1, m)
-    prod = gpoly_mul(s1, s2)
-    beta = tuple(prod[m - j] for j in range(m + 1))
-    table = PartialFractionTable(m, alpha, beta)
-    _verify_table(table)
-    return table
 
 
-def _verify_table(t: PartialFractionTable) -> None:
-    m = t.m
-    for j in range(m + 1):
-        if (j + m) % 2 == 1:
-            assert t.alpha[j] == 0, f"alpha_{j} parity violated"
-            assert t.beta[j].re == 0, f"beta_{j} should be purely imaginary"
-        else:
-            assert t.beta[j].im == 0, f"beta_{j} should be purely real"
-    assert t.alpha[m] == 1, "alpha_m != 1"
-    top = Fraction((-1) ** (m + 1), 2 ** (m + 1))
-    assert t.beta[m].re == top and t.beta[m].im == 0, "beta_m mismatch"
-    residual = multiply_back(t)
-    assert len(residual) >= 1 and residual[0] == GaussianRational.of(1), "multiply-back failed"
-    assert all(c.is_zero() for c in residual[1:]), "multiply-back failed"
+@lru_cache(maxsize=None)
+def partial_fractions(m: int) -> PartialFractionTable:
+    """Exact partial fraction table for 1/(s^(m+1)(1+s^2)^(m+1)), in closed form.
 
+    With n = m - j, alpha_j is the coefficient of u^n in (1+u^2)^-(m+1):
+    (-1)^(n/2) C(m + n/2, m) for even n, and 0 for odd n.  beta_j is the
+    coefficient of u^n in (u - i)^-(m+1) (u - 2i)^-(m+1), the cofactor of
+    the pole at s = -i + u; the product of the two binomial series gives
 
-def multiply_back(t: PartialFractionTable) -> list[GaussianRational]:
-    """Numerator polynomial after clearing denominators; identity gives [1]."""
-    m = t.m
-    s_plus_i = [GR_I, GaussianRational.of(1)]
-    s_minus_i = [GaussianRational.of(0, -1), GaussianRational.of(1)]
-    s = [GR_ZERO, GaussianRational.of(1)]
+        beta_j = (-2)^-(m+1) (-i)^n sum_{b=0..n} C(m+n-b, m) C(m+b, m) 2^-b,
 
-    def gpow(p, n):
-        out = [GaussianRational.of(1)]
-        for _ in range(n):
-            out = gpoly_mul(out, p)
-        return out
-
-    total: list[GaussianRational] = [GR_ZERO]
-    one_plus_s2_m1 = gpow(gpoly_mul(s_plus_i, s_minus_i), m + 1)
-    s_m1 = gpow(s, m + 1)
-    for j in range(m + 1):
-        if t.alpha[j] != 0:
-            term = gpoly_mul(gpow(s, m - j), one_plus_s2_m1)
-            total = gpoly_add(total, gpoly_scale(term, GaussianRational.of(t.alpha[j])))
-        if not t.beta[j].is_zero():
-            term = gpoly_mul(s_m1, gpoly_mul(gpow(s_plus_i, m - j), gpow(s_minus_i, m + 1)))
-            total = gpoly_add(total, gpoly_scale(term, t.beta[j]))
-            term = gpoly_mul(s_m1, gpoly_mul(gpow(s_minus_i, m - j), gpow(s_plus_i, m + 1)))
-            total = gpoly_add(total, gpoly_scale(term, t.beta[j].conj()))
-    while len(total) > 1 and total[-1].is_zero():
-        total.pop()
-    return total
+    real for even n and purely imaginary for odd n, so the parity laws and
+    the top coefficients hold by construction.
+    """
+    _check_guard(m)
+    alpha, beta = [], []
+    for n in range(m, -1, -1):
+        alpha.append(Fraction((-1) ** (n // 2) * comb(m + n // 2, m)) if n % 2 == 0
+                     else ZERO)
+        c = Fraction(1, (-2) ** (m + 1)) * sum(
+            Fraction(comb(m + n - b, m) * comb(m + b, m), 2 ** b) for b in range(n + 1))
+        re, im = ((c, ZERO), (ZERO, -c), (-c, ZERO), (ZERO, c))[n % 4]   # c (-i)^n
+        beta.append(GaussianRational(re, im))
+    return PartialFractionTable(m, tuple(alpha), tuple(beta))
 
 
 # ----------------------------------------------------------------------------
 # f_m: inverse Laplace transform, in real trigonometric form
 # ----------------------------------------------------------------------------
 
-def _trig_form(t: PartialFractionTable) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Polynomials (P, Q, S) with f_m(r) = P(r) + Q(r) cos r + S(r) sin r.
+@lru_cache(maxsize=None)
+def _trig_form(m: int) -> tuple[tuple[float, ...], ...]:
+    """Float polynomials (P, Q, S) with f_m(r) = P(r) + Q(r) cos r + S(r) sin r.
 
     From the inverse Laplace transform of each pole term,
     f_m(r) = sum_j r^j/j! (alpha_j + 2 Re(beta_j) cos r + 2 Im(beta_j) sin r).
     """
+    t = partial_fractions(m)
     P = [a / factorial(j) for j, a in enumerate(t.alpha)]
     Q = [2 * b.re / factorial(j) for j, b in enumerate(t.beta)]
     S = [2 * b.im / factorial(j) for j, b in enumerate(t.beta)]
-    return poly_trim(P), poly_trim(Q), poly_trim(S)
+    return tuple(tuple(float(c) for c in poly_trim(p)) for p in (P, Q, S))
 
 
 def f_m_eval(t: PartialFractionTable, r) -> np.ndarray | float:
     """Evaluate f_m at r >= 0 (vectorized).  Always real."""
-    P, Q, S = _trig_form_cached(t.m)
+    P, Q, S = _trig_form(t.m)
     r_arr = np.asarray(r, dtype=float)
     out = (_float_horner(P, r_arr)
            + _float_horner(Q, r_arr) * np.cos(r_arr)
@@ -219,47 +165,22 @@ def f_m_eval(t: PartialFractionTable, r) -> np.ndarray | float:
 
 
 @lru_cache(maxsize=None)
-def _trig_form_cached(m: int):
-    P, Q, S = _trig_form(partial_fractions(m))
-    return (tuple(float(c) for c in P),
-            tuple(float(c) for c in Q),
-            tuple(float(c) for c in S))
+def f_m_series(m: int) -> RatPoly:
+    """Exact Maclaurin coefficients of f_m through r^(3m+2+SERIES_EXTRA).
 
+    At s = infinity, 1/(s^(m+1)(1+s^2)^(m+1)) = sum_n (-1)^n C(m+n, n)
+    s^-(3m+3+2n); inverting term by term,
 
-@lru_cache(maxsize=None)
-def f_m_series(m: int, order: int | None = None) -> RatPoly:
-    """Exact Maclaurin coefficients of f_m through the given order.
+        f_m(r) = sum_n (-1)^n C(m+n, n) r^(3m+2+2n) / (3m+2+2n)!,
 
-    f_m has a zero of exact order 3m + 2 at r = 0 with leading coefficient
-    1/(3m+2)!; both facts are verified here and any violation raises.
+    so f_m has a zero of exact order 3m + 2 with leading coefficient
+    1/(3m+2)!.  The series does not use the partial fraction table.
     """
-    if order is None:
-        order = 3 * m + 2 + SERIES_EXTRA
-    table = partial_fractions(m)
-    P, Q, S = _trig_form(table)
-    cos_c = trig_series(COS_PARITY, order)
-    sin_c = trig_series(SIN_PARITY, order)
-    out = [ZERO] * (order + 1)
-    for i, c in enumerate(P[: order + 1]):
-        out[i] += c
-    for i, c in enumerate(Q):
-        if c == 0:
-            continue
-        for tpow in range(order + 1 - i):
-            out[i + tpow] += c * cos_c[tpow]
-    for i, c in enumerate(S):
-        if c == 0:
-            continue
-        for tpow in range(order + 1 - i):
-            out[i + tpow] += c * sin_c[tpow]
+    _check_guard(m)
     lead = 3 * m + 2
-    for tpow in range(min(lead, order + 1)):
-        if out[tpow] != 0:
-            raise CalibrationError(
-                f"f_{m} series has unexpected term r^{tpow}: {out[tpow]}")
-    if order >= lead and out[lead] != Fraction(1, factorial(lead)):
-        raise CalibrationError(f"f_{m} leading coefficient is {out[lead]}, "
-                               f"expected 1/{lead}!")
+    out = [ZERO] * (lead + SERIES_EXTRA + 1)
+    for n in range(SERIES_EXTRA // 2 + 1):
+        out[lead + 2 * n] = Fraction((-1) ** n * comb(m + n, n), factorial(lead + 2 * n))
     return tuple(out)
 
 

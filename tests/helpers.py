@@ -1,18 +1,26 @@
-"""Shared test utilities: reference polynomials, Fourier quadrature oracles,
-a high-precision derivative reference, a per-point convolution oracle and
+"""Shared test utilities: reference polynomials, exact oracles for the
+partial fraction table and the f_m series, Fourier quadrature oracles, a
+high-precision derivative reference, a per-point convolution oracle and
 convolution trials."""
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from rbfbench._exact import binomial_one_minus_r, poly_mul, poly_trim
+from rbfbench._exact import GaussianRational, binomial_one_minus_r, poly_mul, poly_trim
 from rbfbench._quad import panel_edges
 from rbfbench.kernels import PiecewisePolyRadial
-from rbfbench.spectral import FiniteMeasure, measure_convolve
+from rbfbench.spectral import (
+    SERIES_EXTRA,
+    FiniteMeasure,
+    PartialFractionTable,
+    measure_convolve,
+    partial_fractions,
+)
 
 # Classical tabulated Wendland polynomials: (d, k) -> (base power, factor poly).
 # Entry (d, k): (1 - r)^power * poly(r), equality up to a positive constant.
@@ -48,6 +56,72 @@ def proportionality_factor(p, q):
             elif a != lam * b:
                 return None
     return lam
+
+
+def _gadd(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return GaussianRational(a.re + b.re, a.im + b.im)
+
+
+def _gmul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def _gpoly_mul(p, q):
+    out = [GaussianRational.of(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = _gadd(out[i + j], _gmul(a, b))
+    return out
+
+
+def multiply_back(t: PartialFractionTable) -> list[GaussianRational]:
+    """Numerator polynomial after clearing denominators; the identity gives [1].
+
+    Each term of the table is multiplied by s^(m+1) (s+i)^(m+1) (s-i)^(m+1)
+    and the products are summed in exact Gaussian-rational arithmetic, with
+    trailing zero coefficients dropped.
+    """
+    m = t.m
+    one = GaussianRational.of(1)
+    plus = [[one]]                       # powers of s + i
+    minus = [[one]]                      # powers of s - i
+    for _ in range(m + 1):
+        plus.append(_gpoly_mul(plus[-1], [GaussianRational.of(0, 1), one]))
+        minus.append(_gpoly_mul(minus[-1], [GaussianRational.of(0, -1), one]))
+
+    total = [GaussianRational.of(0)] * (3 * m + 4)
+
+    def add(coef, s_power, p, q):        # total += coef s^s_power p q
+        for i, c in enumerate(_gpoly_mul(p, q)):
+            total[s_power + i] = _gadd(total[s_power + i], _gmul(coef, c))
+
+    for j, (a, b) in enumerate(zip(t.alpha, t.beta)):
+        add(GaussianRational(a, Fraction(0)), m - j, plus[m + 1], minus[m + 1])
+        add(b, m + 1, plus[m - j], minus[m + 1])
+        add(GaussianRational(b.re, -b.im), m + 1, minus[m - j], plus[m + 1])
+    while len(total) > 1 and total[-1] == GaussianRational.of(0):
+        total.pop()
+    return total
+
+
+def f_m_series_oracle(m: int) -> tuple[Fraction, ...]:
+    """Maclaurin coefficients of f_m through r^(3m+2+SERIES_EXTRA), from the table.
+
+    The exact trigonometric form f_m(r) = sum_j r^j/j! (alpha_j
+    + 2 Re(beta_j) cos r + 2 Im(beta_j) sin r) is multiplied by the
+    Maclaurin series of cos and sin; the reference for
+    ``spectral.f_m_series``, which does not use the table.
+    """
+    t = partial_fractions(m)
+    order = 3 * m + 2 + SERIES_EXTRA
+    out = [Fraction(0)] * (order + 1)
+    for j, (a, b) in enumerate(zip(t.alpha, t.beta)):
+        out[j] += a / factorial(j)
+        for q in range(order + 1 - j):
+            # r^q/q! in cos r (q even) or sin r (q odd) carries (-1)^(q // 2)
+            trig = b.re if q % 2 == 0 else b.im
+            out[j + q] += 2 * trig * (-1) ** (q // 2) / (factorial(j) * factorial(q))
+    return tuple(out)
 
 
 def fourier_cos_semiinf(f, omega: float, a: float = 0.0) -> tuple[float, float]:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rbfbench import approx, experiments
+from rbfbench import approx, experiments, geometry
 from rbfbench.cli import main
 from rbfbench.experiments import (
     ExperimentConfig,
@@ -81,6 +81,13 @@ def test_config_validation():
         ExperimentConfig(family="wendland", d=1, k=1, witness="quasi")
     with pytest.raises(ValueError, match="d = 1 only"):
         ExperimentConfig(family="sobolev", d=2, gamma=4)
+    for p_list in ((2.0, 0.0), (-2.0,), (0.5,), (np.nan,), (-np.inf,), ()):
+        with pytest.raises(ValueError, match=r"each in \[1, inf\]"):
+            ExperimentConfig(family="sobolev", d=1, gamma=2, p_list=p_list)
+    for h0 in (0.0, -0.125, np.nan):
+        with pytest.raises(ValueError, match="h0 must be positive"):
+            ExperimentConfig(family="sobolev", d=1, gamma=2, h0=h0)
+    ExperimentConfig(family="sobolev", d=1, gamma=2, p_list=(1.0, np.inf))
 
 
 def test_quasi_witness_passes_c2_cap_to_builder(monkeypatch):
@@ -202,6 +209,24 @@ def test_cli_rates_refuses_quasi_wendland_before_any_level(capsys, monkeypatch):
     assert main(["rates", "--kernel", "wendland", "--d", "2", "--k", "1",
                  "--witness", "quasi", "--levels", "1", "--h0", "0.03125"]) == 2
     assert "rates: bad configuration:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--p", "0"],
+    ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--p", "-2"],
+    ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--p", "nan"],
+    ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--h0", "0"],
+    ["property2", "--kernel", "wendland", "--d", "1", "--k", "1", "--h", "0"],
+], ids=["rates_p0", "rates_p_negative", "rates_p_nan", "rates_h0_zero", "property2_h0"])
+def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built for a refused config")
+
+    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    monkeypatch.setattr(geometry, "tensor_grid", no_points)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "each in [1, inf]" in err or "must be positive" in err
 
 
 def test_cli_byte_identical_across_processes(tmp_path):

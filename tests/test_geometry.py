@@ -81,7 +81,7 @@ def test_separation_radius_examples_and_oracle():
         separation_radius(np.array([[0.3], [0.3]]))
     rng = np.random.default_rng(2)
     pts = rng.uniform(0, 1, size=(1000, 2))
-    assert separation_radius(pts) == pytest.approx(pdist(pts).min() / 2.0, rel=1e-14)
+    assert separation_radius(pts) == pytest.approx(pdist(pts).min() / 2.0, rel=1e-14, abs=0)
 
 
 
@@ -131,3 +131,6 @@ def test_generator_guards():
         make_quasi_uniform(UNIT_1D, 2.0)
     with pytest.raises(ValueError):
         make_quasi_uniform(UNIT_1D, 0.25, jitter=0.5)
+    for h in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="h_target must be positive"):
+            make_quasi_uniform(UNIT_1D, h)

@@ -12,12 +12,12 @@ from rbfbench._exact import GaussianRational
 from rbfbench.kernels import wendland_construct
 from rbfbench import spectral
 from rbfbench.spectral import (
+    MAX_M,
     CalibrationError,
     amplitude_from_moments,
     f_m_eval,
     f_m_series,
     hankel_oracle,
-    multiply_back,
     partial_fractions,
     ratio_diagnostic,
     wend1d_decompose,
@@ -25,7 +25,7 @@ from rbfbench.spectral import (
     wendland_transform,
 )
 
-from helpers import hankel_oracle_mp
+from helpers import f_m_series_oracle, hankel_oracle_mp, multiply_back
 
 ACCEPT_PAIRS = [(1, 1), (1, 2), (3, 1), (3, 2)]
 # Every pair inside the exact construction guard: odd d <= 9, k <= 5.
@@ -36,14 +36,14 @@ SCOPE_PAIRS = [(d, k) for d in (1, 3, 5, 7, 9) for k in range(6)]
 # Partial fraction tables
 # ----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("m", range(MAX_M + 1))
 def test_multiply_back_is_exactly_one(m):
     total = multiply_back(partial_fractions(m))
     assert total[0] == GaussianRational.of(1)
-    assert all(c.is_zero() for c in total[1:])
+    assert all(c == GaussianRational.of(0) for c in total[1:])
 
 
-@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("m", range(MAX_M + 1))
 def test_parity_and_top_coefficients(m):
     t = partial_fractions(m)
     assert t.alpha[m] == 1
@@ -71,17 +71,12 @@ def test_known_tables():
     assert t2.beta[2] == GaussianRational.of(Fraction(-1, 8))
 
 
-def test_pole_coefficients_are_conjugate_pairs():
-    t = partial_fractions(3)
-    for b, g in zip(t.beta, t.gamma_coeffs):
-        assert g == b.conj()
-
-
 def test_guard():
-    with pytest.raises(ValueError):
-        partial_fractions(13)
-    with pytest.raises(ValueError):
-        partial_fractions(-1)
+    for build in (partial_fractions, f_m_series):
+        with pytest.raises(ValueError):
+            build(13)
+        with pytest.raises(ValueError):
+            build(-1)
 
 
 # ----------------------------------------------------------------------------
@@ -100,6 +95,13 @@ def test_f_m_laplace_transform_oracle(m, s, expected):
     t = partial_fractions(m)
     val, err = quad(lambda x: f_m_eval(t, x) * np.exp(-s * x), 0, 80.0, limit=400)
     assert val == pytest.approx(float(expected), abs=max(1e-10, 3 * err))
+
+
+@pytest.mark.parametrize("m", range(MAX_M + 1))
+def test_f_m_series_matches_trig_form_product(m):
+    # The closed-form series against the table's trigonometric form times
+    # the Maclaurin series of cos and sin: two independent derivations.
+    assert f_m_series(m) == f_m_series_oracle(m)
 
 
 def test_f_m_series_leading_coefficient_exact():
@@ -244,7 +246,7 @@ def test_oracle_hat_closed_form():
     K = wendland_construct(1, 0)
     for r in (0.3, 2.0, 17.0):
         expected = np.sqrt(2 / np.pi) * (1 - np.cos(r)) / r ** 2
-        assert hankel_oracle(K, 1, r) == pytest.approx(expected, rel=1e-10)
+        assert hankel_oracle(K, 1, r) == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 def test_oracle_gaussian_self_transform():

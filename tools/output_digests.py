@@ -25,10 +25,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # (arguments, csv file the command writes or None)
 COMMANDS = (
     ("kernels table --d 3 --k 3", None),
+    ("kernels table --d 9 --k 5", None),
     ("spectral check --d 1 --k 4", None),
     ("spectral check --d 3 --k 3", None),
     ("spectral check --d 3 --k 5", None),
     ("spectral check --d 5 --k 1", None),
+    ("spectral check --d 9 --k 5", None),
     ("measure check --k 2", None),
     ("ratio-diag --d 3 --k 2", None),
     ("property2 --kernel wendland --d 2 --k 1 --h 0.125 --csv w.csv", "w.csv"),
