@@ -25,7 +25,7 @@ for k in (1, 2):
     print(f"k={k}: scaled transform = B ({D.const_term} "
           f"+ ({D.cos_coeff}) cos x + ({D.sinc_coeff}) sin(x)/x + h^(x)), "
           f"B = {D.amplitude:.6g}")
-    mu = build_measure_1d(k, D)
+    mu = build_measure_1d(k)
     print(f"     atoms: {mu.atoms}")
     print(f"     density on [-1,1]: exact polynomial of degree "
           f"{len(mu.density_poly) - 1}, |mu| = {mu.tv_norm:.6f}")

@@ -28,6 +28,18 @@ def _gl_float(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on each panel [edges[i], edges[i+1]].
+
+    Returns flat arrays (t, w), panel by panel, nodes entries per panel.
+    """
+    x, w = _gl_float(nodes)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    return t, (half[:, None] * w[None, :]).ravel()
+
+
 def gl_panel_quad(f, a: float, b: float, omega: float = 0.0, nodes: int = 16,
                   max_width: float | None = None) -> float:
     """Integrate callable f over [a, b] with oscillation-limited GL panels.
@@ -37,13 +49,12 @@ def gl_panel_quad(f, a: float, b: float, omega: float = 0.0, nodes: int = 16,
     """
     if b <= a:
         return 0.0
-    x, w = _gl_float(nodes)
     edges = panel_edges(a, b, omega, max_width)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(half * (vals @ w)))
+    t, _ = panel_nodes(edges, nodes)
+    vals = f(t).reshape(-1, nodes)
+    # Sum per panel, then scale by its half-width: a flat sum against the
+    # panel_nodes weights rounds differently and moves the oracle values.
+    return float(np.sum(np.diff(edges) / 2.0 * (vals @ _gl_float(nodes)[1])))
 
 
 def trapezoid_weights(n: int, spacing: float) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import lstsq
 from scipy.spatial.distance import cdist
 
-from ._quad import _gl_float, gl_panel_quad
+from ._quad import gl_panel_quad, panel_nodes
 from .geometry import PointSet, cube_center, tensor_grid
 from .polyrep import LocalPolyBuilder, _basis_matrix
 
@@ -131,11 +131,7 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     green = ScaledKernel(G, (2.0 * pi) ** (-bump.dim / 2.0))
     a, b = bump.support
     center = bump.center[0]
-    x_gl, w_gl = _gl_float(_GL_NODES)
-    half = 0.5 / _PANELS_PER_SIDE
-    mids = np.arange(_PANELS_PER_SIDE)[:, None] * (2.0 * half) + half
-    u = (mids + half * x_gl).ravel()              # panel nodes on [0, 1]
-    wu = np.tile(half * w_gl, _PANELS_PER_SIDE)   # their weights
+    u, wu = panel_nodes(np.linspace(0.0, 1.0, _PANELS_PER_SIDE + 1), _GL_NODES)
 
     def f(xs):
         xs_arr = np.asarray(xs, dtype=float)
@@ -207,40 +203,25 @@ def collocation_matrix(pts: np.ndarray, X: PointSet, Phi) -> np.ndarray:
     return D
 
 
-def _ls_fit(f_vals: np.ndarray, grid: np.ndarray, Phi, X: PointSet,
-            rcond: float | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Least-squares fit on the grid: (coefficients, fitted values, rank).
+def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
+               X: PointSet) -> tuple[np.ndarray, np.ndarray, int]:
+    """Least-squares witness on the grid: (coefficients, fitted values, rank).
 
-    The fitted values are the collocation matrix of the solve times the
-    coefficients, so one matrix per grid serves both.
+    The coefficients minimize the discrete l^2 error on the grid.  They are
+    solved by an SVD-based factorization and the minimum-norm solution is
+    taken, so a rank-deficient collocation matrix (grid too coarse, or
+    translates with no support on the grid) stays well posed; the returned
+    effective rank shows the deficiency.  The fitted values are the one
+    collocation matrix of the solve times the coefficients, so the rate
+    experiments need no second build through evaluate_combination.
     """
     A = collocation_matrix(grid, X, Phi)
-    coeffs, _, rank, _ = lstsq(A, f_vals, cond=rcond, lapack_driver="gelsd")
+    # cond=None keeps every singular value above the machine-precision
+    # default: a fixed coarse cutoff (e.g. 1e-12) visibly floors the error
+    # of the smoothest kernels, whose collocation spectra decay below it
+    # while the discarded modes still carry needed signal.
+    coeffs, _, rank, _ = lstsq(A, f_vals, cond=None, lapack_driver="gelsd")
     return coeffs, A @ coeffs, int(rank)
-
-
-def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi, X: PointSet,
-               rcond: float | None = None, return_rank: bool = False):
-    """Coefficients minimizing the discrete l^2 error on the grid.
-
-    Solved by an SVD-based factorization; the minimum-norm solution is
-    taken, so a rank-deficient collocation matrix (grid too coarse, or
-    translates with no support on the grid) stays well posed.  Pass
-    return_rank=True to get (coeffs, effective rank) and inspect the
-    deficiency.  rcond = None keeps every singular value above the
-    machine-precision default; a fixed coarse cutoff (e.g. 1e-12) visibly
-    floors the attainable error for the smoothest kernels, whose
-    collocation spectra decay below it while the discarded modes still
-    carry needed signal.
-
-    The collocation matrix is built once per call.  The rate experiments
-    take the witness values on the same grid from that matrix as well,
-    instead of rebuilding it through evaluate_combination.
-    """
-    coeffs, _, rank = _ls_fit(f_vals, grid, Phi, X, rcond)
-    if return_rank:
-        return coeffs, rank
-    return coeffs
 
 
 def evaluate_combination(coeffs: np.ndarray, X: PointSet, Phi, pts: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ def _cmd_measure_check(args) -> int:
 
     k = args.k
     decomp = wend1d_decompose(k)
-    mu = build_measure_1d(k, decomp)
+    mu = build_measure_1d(k)
     omegas = np.linspace(0.0, 50.0, args.grid)
     muhat = np.asarray(measure_ft(mu, omegas))
     target = np.asarray(wendland_hat(1, k, omegas))

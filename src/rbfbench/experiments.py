@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,10 @@ from ._quad import trapezoid_weights
 from .approx import (
     SmoothBump,
     TestFunction,
-    _ls_fit,
     evaluate_combination,
     fit_rate,
     lp_error,
+    ls_witness,
     quasi_interpolant,
     synth_test_function,
 )
@@ -81,10 +82,15 @@ class ExperimentConfig:
             raise ValueError("sobolev experiments need gamma")
         if not 0 < self.ratio < 1:
             raise ValueError("schedule ratio must lie in (0, 1)")
-        if self.levels < 1:
-            raise ValueError("need at least one level")
+        whole = isinstance(self.levels, Integral) and not isinstance(self.levels, bool)
+        if not whole or self.levels < 1:
+            raise ValueError(f"levels must be an integer >= 1, got {self.levels!r}")
         if not self.h0 > 0:
             raise ValueError(f"coarsest spacing h0 must be positive, got {self.h0}")
+        for name in ("bump_width", "grid_factor"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not self.p_list or not all(1 <= p <= np.inf for p in self.p_list):
             raise ValueError("p_list needs one or more p, each in [1, inf], "
                              f"got {list(self.p_list)}")
@@ -217,7 +223,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
             coeffs = quasi_interpolant(tf, tf.G_green, X, degree, c3, c2_cap=cfg.c2_cap)
             s_vals = evaluate_combination(coeffs, X, tf.G_green, grid)
         else:
-            _, s_vals, _ = _ls_fit(f_vals, grid, kernel, X)
+            _, s_vals, _ = ls_witness(f_vals, grid, kernel, X)
         row = {"spacing": spacing, "h": X.h, "q": X.q, "rho": X.rho,
                "n_points": X.n, "witness": cfg.witness}
         for p in cfg.p_list:

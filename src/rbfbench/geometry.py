@@ -115,13 +115,12 @@ class PointSet:
                           dtype=int)
 
 
-def fill_distance(points: np.ndarray, domain: Box, resolution: float,
-                  return_slack: bool = False):
+def fill_distance(points: np.ndarray, domain: Box, resolution: float) -> float:
     """Estimate sup over the domain of the distance to the nearest point.
 
     The supremum is taken over a candidate grid of spacing <= resolution;
-    the true fill distance exceeds the estimate by at most the reported
-    slack resolution * sqrt(d).
+    the true fill distance exceeds the estimate by at most
+    resolution * sqrt(d).
     """
     points = np.atleast_2d(points)
     if points.shape[0] == 0:
@@ -129,9 +128,7 @@ def fill_distance(points: np.ndarray, domain: Box, resolution: float,
     tree = cKDTree(points)
     grid = domain.candidate_grid(resolution)
     dist, _ = tree.query(grid, k=1)
-    h = float(dist.max())
-    slack = resolution * np.sqrt(domain.dim)
-    return (h, slack) if return_slack else h
+    return float(dist.max())
 
 
 def separation_radius(points: np.ndarray) -> float:
@@ -148,8 +145,7 @@ def separation_radius(points: np.ndarray) -> float:
 
 
 def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
-                       seed: int | None = 0, pad: float = 0.0,
-                       resolution: float | None = None) -> PointSet:
+                       seed: int | None = 0, pad: float = 0.0) -> PointSet:
     """Jittered lattice with spacing h_target covering the padded domain.
 
     Each lattice point moves by a uniform offset in
@@ -159,7 +155,7 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
 
     h_target must be positive and smaller than the domain's shortest side;
     the returned PointSet caches the measured fill distance (w.r.t. the
-    unpadded domain), separation radius, and mesh ratio.
+    unpadded domain) with its slack bound, separation radius, and mesh ratio.
     """
     if not 0.0 <= jitter <= 0.4:
         raise ValueError("jitter must lie in [0, 0.4]")
@@ -173,8 +169,8 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     if jitter > 0:
         rng = np.random.Generator(np.random.Philox(key=seed or 0))
         pts = pts + rng.uniform(-jitter * h_target, jitter * h_target, size=pts.shape)
-    if resolution is None:
-        resolution = h_target / 32.0 if domain.dim < 3 else h_target / 8.0
-    h, slack = fill_distance(pts, domain, resolution, return_slack=True)
+    resolution = h_target / 32.0 if domain.dim < 3 else h_target / 8.0
+    h = fill_distance(pts, domain, resolution)
     q = separation_radius(pts)
-    return PointSet(pts, domain, h, slack, q, seed=seed, jitter=jitter)
+    return PointSet(pts, domain, h, resolution * np.sqrt(domain.dim), q,
+                    seed=seed, jitter=jitter)

@@ -38,6 +38,7 @@ __all__ = [
 
 SVD_CUTOFF = 1e-10     # relative singular-value cutoff of the star pseudo-inverse
 MAX_RETRIES = 4        # star enlargements before a cube counts as unisolvent
+FAR_LIMIT = 3.0        # support radius property2_scan assumes for unbounded kernels
 
 
 class UnisolvencyError(RuntimeError):
@@ -198,19 +199,20 @@ class ErrorKernelScan:
 
 def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
                    sample_budget: int, *, degree: int, c3: float,
-                   seed: int = 0, far_limit: float | None = None) -> ErrorKernelScan:
+                   seed: int = 0) -> ErrorKernelScan:
     """Sample the error kernel and record C_emp = max |E| / envelope.
 
     (x, t) pairs are stratified by s = |x - t|/h over [0, s_max], where
-    s_max covers the kernel support plus the star radius (or far_limit for
-    kernels with unbounded support).  t is drawn uniformly in the domain.
+    s_max covers the kernel support plus the star radius; kernels with
+    unbounded support count as supported on FAR_LIMIT.  t is drawn
+    uniformly in the domain.
     """
     d = X.dim
     h = X.h
     c1 = c3 + np.sqrt(d) / 2.0
     support = getattr(Phi, "support_radius", np.inf)
     if np.isinf(support):
-        support = far_limit if far_limit is not None else 3.0
+        support = FAR_LIMIT
     s_max = (support + c1 * h) / h
     edges = [0.0, 0.5, 1.0]
     while edges[-1] < s_max:

@@ -45,7 +45,7 @@ from ._exact import (
     poly_scale,
     poly_trim,
 )
-from ._quad import gl_panel_quad
+from ._quad import gl_panel_quad, panel_nodes
 from .kernels import PiecewisePolyRadial, SobolevSpline, _float_horner, wendland_construct
 
 __all__ = [
@@ -72,6 +72,10 @@ SERIES_EXTRA = 48        # series terms kept past the leading power
 # Radii tried, in order, for the hand-over from the series to direct evaluation.
 SWITCH_CANDIDATES = (0.6, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0,
                      8.0, 10.0, 12.0, 16.0)
+ORACLE_NODES = 20        # Gauss-Legendre nodes per panel of hankel_oracle
+FT_TOL = 1e-8            # largest accepted error estimate of a measure_ft quadrature
+CONV_PANELS = 256        # panels of the fixed measure_convolve rule on the support
+CONV_NODES = 8           # Gauss-Legendre nodes per panel of that rule
 
 
 class CalibrationError(RuntimeError):
@@ -286,9 +290,7 @@ def amplitude_from_moments(d: int, k: int) -> float:
 # Quadrature oracle for radial Fourier transforms
 # ----------------------------------------------------------------------------
 
-def hankel_oracle(kernel, d: int, r: float, *,
-                  truncation: float | None = None, nodes: int = 20,
-                  return_err: bool = False):
+def hankel_oracle(kernel, d: int, r: float, *, truncation: float | None = None) -> float:
     """Radial Fourier transform at radius r by independent panel quadrature.
 
     Evaluates (2 pi)^(-d/2) times the integral of kernel against e^(-i x.w)
@@ -302,8 +304,9 @@ def hankel_oracle(kernel, d: int, r: float, *,
     kernel : PiecewisePolyRadial | SobolevSpline | callable
         Radial profile.  Callables must be vectorized and require an
         explicit truncation radius.
-    return_err : bool
-        Also return a refinement-based error estimate.
+    truncation : float, optional
+        Upper limit of the radial integral: required for callables, 45 by
+        default for Sobolev splines, unused for Wendland kernels.
     """
     if r <= 0:
         raise ValueError("oracle radius must be positive")
@@ -319,11 +322,7 @@ def hankel_oracle(kernel, d: int, r: float, *,
         upper = float(truncation)
         profile = kernel
 
-    val = _hankel_float(profile, d, r, upper, nodes)
-    if return_err:
-        ref = _hankel_float(profile, d, r, upper, nodes + 12)
-        return val, abs(val - ref)
-    return val
+    return _hankel_float(profile, d, r, upper, ORACLE_NODES)
 
 
 def _hankel_float(profile, d: int, r: float, upper: float, nodes: int) -> float:
@@ -438,8 +437,7 @@ class FiniteMeasure:
         """Restriction of the measure to the closed ball of given radius."""
         atoms = tuple((loc, w) for loc, w in self.atoms if abs(loc) <= radius)
         sup = min(self.support_radius, radius)
-        l1 = 2.0 * gl_panel_quad(lambda t: np.abs(self.density(t)), 0.0, sup, 0.0, 24,
-                                 max_width=0.05) if sup > 0 else 0.0
+        l1 = 2.0 * _abs_poly_integral(self.density_poly, 0.0, sup)
         tv = sum(abs(w) for _, w in atoms) + l1
         return FiniteMeasure(atoms, self.density_poly, sup, l1, tv)
 
@@ -460,7 +458,7 @@ def _abs_poly_integral(p: RatPoly, a: float, b: float) -> float:
     return total
 
 
-def build_measure_1d(k: int, decomposition: Wend1DDecomposition | None = None) -> FiniteMeasure:
+def build_measure_1d(k: int) -> FiniteMeasure:
     """Measure mu with hat(mu)(x) = hat(Phi)_{1,k}(x) (1 + |x|^(2k+2)).
 
     Since multiplying the transform by x^(2k+2) corresponds (up to the sign
@@ -468,12 +466,11 @@ def build_measure_1d(k: int, decomposition: Wend1DDecomposition | None = None) -
     distributional derivative Phi^(2k+2): point atoms at 0 and +-1 from the
     jumps of Phi^(2k+1), plus a piecewise polynomial density.  The atom
     weights are validated against the closed forms sqrt(2 pi) B_k / k! and
-    sqrt(2 pi) B_k (-1)^(k+1)/(k! 2^(k+1)).
+    sqrt(2 pi) B_k (-1)^(k+1)/(k! 2^(k+1)), with B_k from wend1d_decompose(k).
+    The L^1 norm of the density is exact, integrated between its real roots.
     """
     if k < 1:
         raise ValueError("measure construction requires k >= 1")
-    if decomposition is None:
-        decomposition = wend1d_decompose(k)
     kernel = wendland_construct(1, k)
     sign = (-1) ** (k + 1)
     p = kernel.coeffs
@@ -482,7 +479,7 @@ def build_measure_1d(k: int, decomposition: Wend1DDecomposition | None = None) -
     # jump -value at the support boundary where the kernel stops.
     w0 = float(sign * 2 * poly_eval(d_hi, ZERO))
     w1 = float(sign * (-poly_eval(d_hi, Fraction(1))))
-    B = decomposition.amplitude
+    B = wend1d_decompose(k).amplitude
     root = float(np.sqrt(2.0 * pi))
     expect0 = root * B / factorial(k)
     expect1 = root * B * (-1) ** (k + 1) / (factorial(k) * 2 ** (k + 1))
@@ -497,12 +494,12 @@ def build_measure_1d(k: int, decomposition: Wend1DDecomposition | None = None) -
     return FiniteMeasure(atoms, density_poly, 1.0, l1, tv)
 
 
-def measure_ft(mu: FiniteMeasure, omega, abs_tol: float = 1e-8) -> np.ndarray | float:
+def measure_ft(mu: FiniteMeasure, omega) -> np.ndarray | float:
     """Fourier transform of the measure at omega (symmetric convention).
 
     Atoms contribute an exact trigonometric sum; the density contributes
     through oscillation-limited panel quadrature.  Every density quadrature
-    is confirmed by a refined rule; disagreement beyond abs_tol raises with
+    is confirmed by a refined rule; disagreement beyond FT_TOL raises with
     the achieved error estimate.
     """
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -512,10 +509,10 @@ def measure_ft(mu: FiniteMeasure, omega, abs_tol: float = 1e-8) -> np.ndarray | 
         dens = gl_panel_quad(integrand, 0.0, mu.support_radius, abs(w), 16)
         refined = gl_panel_quad(integrand, 0.0, mu.support_radius, abs(w), 24)
         estimate = np.sqrt(2.0 / pi) * abs(dens - refined)
-        if estimate > abs_tol:
+        if estimate > FT_TOL:
             raise RuntimeError(
                 f"density quadrature did not converge at omega={w}: "
-                f"achieved error estimate {estimate:.3e} > {abs_tol:.1e}")
+                f"achieved error estimate {estimate:.3e} > {FT_TOL:.1e}")
         out[i] = np.sqrt(2.0 / pi) * refined
     out = out + mu.discrete_ft(omega_arr)
     if np.isscalar(omega) or np.asarray(omega).ndim == 0:
@@ -523,21 +520,11 @@ def measure_ft(mu: FiniteMeasure, omega, abs_tol: float = 1e-8) -> np.ndarray | 
     return out
 
 
-@lru_cache(maxsize=4)
-def _conv_nodes(support: float, n_panels: int = 256, nodes: int = 8):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(-support, support, n_panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    T = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    W = (half[:, None] * w[None, :]).ravel()
-    return T, W
-
-
 def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:
     """(f * mu)(x) for a vectorized integrable f (x may be an array)."""
     x = np.asarray(x, dtype=float)
-    T, W = _conv_nodes(mu.support_radius)
+    edges = np.linspace(-mu.support_radius, mu.support_radius, CONV_PANELS + 1)
+    T, W = panel_nodes(edges, CONV_NODES)
     dens = mu.density(T)
     out = f(x[..., None] - T) @ (W * dens)
     for loc, w in mu.atoms:
@@ -549,8 +536,7 @@ def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:
 # Diagnostics and reports
 # ----------------------------------------------------------------------------
 
-def ratio_diagnostic(d: int, k: int, gamma_target: int | None = None,
-                     omegas: np.ndarray | None = None) -> dict:
+def ratio_diagnostic(d: int, k: int, gamma_target: int | None = None) -> dict:
     """Tabulate (1 + w^2)^(-gamma/2) / hat(Phi)_{d,k}(w) on a log grid.
 
     Exploratory only: emits the observed ratio with its min and max, no
@@ -560,9 +546,7 @@ def ratio_diagnostic(d: int, k: int, gamma_target: int | None = None,
     if k < 1:
         raise ValueError("ratio diagnostic requires k >= 1")
     gamma_t = d + 2 * k + 1 if gamma_target is None else gamma_target
-    if omegas is None:
-        omegas = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 121)])
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 121)])
     phat = np.asarray(wendland_hat(d, k, omegas))
     ghat = (1.0 + omegas ** 2) ** (-gamma_t / 2.0)
     ratio = ghat / phat
@@ -573,11 +557,10 @@ def ratio_diagnostic(d: int, k: int, gamma_target: int | None = None,
     }
 
 
-def spectral_check(d: int, k: int, decay_radii: np.ndarray | None = None) -> dict:
+def spectral_check(d: int, k: int) -> dict:
     """Self-check report: exact coefficients, amplitude, residuals, decay."""
     tf = wendland_transform(d, k)
-    if decay_radii is None:
-        decay_radii = np.geomspace(1.0, 1e3, 61)
+    decay_radii = np.geomspace(1.0, 1e3, 61)
     decay = np.power(decay_radii, 2 * tf.m + 2) * np.asarray(tf.hat(decay_radii))
     return {
         "d": d,

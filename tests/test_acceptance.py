@@ -114,7 +114,7 @@ def test_criterion_05_measure_factorization():
     details = []
     for k in (1, 2):
         decomp = wend1d_decompose(k)
-        mu = build_measure_1d(k, decomp)
+        mu = build_measure_1d(k)
         omegas = np.linspace(0.0, 50.0, 201)
         from rbfbench.spectral import measure_ft
         lhs = np.asarray(measure_ft(mu, omegas)) / (1.0 + np.abs(omegas) ** (2 * k + 2))

@@ -87,6 +87,13 @@ def test_config_validation():
     for h0 in (0.0, -0.125, np.nan):
         with pytest.raises(ValueError, match="h0 must be positive"):
             ExperimentConfig(family="sobolev", d=1, gamma=2, h0=h0)
+    for name in ("bump_width", "grid_factor"):
+        for bad in (-0.2, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                ExperimentConfig(family="sobolev", d=1, gamma=2, **{name: bad})
+    for levels in (2.5, 0, -1, True, "3"):
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            ExperimentConfig(family="sobolev", d=1, gamma=2, levels=levels)
     ExperimentConfig(family="sobolev", d=1, gamma=2, p_list=(1.0, np.inf))
 
 
@@ -227,6 +234,21 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "each in [1, inf]" in err or "must be positive" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("bump_width", -0.2), ("bump_width", 0), ("grid_factor", 0), ("levels", 2.5),
+])
+def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
+                                                         monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built for a refused config")
+
+    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "sobolev", "d": 1, "gamma": 2, field: value}))
+    assert main(["rates", "--config", str(cfg_file)]) == 2
+    assert "rates: bad configuration:" in capsys.readouterr().err
 
 
 def test_cli_byte_identical_across_processes(tmp_path):

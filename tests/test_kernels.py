@@ -69,7 +69,7 @@ def test_eval_examples():
     # |x| = 1.5 > support radius
     assert kernel_eval(wendland_construct(3, 1), [0.9, 0.9, 0.9]) == 0.0
     G2 = sobolev_spline_construct(2, 1)
-    assert kernel_eval(G2, [1.0]) == pytest.approx(G2_AT_ONE, rel=1e-12)
+    assert kernel_eval(G2, [1.0]) == pytest.approx(G2_AT_ONE, rel=1e-12, abs=0)
 
 
 def test_sobolev_matches_inverse_transform_oracle():
@@ -148,7 +148,7 @@ def test_derivative_matches_finite_differences():
     G = sobolev_spline_construct(4, 1)
     fd2 = (kernel_eval(G, [0.4 + 1e-4]) - 2 * kernel_eval(G, [0.4])
            + kernel_eval(G, [0.4 - 1e-4])) / 1e-8
-    assert kernel_derivative(G, [0.4], (2,)) == pytest.approx(fd2, rel=1e-5)
+    assert kernel_derivative(G, [0.4], (2,)) == pytest.approx(fd2, rel=1e-5, abs=0)
 
 
 def test_derivative_order_guards():

@@ -38,9 +38,9 @@ def test_atom_weights_match_closed_forms(mu1, mu2):
     for k, mu in ((1, mu1), (2, mu2)):
         B = wend1d_decompose(k).amplitude
         root = np.sqrt(2 * np.pi)
-        assert mu.atoms[0][1] == pytest.approx(root * B / factorial(k), rel=1e-9)
+        assert mu.atoms[0][1] == pytest.approx(root * B / factorial(k), rel=1e-9, abs=0)
         assert mu.atoms[1][1] == pytest.approx(
-            root * B * (-1) ** (k + 1) / (factorial(k) * 2 ** (k + 1)), rel=1e-9)
+            root * B * (-1) ** (k + 1) / (factorial(k) * 2 ** (k + 1)), rel=1e-9, abs=0)
 
 
 def test_density_is_kernel_plus_plateau_for_k1(mu1):
@@ -72,7 +72,7 @@ def test_no_singular_continuous_part(mu1):
 def test_measure_ft_of_point_mass():
     triv = FiniteMeasure(((0.0, 1.0),), (Fraction(0),), 0.0, 0.0, 1.0)
     for w in (0.0, 2.7, 31.0):
-        assert measure_ft(triv, w) == pytest.approx(1 / np.sqrt(2 * np.pi), rel=1e-14)
+        assert measure_ft(triv, w) == pytest.approx(1 / np.sqrt(2 * np.pi), rel=1e-14, abs=0)
 
 
 def test_measure_ft_of_symmetric_atoms():
@@ -85,7 +85,7 @@ def test_measure_ft_of_symmetric_atoms():
 
 def test_measure_ft_at_zero_matches_transform(mu1):
     assert measure_ft(mu1, 0.0) == pytest.approx(float(wendland_hat(1, 1, 0.0)),
-                                                 rel=1e-10)
+                                                 rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -117,6 +117,17 @@ def test_restriction(mu1):
     assert tails[0] >= tails[1] >= tails[2] >= 0.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_restriction_total_variation_is_exact(k):
+    # A ball holding the whole support keeps the total variation, and a
+    # smaller ball never adds any.
+    mu = build_measure_1d(k)
+    assert mu.restrict(2.0).tv_norm == pytest.approx(mu.tv_norm, rel=1e-14, abs=0)
+    for r in (0.25, 0.5, 0.9):
+        assert mu.restrict(r).tv_norm <= mu.tv_norm
+    assert mu.restrict(0.0).density_l1 == 0.0
+
+
 def test_convolution_against_direct_quadrature(mu1):
     # Smooth integrand: the fixed panel rule in measure_convolve is exact
     # to roundoff, so an independent quadrature must match tightly.
@@ -126,14 +137,14 @@ def test_convolution_against_direct_quadrature(mu1):
     direct += gl_panel_quad(lambda t: f(x0 - t) * mu1.density(t), -1.0, 1.0,
                             1.7, 24, max_width=0.05)
     val = measure_convolve(mu1, f, np.array([x0]))[0]
-    assert val == pytest.approx(direct, rel=1e-11)
+    assert val == pytest.approx(direct, rel=1e-11, abs=0)
     # Kinked integrand: panel rule accuracy degrades gracefully.
     g = lambda x: np.exp(-np.abs(x))
     direct = sum(w * g(x0 - loc) for loc, w in mu1.atoms)
     ts = np.linspace(-1.0, 1.0, 400_001)
     direct += np.trapezoid(g(x0 - ts) * mu1.density(ts), ts)
     val = measure_convolve(mu1, g, np.array([x0]))[0]
-    assert val == pytest.approx(direct, rel=1e-5)
+    assert val == pytest.approx(direct, rel=1e-5, abs=0)
 
 
 @pytest.mark.parametrize("k", [1, 2])

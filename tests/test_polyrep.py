@@ -179,7 +179,7 @@ def test_sobolev_far_field_decay():
     G4 = sobolev_spline_construct(4, 1)
     ps = make_quasi_uniform(UNIT_1D, 1 / 32, jitter=0.25, seed=7, pad=2.0)
     scan = property2_scan(G4, ps, kappa=3.0, ell=2.0, sample_budget=1500,
-                          degree=4, c3=40.0, seed=3, far_limit=3.0)
+                          degree=4, c3=40.0, seed=3)
     far = scan.dist_over_h > 8.0
     slope = np.polyfit(np.log1p(scan.dist_over_h[far]),
                        np.log(scan.abs_e[far] + 1e-300), 1)[0]

@@ -160,21 +160,22 @@ def test_amplitude_against_exact_moment_formula():
         lead = 3 * m + 2
         oracle = hankel_oracle_mp(wendland_construct(d, k), d, 1.0, 40)
         calibrated = oracle / float(sum(f_m_series(m)[lead:]))
-        assert amplitude_from_moments(d, k) == pytest.approx(calibrated, rel=1e-9)
+        assert amplitude_from_moments(d, k) == pytest.approx(calibrated, rel=1e-9, abs=0)
 
 
 def test_amplitude_frozen_values():
     # Derived from the jumps of the (2k+1)-th derivative of the kernel:
     # sqrt(2 pi) B = 8 for (1,1) and 96 for (1,2).
-    assert amplitude_from_moments(1, 1) == pytest.approx(8.0 / np.sqrt(2 * np.pi), rel=1e-9)
-    assert amplitude_from_moments(1, 2) == pytest.approx(96.0 / np.sqrt(2 * np.pi), rel=1e-9)
+    assert amplitude_from_moments(1, 1) == pytest.approx(8.0 / np.sqrt(2 * np.pi), rel=1e-9, abs=0)
+    assert amplitude_from_moments(1, 2) == pytest.approx(96.0 / np.sqrt(2 * np.pi), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("d,k", ACCEPT_PAIRS)
 def test_transform_agrees_with_float_oracle(d, k):
     K = wendland_construct(d, k)
     for r in (0.5, 1.0, 5.0):
-        oracle, err = hankel_oracle(K, d, r, return_err=True)
+        oracle = hankel_oracle(K, d, r)
+        err = abs(oracle - spectral._hankel_float(K.profile, d, r, 1.0, 32))
         assert float(wendland_hat(d, k, r)) == pytest.approx(
             oracle, rel=1e-6, abs=10 * abs(err))
 
@@ -253,13 +254,13 @@ def test_oracle_gaussian_self_transform():
     gauss = lambda t: np.exp(-t ** 2 / 2.0)
     for r in (0.5, 1.5, 3.0):
         val = hankel_oracle(gauss, 3, r, truncation=12.0)
-        assert val == pytest.approx(np.exp(-r ** 2 / 2.0), rel=1e-9)
+        assert val == pytest.approx(np.exp(-r ** 2 / 2.0), rel=1e-9, abs=0)
 
 
 def test_oracle_cross_checks_transform_in_3d():
     K = wendland_construct(3, 1)
     assert hankel_oracle(K, 3, 1.0) == pytest.approx(
-        float(wendland_hat(3, 1, 1.0)), rel=1e-9)
+        float(wendland_hat(3, 1, 1.0)), rel=1e-9, abs=0)
 
 
 def test_oracle_guards():
@@ -341,9 +342,10 @@ def test_ratio_diagnostic_bounded():
 
 
 def test_ratio_diagnostic_at_zero():
-    diag = ratio_diagnostic(3, 1, omegas=np.array([0.0, 1.0]))
+    diag = ratio_diagnostic(3, 1)
+    assert diag["omega"][0] == 0.0
     expected = 1.0 / float(wendland_hat(3, 1, 0.0))
-    assert diag["ratio"][0] == pytest.approx(expected, rel=1e-12)
+    assert diag["ratio"][0] == pytest.approx(expected, rel=1e-12, abs=0)
     assert diag["min"] > 0.0
 
 
