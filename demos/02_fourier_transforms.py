@@ -26,9 +26,8 @@ for m in (1, 2):
     print(f"     beta  = {[f'{b.re}+{b.im}i' for b in t.beta]}")
 
 # f_1(r) = r + (r/2) cos r - (3/2) sin r, vanishing to order 5 at zero.
-t1 = partial_fractions(1)
 r = np.array([1e-3, 0.5, 2.0, 10.0])
-print("\nf_1:", f_m_eval(t1, r))
+print("\nf_1:", f_m_eval(1, r))
 
 # --- transform vs quadrature oracle -----------------------------------------
 print("\n(d,k)   r      explicit hat      oracle          rel.dev")

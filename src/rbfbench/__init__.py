@@ -33,7 +33,6 @@ _EXPORTS = {
     ),
     "kernels": (
         "PiecewisePolyRadial",
-        "ScaledKernel",
         "SmoothnessError",
         "SobolevSpline",
         "kernel_derivative",

@@ -1,11 +1,12 @@
 """Approximants from kernel translate spaces and L^p error measurement.
 
-Two routes into the translate space S_X(Phi) are provided:
+Two routes into the translate space S_X(G) are provided:
 
-* a constructive quasi-interpolant whose coefficient of Phi(. - xi) is the
-  quadrature of g(t) A(t, xi) over the cubes whose star contains xi, the
-  finite realization of integrating the source term against the local
-  surrogate kernel K(., t); and
+* a constructive quasi-interpolant whose coefficient of G(. - xi) is
+  (2 pi)^(-d/2) times the quadrature of g(t) A(t, xi) over the cubes whose
+  star contains xi, the finite realization of integrating the source term
+  against the local surrogate kernel K(., t) (the Green's function of the
+  operator is (2 pi)^(-d/2) G under the symmetric transform convention); and
 * a least-squares witness that minimizes the discrete l^2 error on an
   evaluation grid, giving an upper bound on the best-approximation error
   (the same coefficient vector witnesses the L^1 and L^inf errors).
@@ -18,14 +19,14 @@ rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma as gamma_fn, pi
+from math import pi
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import lstsq
 from scipy.spatial.distance import cdist
 
-from ._quad import gl_panel_quad, panel_nodes
+from ._quad import panel_nodes
 from .geometry import PointSet, cube_center, tensor_grid
 from .polyrep import LocalPolyBuilder, _basis_matrix
 
@@ -40,7 +41,7 @@ __all__ = [
     "fit_rate",
 ]
 
-_GL_NODES = 48         # Gauss-Legendre nodes per panel of the f = G_green * g quadrature
+_GL_NODES = 48         # Gauss-Legendre nodes per panel of the f = (2 pi)^(-d/2) G * g quadrature
 _PANELS_PER_SIDE = 4   # panels on each side of the kink at t = x
 _BLOCK = 128           # evaluation points per block of that quadrature
 
@@ -79,43 +80,28 @@ class SmoothBump:
         c = self.center[0]
         return c - self.width, c + self.width
 
-    def norm_p(self, p: float) -> float:
-        """L^p norm, by radial quadrature (the bump is radial)."""
-        if np.isinf(p):
-            return self.amplitude
-        surface = 2.0 if self.dim == 1 else 2 * pi ** (self.dim / 2) / gamma_fn(self.dim / 2)
-        val = gl_panel_quad(lambda r: self.radial(r) ** p * r ** (self.dim - 1),
-                            0.0, self.width, 0.0, 32, max_width=self.width / 8)
-        return float((surface * val) ** (1.0 / p))
+
+def _green_factor(d: int) -> float:
+    """(2 pi)^(-d/2): the Green's function of the operator is this times G."""
+    return (2.0 * pi) ** (-d / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Test function f = G_green * g with exactly known source term T f = g.
+    """Test function f = (2 pi)^(-d/2) G * g with exactly known source term g.
 
-    G_green is the properly normalized Green's kernel (the spectral kernel
-    times (2 pi)^(-d/2)), so that applying the operator to f returns g with
-    no stray constant; translates of G_green span the same space as
-    translates of the spectral kernel.
+    (2 pi)^(-d/2) G is the Green's function of the operator T, so T f = g
+    holds with no stray constant.
     """
 
     g: SmoothBump
-    G: object | None              # spectral normalization (unit transform)
-    G_green: object | None        # Green normalization used to build f
     f: Callable
-
-    def Tf(self, x):
-        return self.g(x)
-
-    def seminorm(self, p: float) -> float:
-        """|f| in the operator smoothness scale: the L^p norm of g."""
-        return self.g.norm_p(p)
 
 
 def synth_test_function(G, bump: SmoothBump) -> TestFunction:
-    """Construct f = G_green * g by panel quadrature (one-dimensional).
+    """Construct f = (2 pi)^(-d/2) G * g by panel quadrature (one-dimensional).
 
-    G_green = (2 pi)^(-d/2) G makes T f = g hold exactly under the
+    The factor (2 pi)^(-d/2) makes T f = g hold exactly under the
     symmetric transform convention (e.g. the Green's function of
     1 - Laplacian in d = 1 is exp(-|x|)/2).  The integrand has a kink at
     t = x, so the bump support [a, b] is cut at c = clip(x, a, b), and
@@ -127,8 +113,7 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     """
     if bump.dim != 1:
         raise ValueError("convolution synthesis is implemented for d = 1")
-    from .kernels import ScaledKernel
-    green = ScaledKernel(G, (2.0 * pi) ** (-bump.dim / 2.0))
+    factor = _green_factor(bump.dim)
     a, b = bump.support
     center = bump.center[0]
     u, wu = panel_nodes(np.linspace(0.0, 1.0, _PANELS_PER_SIDE + 1), _GL_NODES)
@@ -142,23 +127,23 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
             c = np.clip(x, a, b)
             t = np.hstack([a + (c - a) * u, c + (b - c) * u])
             w = np.hstack([(c - a) * wu, (b - c) * wu])
-            vals = green.profile(np.abs(x - t)) * bump.radial(np.abs(t - center))
+            vals = factor * G.profile(np.abs(x - t)) * bump.radial(np.abs(t - center))
             out[start:start + _BLOCK] = np.sum(w * vals, axis=1)
         return out.reshape(xs_arr.shape) if xs_arr.ndim else float(out[0])
 
-    return TestFunction(bump, G, green, f)
+    return TestFunction(bump, f)
 
 
-def quasi_interpolant(tf: TestFunction, Phi, X: PointSet, degree: int, c3: float,
+def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float,
                       spacing: float | None = None, c2_cap: float = 2.0) -> np.ndarray:
-    """Constructive coefficients: c_xi = integral of g(t) A(t, xi) dt.
+    """Constructive coefficients of G(. - xi) for f = (2 pi)^(-d/2) G * g.
 
-    The integral runs over the cubes meeting the support of g = T f, with a
-    midpoint rule of the given spacing (default h/4) inside each cube, and
-    A(t, .) from LocalPolyBuilder(X, degree, c3, c2_cap).  Returns one
-    coefficient per point of X.
+    c_xi = (2 pi)^(-d/2) times the integral of g(t) A(t, xi) dt over the
+    cubes meeting the support of the source term g, with a midpoint rule
+    of the given spacing (default h/4) inside each cube, and A(t, .) from
+    LocalPolyBuilder(X, degree, c3, c2_cap).  Returns one coefficient per
+    point of X.
     """
-    g = tf.g
     d = X.dim
     side = X.h
     spacing = side / 4.0 if spacing is None else spacing
@@ -180,7 +165,7 @@ def quasi_interpolant(tf: TestFunction, Phi, X: PointSet, degree: int, c3: float
         beta = _basis_matrix(samples, anchor, scale, builder.exponents)
         alpha = V @ beta                      # (n_star, n_samples)
         coeffs[star] += w_quad * (alpha @ gv)
-    return coeffs
+    return coeffs * _green_factor(d)
 
 
 def collocation_matrix(pts: np.ndarray, X: PointSet, Phi) -> np.ndarray:

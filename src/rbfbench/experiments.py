@@ -25,7 +25,6 @@ import numpy as np
 from ._quad import trapezoid_weights
 from .approx import (
     SmoothBump,
-    TestFunction,
     evaluate_combination,
     fit_rate,
     lp_error,
@@ -91,6 +90,11 @@ class ExperimentConfig:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
+        if self.pad is not None and not 0 <= self.pad < np.inf:
+            raise ValueError(f"pad must be non-negative and finite, got {self.pad}")
+        if not 0 <= self.bump_center <= 1:
+            raise ValueError("bump_center must lie in the evaluation region [0, 1], "
+                             f"got {self.bump_center}")
         if not self.p_list or not all(1 <= p <= np.inf for p in self.p_list):
             raise ValueError("p_list needs one or more p, each in [1, inf], "
                              f"got {list(self.p_list)}")
@@ -193,12 +197,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
     support = kernel.support_radius if np.isfinite(kernel.support_radius) else 1.0
     pad = cfg.pad if cfg.pad is not None else 2.0 * support
     bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
-    tf: TestFunction | None = None
-    if cfg.family == "sobolev":
-        tf = synth_test_function(kernel, bump)
-        f = tf.f
-    else:
-        f = bump
+    f = synth_test_function(kernel, bump).f if cfg.family == "sobolev" else bump
 
     order = cfg.k if cfg.family == "wendland" else cfg.gamma
     degree, c3 = reproduction_defaults(cfg.family, order, cfg.rho_max)
@@ -220,8 +219,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
         f_scale = max(f_scale, float(np.abs(f_vals).max()))
         if cfg.witness == "quasi":
-            coeffs = quasi_interpolant(tf, tf.G_green, X, degree, c3, c2_cap=cfg.c2_cap)
-            s_vals = evaluate_combination(coeffs, X, tf.G_green, grid)
+            coeffs = quasi_interpolant(bump, X, degree, c3, c2_cap=cfg.c2_cap)
+            s_vals = evaluate_combination(coeffs, X, kernel, grid)
         else:
             _, s_vals, _ = ls_witness(f_vals, grid, kernel, X)
         row = {"spacing": spacing, "h": X.h, "q": X.q, "rho": X.rho,

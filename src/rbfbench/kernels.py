@@ -42,7 +42,6 @@ from ._exact import (
 __all__ = [
     "PiecewisePolyRadial",
     "SobolevSpline",
-    "ScaledKernel",
     "SmoothnessError",
     "wendland_construct",
     "sobolev_spline_construct",
@@ -227,30 +226,6 @@ class SobolevSpline:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ScaledKernel:
-    """A radial kernel times a positive constant (same translate space).
-
-    Used where a specific physical normalization matters, e.g. the true
-    Green's function of (1 - Laplacian)^(gamma/2) is (2 pi)^(-d/2) times
-    the unit-transform Sobolev spline.
-    """
-
-    base: object
-    factor: float
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def support_radius(self) -> float:
-        return self.base.support_radius
-
-    def profile(self, r) -> np.ndarray:
-        return self.factor * self.base.profile(r)
-
-
 def sobolev_spline_construct(gamma: int, d: int) -> SobolevSpline:
     """Build the Sobolev spline G_gamma in dimension d.
 
@@ -352,11 +327,8 @@ def kernel_derivative(K, x, alpha) -> float:
     prod_i alpha_i! / (beta_i! (alpha_i - 2 beta_i)! 2^beta_i)
     * x^(alpha - 2 beta) * g^(|alpha| - |beta|).  At the origin the even
     extension of the profile defines the value, and orders beyond the
-    available smoothness raise SmoothnessError.  A ScaledKernel gives its
-    factor times the base kernel's derivative.
+    available smoothness raise SmoothnessError.
     """
-    if isinstance(K, ScaledKernel):
-        return K.factor * kernel_derivative(K.base, x, alpha)
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
     if len(alpha) != K.dim or any(a < 0 for a in alpha):
         raise ValueError(f"alpha must be a multi-index of length {K.dim}")

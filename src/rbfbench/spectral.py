@@ -46,7 +46,7 @@ from ._exact import (
     poly_trim,
 )
 from ._quad import gl_panel_quad, panel_nodes
-from .kernels import PiecewisePolyRadial, SobolevSpline, _float_horner, wendland_construct
+from .kernels import PiecewisePolyRadial, _float_horner, wendland_construct
 
 __all__ = [
     "PartialFractionTable",
@@ -158,9 +158,9 @@ def _trig_form(m: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(c) for c in poly_trim(p)) for p in (P, Q, S))
 
 
-def f_m_eval(t: PartialFractionTable, r) -> np.ndarray | float:
+def f_m_eval(m: int, r) -> np.ndarray | float:
     """Evaluate f_m at r >= 0 (vectorized).  Always real."""
-    P, Q, S = _trig_form(t.m)
+    P, Q, S = _trig_form(m)
     r_arr = np.asarray(r, dtype=float)
     out = (_float_horner(P, r_arr)
            + _float_horner(Q, r_arr) * np.cos(r_arr)
@@ -197,7 +197,6 @@ class _WendlandTransform:
     d: int
     k: int
     m: int
-    kernel: PiecewisePolyRadial
     table: PartialFractionTable
     amplitude: float
     validation_residuals: tuple[float, ...]
@@ -211,7 +210,7 @@ class _WendlandTransform:
             raise ValueError("radius must be non-negative")
         small = _float_horner(self.series, r_arr)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = f_m_eval(self.table, r_arr) * np.power(
+            direct = f_m_eval(self.m, r_arr) * np.power(
                 np.maximum(r_arr, 1e-300), -(3 * self.m + 2))
         out = self.amplitude * np.where(r_arr < self.series_switch, small, direct)
         return out if isinstance(r, np.ndarray) else float(out)
@@ -235,7 +234,7 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     # the series path until direct evaluation agrees with it to 1e-10.
     for switch in SWITCH_CANDIDATES:
         s_val = float(_float_horner(reduced, np.asarray(switch)))
-        d_val = float(f_m_eval(table, switch)) * switch ** (-lead)
+        d_val = float(f_m_eval(m, switch)) * switch ** (-lead)
         if abs(d_val - s_val) <= 1e-10 * abs(s_val):
             break
     else:
@@ -247,7 +246,7 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     if amplitude <= 0:
         raise CalibrationError(f"non-positive amplitude for (d={d}, k={k})")
 
-    probe = _WendlandTransform(d, k, m, kernel, table, amplitude, (), reduced, switch)
+    probe = _WendlandTransform(d, k, m, table, amplitude, (), reduced, switch)
     radii = np.geomspace(0.3, 5.0, 10)
     residuals = []
     for r in radii:
@@ -257,7 +256,7 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
         raise CalibrationError(
             f"amplitude validation failed for (d={d}, k={k}): "
             f"max relative residual {max(residuals):.3e}")
-    return _WendlandTransform(d, k, m, kernel, table, amplitude,
+    return _WendlandTransform(d, k, m, table, amplitude,
                               tuple(residuals), reduced, switch)
 
 
@@ -301,20 +300,17 @@ def hankel_oracle(kernel, d: int, r: float, *, truncation: float | None = None) 
 
     Parameters
     ----------
-    kernel : PiecewisePolyRadial | SobolevSpline | callable
+    kernel : PiecewisePolyRadial | callable
         Radial profile.  Callables must be vectorized and require an
         explicit truncation radius.
     truncation : float, optional
-        Upper limit of the radial integral: required for callables, 45 by
-        default for Sobolev splines, unused for Wendland kernels.
+        Upper limit of the radial integral: required for callables, unused
+        for Wendland kernels.
     """
     if r <= 0:
         raise ValueError("oracle radius must be positive")
     if isinstance(kernel, PiecewisePolyRadial):
         upper = 1.0
-        profile = kernel.profile
-    elif isinstance(kernel, SobolevSpline):
-        upper = truncation if truncation is not None else 45.0
         profile = kernel.profile
     else:
         if truncation is None:

@@ -250,13 +250,15 @@ def kernel_derivative_mp(kernel, x, alpha, dps: int = 40) -> float:
         return float(mp.diff(F, point, tuple(int(a) for a in alpha)))
 
 
-def synth_f_oracle(green, bump, nodes: int = 48, panels_per_side: int = 4):
-    """f = green * bump in d = 1, one evaluation point and one panel at a time.
+def synth_f_oracle(G, bump, nodes: int = 48, panels_per_side: int = 4):
+    """f = (2 pi)^(-1/2) G * bump in d = 1, one point and one panel at a time.
 
-    The bump support is cut at t = x, each piece is split into
-    panels_per_side equal panels, and each panel gets a nodes-point
-    Gauss-Legendre rule; the reference for ``approx.synth_test_function``.
+    (2 pi)^(-1/2) G is the Green's function of the operator.  The bump
+    support is cut at t = x, each piece is split into panels_per_side
+    equal panels, and each panel gets a nodes-point Gauss-Legendre rule;
+    the reference for ``approx.synth_test_function``.
     """
+    factor = (2.0 * np.pi) ** -0.5
     a, b = bump.support
     x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
 
@@ -271,7 +273,7 @@ def synth_f_oracle(green, bump, nodes: int = 48, panels_per_side: int = 4):
                 for e0, e1 in zip(edges[:-1], edges[1:]):
                     half = (e1 - e0) / 2.0
                     t = (e1 + e0) / 2.0 + half * x_gl
-                    acc += half * float(w_gl @ (green.profile(np.abs(x - t)) * bump(t)))
+                    acc += half * float(w_gl @ (factor * G.profile(np.abs(x - t)) * bump(t)))
             out[i] = acc
         return out if np.ndim(xs) else float(out[0])
 

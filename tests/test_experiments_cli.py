@@ -17,6 +17,7 @@ from rbfbench.experiments import (
     report_to_json,
     run_rate_experiment,
 )
+from rbfbench.kernels import SobolevSpline, sobolev_spline_construct
 
 from helpers import proportionality_factor, tabulated_poly
 
@@ -94,7 +95,15 @@ def test_config_validation():
     for levels in (2.5, 0, -1, True, "3"):
         with pytest.raises(ValueError, match="levels must be an integer"):
             ExperimentConfig(family="sobolev", d=1, gamma=2, levels=levels)
+    for pad in (-1.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="pad must be non-negative and finite"):
+            ExperimentConfig(family="wendland", d=1, k=1, pad=pad)
+    for center in (5.0, -0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"bump_center must lie in .*\[0, 1\]"):
+            ExperimentConfig(family="sobolev", d=1, gamma=2, bump_center=center)
     ExperimentConfig(family="sobolev", d=1, gamma=2, p_list=(1.0, np.inf))
+    for pad, center in ((None, 0.0), (0.0, 1.0), (1.5, 0.5)):
+        ExperimentConfig(family="wendland", d=1, k=1, pad=pad, bump_center=center)
 
 
 def test_quasi_witness_passes_c2_cap_to_builder(monkeypatch):
@@ -109,6 +118,22 @@ def test_quasi_witness_passes_c2_cap_to_builder(monkeypatch):
     run_rate_experiment(ExperimentConfig(**{**SMALL, "levels": 2, "witness": "quasi",
                                             "c2_cap": 1.5}))
     assert caps == [1.5, 1.5]
+
+
+def test_quasi_witness_is_evaluated_with_the_runs_own_kernel(monkeypatch):
+    # The constructive coefficients are coefficients of the run's kernel
+    # G(. - xi), so the witness is evaluated with G itself, as for "ls".
+    kernels = []
+
+    def recording(coeffs, X, Phi, pts):
+        kernels.append(Phi)
+        return approx.evaluate_combination(coeffs, X, Phi, pts)
+
+    monkeypatch.setattr(experiments, "evaluate_combination", recording)
+    run_rate_experiment(ExperimentConfig(**{**SMALL, "levels": 2, "witness": "quasi"}))
+    G = sobolev_spline_construct(SMALL["gamma"], SMALL["d"])
+    assert len(kernels) == 2
+    assert all(type(K) is SobolevSpline and K == G for K in kernels)
 
 
 def test_config_infinity_roundtrip():
@@ -238,6 +263,7 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("field,value", [
     ("bump_width", -0.2), ("bump_width", 0), ("grid_factor", 0), ("levels", 2.5),
+    ("pad", -1), ("bump_center", 5), ("bump_center", -0.5),
 ])
 def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
                                                          monkeypatch):

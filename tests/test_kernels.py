@@ -7,7 +7,6 @@ import pytest
 
 from rbfbench._exact import poly_derivative, poly_eval
 from rbfbench.kernels import (
-    ScaledKernel,
     SmoothnessError,
     kernel_derivative,
     kernel_eval,
@@ -159,23 +158,6 @@ def test_derivative_order_guards():
     with pytest.raises(SmoothnessError):
         kernel_derivative(G, [0.0], (3,))     # order >= gamma - d at origin
     kernel_derivative(G, [0.1], (3,))          # fine away from the origin
-
-
-@pytest.mark.parametrize("base", [wendland_construct(3, 2), sobolev_spline_construct(6, 3)],
-                         ids=["wendland_d3_k2", "sobolev_d3_g6"])
-def test_scaled_kernel_derivative_scales_the_base(base):
-    factor = 0.37
-    K = ScaledKernel(base, factor)
-    x = np.array([0.21, -0.13, 0.3])
-    for alpha in ((1, 0, 0), (1, 1, 0), (2, 0, 1)):
-        ref = factor * kernel_derivative_mp(base, x, alpha, dps=40)
-        assert kernel_derivative(K, x, alpha) == pytest.approx(ref, rel=1e-12, abs=0)
-    origin = np.zeros(3)
-    value = kernel_derivative(K, origin, (2, 0, 0))
-    assert value != 0.0
-    assert value == factor * kernel_derivative(base, origin, (2, 0, 0))
-    with pytest.raises(SmoothnessError):
-        kernel_derivative(K, origin, (2, 2, 2))
 
 
 def test_decay_bound_ratios():

@@ -39,6 +39,8 @@ COMMANDS = (
     ("rates --kernel sobolev --gamma 2 --d 1 --p 2 --levels 4 --seed 7", None),
     ("rates --kernel wendland --k 2 --d 1 --p 2 inf --levels 5 --seed 7", None),
     ("rates --kernel sobolev --gamma 2 --d 1 --witness quasi --levels 5 --seed 7", None),
+    ("rates --kernel sobolev --gamma 4 --d 1 --witness quasi --p 1 2 inf --levels 5 --seed 7",
+     None),
     ("rates --kernel wendland --k 1 --d 2 --p 2 inf --levels 2 --h0 0.25 --seed 0", None),
 )
 
