@@ -12,13 +12,11 @@ from functools import lru_cache
 import numpy as np
 
 
-def panel_edges(a: float, b: float, omega: float, max_width: float | None = None) -> np.ndarray:
-    """Panel edges covering [a, b] with width <= pi/(4*omega) (and <= max_width)."""
+def panel_edges(a: float, b: float, omega: float) -> np.ndarray:
+    """Panel edges covering [a, b] with width <= pi/(4*omega), at least 4 panels."""
     width = (b - a) / 4
     if omega > 0:
         width = min(width, np.pi / (4.0 * omega))
-    if max_width is not None:
-        width = min(width, max_width)
     n = max(4, int(np.ceil((b - a) / width)))
     return np.linspace(a, b, n + 1)
 
@@ -40,8 +38,7 @@ def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, (half[:, None] * w[None, :]).ravel()
 
 
-def gl_panel_quad(f, a: float, b: float, omega: float = 0.0, nodes: int = 16,
-                  max_width: float | None = None) -> float:
+def gl_panel_quad(f, a: float, b: float, omega: float = 0.0, nodes: int = 16) -> float:
     """Integrate callable f over [a, b] with oscillation-limited GL panels.
 
     f must accept a numpy array.  omega is the fastest angular frequency
@@ -49,7 +46,7 @@ def gl_panel_quad(f, a: float, b: float, omega: float = 0.0, nodes: int = 16,
     """
     if b <= a:
         return 0.0
-    edges = panel_edges(a, b, omega, max_width)
+    edges = panel_edges(a, b, omega)
     t, _ = panel_nodes(edges, nodes)
     vals = f(t).reshape(-1, nodes)
     # Sum per panel, then scale by its half-width: a flat sum against the

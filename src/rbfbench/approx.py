@@ -44,15 +44,15 @@ __all__ = [
 _GL_NODES = 48         # Gauss-Legendre nodes per panel of the f = (2 pi)^(-d/2) G * g quadrature
 _PANELS_PER_SIDE = 4   # panels on each side of the kink at t = x
 _BLOCK = 128           # evaluation points per block of that quadrature
+_MIDPOINTS = 4         # midpoints per axis of each cube in the quasi-interpolant rule
 
 
 @dataclass(frozen=True)
 class SmoothBump:
-    """Radial C^inf bump: amp * exp(1 - 1/(1 - u^2)), u = |x - center|/width."""
+    """Radial C^inf bump: exp(1 - 1/(1 - u^2)), u = |x - center|/width."""
 
     center: tuple[float, ...]
     width: float
-    amplitude: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -62,7 +62,7 @@ class SmoothBump:
         r = np.asarray(r, dtype=float)
         u2 = (r / self.width) ** 2
         safe = np.where(u2 < 1.0, u2, 0.0)
-        vals = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - safe))
+        vals = np.exp(1.0 - 1.0 / (1.0 - safe))
         return np.where(u2 < 1.0, vals, 0.0)
 
     def __call__(self, x) -> np.ndarray:
@@ -135,19 +135,18 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
 
 
 def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float,
-                      spacing: float | None = None, c2_cap: float = 2.0) -> np.ndarray:
+                      c2_cap: float = 2.0) -> np.ndarray:
     """Constructive coefficients of G(. - xi) for f = (2 pi)^(-d/2) G * g.
 
     c_xi = (2 pi)^(-d/2) times the integral of g(t) A(t, xi) dt over the
     cubes meeting the support of the source term g, with a midpoint rule
-    of the given spacing (default h/4) inside each cube, and A(t, .) from
-    LocalPolyBuilder(X, degree, c3, c2_cap).  Returns one coefficient per
-    point of X.
+    of _MIDPOINTS points per axis inside each cube of side h, and A(t, .)
+    from LocalPolyBuilder(X, degree, c3, c2_cap).  Returns one coefficient
+    per point of X.
     """
     d = X.dim
     side = X.h
-    spacing = side / 4.0 if spacing is None else spacing
-    m = max(1, int(np.ceil(side / spacing)))
+    m = _MIDPOINTS
     offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
     w_quad = (side / m) ** d
     builder = LocalPolyBuilder(X, degree, c3, c2_cap)

@@ -86,17 +86,16 @@ def _cmd_property2(args) -> int:
     from .polyrep import property2_scan
 
     d = args.d
+    own, other = ("k", "gamma") if args.kernel == "wendland" else ("gamma", "k")
+    if getattr(args, own) is None or getattr(args, other) is not None:
+        print(f"property2: {args.kernel} needs --{own} and takes no --{other}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if args.kernel == "wendland":
-        if args.k is None:
-            print("property2: wendland needs --k", file=sys.stderr)
-            return EXIT_CONFIG
         Phi = wendland_construct(d, args.k)
         kappa = args.kappa if args.kappa is not None else 2.0 * args.k
         order = args.k
     else:
-        if args.gamma is None:
-            print("property2: sobolev needs --gamma", file=sys.stderr)
-            return EXIT_CONFIG
         Phi = sobolev_spline_construct(args.gamma, d)
         kappa = args.kappa if args.kappa is not None else float(args.gamma - d)
         order = args.gamma
@@ -135,8 +134,7 @@ def _cmd_rates(args) -> int:
         "seed": args.seed, "witness": args.witness,
     }
     if args.p:
-        overrides["p_list"] = [np.inf if p.lower() == "inf" else float(p)
-                               for p in args.p]
+        overrides["p_list"] = args.p
     for key, val in overrides.items():
         if val is not None:
             base[key] = val

@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise ValueError("wendland experiments need k")
         if self.family == "sobolev" and self.gamma is None:
             raise ValueError("sobolev experiments need gamma")
+        if self.family == "wendland" and self.gamma is not None:
+            raise ValueError("wendland experiments take k, not gamma")
+        if self.family == "sobolev" and self.k is not None:
+            raise ValueError("sobolev experiments take gamma, not k")
         if not 0 < self.ratio < 1:
             raise ValueError("schedule ratio must lie in (0, 1)")
         whole = isinstance(self.levels, Integral) and not isinstance(self.levels, bool)
@@ -130,8 +134,7 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         data = dict(data)
         if "p_list" in data:
-            data["p_list"] = tuple(np.inf if p in ("inf", "Infinity") else float(p)
-                                   for p in data["p_list"])
+            data["p_list"] = tuple(float(p) for p in data["p_list"])
         return ExperimentConfig(**data)
 
 
@@ -223,8 +226,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
             s_vals = evaluate_combination(coeffs, X, kernel, grid)
         else:
             _, s_vals, _ = ls_witness(f_vals, grid, kernel, X)
-        row = {"spacing": spacing, "h": X.h, "q": X.q, "rho": X.rho,
-               "n_points": X.n, "witness": cfg.witness}
+        row = {"h": X.h, "q": X.q, "rho": X.rho, "n_points": X.n,
+               "witness": cfg.witness}
         for p in cfg.p_list:
             err = lp_error(f_vals, s_vals, p, None if np.isinf(p) else weights)
             errors[p].append((X.h, err))

@@ -32,6 +32,8 @@ __all__ = [
     "cube_center",
 ]
 
+MAX_CANDIDATES = 4_000_000   # largest candidate grid a fill distance estimate may build
+
 
 def tensor_grid(axes) -> np.ndarray:
     """The (n, d) tensor product of d 1-D axes, in meshgrid(indexing="ij") order."""
@@ -61,11 +63,11 @@ class Box:
     def pad(self, amount: float) -> "Box":
         return Box(tuple(a - amount for a in self.lo), tuple(b + amount for b in self.hi))
 
-    def candidate_grid(self, resolution: float, max_nodes: int = 4_000_000) -> np.ndarray:
+    def candidate_grid(self, resolution: float) -> np.ndarray:
         """Uniform grid of spacing <= resolution covering the box."""
         counts = [int(np.ceil(s / resolution)) + 1 for s in self.sides]
         total = int(np.prod(counts))
-        if total > max_nodes:
+        if total > MAX_CANDIDATES:
             raise ValueError(f"candidate grid would need {total} nodes; "
                              "coarsen the resolution")
         return tensor_grid([np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)])
@@ -90,8 +92,6 @@ class PointSet:
     h: float                      # fill distance w.r.t. domain
     h_slack: float                # upper error bound of the h estimate
     q: float                      # separation radius (exact)
-    seed: int | None = None
-    jitter: float = 0.0
     _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -172,5 +172,4 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     resolution = h_target / 32.0 if domain.dim < 3 else h_target / 8.0
     h = fill_distance(pts, domain, resolution)
     q = separation_radius(pts)
-    return PointSet(pts, domain, h, resolution * np.sqrt(domain.dim), q,
-                    seed=seed, jitter=jitter)
+    return PointSet(pts, domain, h, resolution * np.sqrt(domain.dim), q)

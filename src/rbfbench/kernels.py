@@ -36,6 +36,7 @@ from ._exact import (
     binomial_one_minus_r,
     poly_derivative,
     poly_eval,
+    poly_mul,
     poly_trim,
 )
 
@@ -217,13 +218,7 @@ class SobolevSpline:
         if self.poly is None:
             raise SmoothnessError("origin series unavailable for even dimension")
         exp_series = tuple(Fraction((-1) ** t, factorial(t)) for t in range(order + 1))
-        out = [ZERO] * (order + 1)
-        for i, c in enumerate(self.poly):
-            if c == 0:
-                continue
-            for t in range(order + 1 - i):
-                out[i + t] += c * exp_series[t]
-        return tuple(out)
+        return poly_mul(self.poly, exp_series)[: order + 1]
 
 
 def sobolev_spline_construct(gamma: int, d: int) -> SobolevSpline:

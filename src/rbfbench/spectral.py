@@ -194,14 +194,11 @@ def f_m_series(m: int) -> RatPoly:
 
 @dataclass(frozen=True)
 class _WendlandTransform:
-    d: int
-    k: int
     m: int
-    table: PartialFractionTable
     amplitude: float
-    validation_residuals: tuple[float, ...]
     series: tuple[float, ...] = field(repr=False)   # f_m(r)/r^(3m+2) near 0
     series_switch: float
+    validation_residuals: list[float] = field(init=False, default_factory=list)
 
     def hat(self, r) -> np.ndarray | float:
         """Transform value at radius r >= 0 (vectorized)."""
@@ -225,7 +222,6 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     n = (d - 1) // 2
     m = n + k
     kernel = wendland_construct(d, k)
-    table = partial_fractions(m)
     series = f_m_series(m)
     lead = 3 * m + 2
     reduced = tuple(float(c) for c in series[lead:])
@@ -246,18 +242,16 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     if amplitude <= 0:
         raise CalibrationError(f"non-positive amplitude for (d={d}, k={k})")
 
-    probe = _WendlandTransform(d, k, m, table, amplitude, (), reduced, switch)
-    radii = np.geomspace(0.3, 5.0, 10)
-    residuals = []
-    for r in radii:
+    tf = _WendlandTransform(m, amplitude, reduced, switch)
+    residuals = tf.validation_residuals
+    for r in np.geomspace(0.3, 5.0, 10):
         ref = hankel_oracle(kernel, d, float(r))
-        residuals.append(abs(float(probe.hat(float(r))) - ref) / abs(ref))
+        residuals.append(abs(float(tf.hat(float(r))) - ref) / abs(ref))
     if max(residuals) > 1e-5:
         raise CalibrationError(
             f"amplitude validation failed for (d={d}, k={k}): "
             f"max relative residual {max(residuals):.3e}")
-    return _WendlandTransform(d, k, m, table, amplitude,
-                              tuple(residuals), reduced, switch)
+    return tf
 
 
 def wendland_hat(d: int, k: int, r) -> np.ndarray | float:
@@ -289,36 +283,19 @@ def amplitude_from_moments(d: int, k: int) -> float:
 # Quadrature oracle for radial Fourier transforms
 # ----------------------------------------------------------------------------
 
-def hankel_oracle(kernel, d: int, r: float, *, truncation: float | None = None) -> float:
-    """Radial Fourier transform at radius r by independent panel quadrature.
+def hankel_oracle(kernel: PiecewisePolyRadial, d: int, r: float) -> float:
+    """Radial Fourier transform of a Wendland kernel at radius r by panel quadrature.
 
-    Evaluates (2 pi)^(-d/2) times the integral of kernel against e^(-i x.w)
-    through the standard one-dimensional radial (Hankel-type) reduction,
-    with Gauss-Legendre panels no wider than a quarter oscillation period.
-    For odd d in {1, 3} the Bessel factor is elementary (cos, sin); other
-    dimensions use the Bessel function of the first kind.
-
-    Parameters
-    ----------
-    kernel : PiecewisePolyRadial | callable
-        Radial profile.  Callables must be vectorized and require an
-        explicit truncation radius.
-    truncation : float, optional
-        Upper limit of the radial integral: required for callables, unused
-        for Wendland kernels.
+    Evaluates (2 pi)^(-d/2) times the integral of the kernel (supported on
+    the unit ball) against e^(-i x.w) through the standard one-dimensional
+    radial (Hankel-type) reduction, with Gauss-Legendre panels no wider
+    than a quarter oscillation period.  For odd d in {1, 3} the Bessel
+    factor is elementary (cos, sin); other dimensions use the Bessel
+    function of the first kind.
     """
     if r <= 0:
         raise ValueError("oracle radius must be positive")
-    if isinstance(kernel, PiecewisePolyRadial):
-        upper = 1.0
-        profile = kernel.profile
-    else:
-        if truncation is None:
-            raise ValueError("callable kernels need an explicit truncation radius")
-        upper = float(truncation)
-        profile = kernel
-
-    return _hankel_float(profile, d, r, upper, ORACLE_NODES)
+    return _hankel_float(kernel.profile, d, r, 1.0, ORACLE_NODES)
 
 
 def _hankel_float(profile, d: int, r: float, upper: float, nodes: int) -> float:
@@ -376,23 +353,18 @@ def wend1d_decompose(k: int) -> Wend1DDecomposition:
     """Extract the asymptotic decomposition coefficients for d = 1.
 
     Requires k >= 1 (for k = 0 the remainder term is not integrable).
-    The constant and cosine coefficients are verified against their closed
-    forms 1/k! and (-1)^(k+1)/(k! 2^k); the sinc coefficient is read from
-    the exact table.
+    All three coefficients are read from the exact table of m = k; its top
+    coefficients alpha_k = 1 and beta_k = (-1)^(k+1)/2^(k+1) give the
+    closed forms 1/k! and (-1)^(k+1)/(k! 2^k) by construction.
     """
     if k < 1:
         raise ValueError("decomposition requires k >= 1")
-    tf = wendland_transform(1, k)
-    table = tf.table
-    m = k
-    const_term = table.alpha[m] / factorial(m)
-    cos_coeff = 2 * table.beta[m].re / factorial(m)
-    sinc_coeff = 2 * table.beta[m - 1].im / factorial(m - 1)
-    if const_term != Fraction(1, factorial(k)):
-        raise CalibrationError(f"constant term {const_term} != 1/{k}!")
-    if cos_coeff != Fraction((-1) ** (k + 1), factorial(k) * 2 ** k):
-        raise CalibrationError(f"cosine coefficient {cos_coeff} has wrong closed form")
-    return Wend1DDecomposition(k, const_term, cos_coeff, sinc_coeff, tf.amplitude)
+    table = partial_fractions(k)
+    const_term = table.alpha[k] / factorial(k)
+    cos_coeff = 2 * table.beta[k].re / factorial(k)
+    sinc_coeff = 2 * table.beta[k - 1].im / factorial(k - 1)
+    return Wend1DDecomposition(k, const_term, cos_coeff, sinc_coeff,
+                               wendland_transform(1, k).amplitude)
 
 
 # ----------------------------------------------------------------------------
@@ -405,14 +377,21 @@ class FiniteMeasure:
 
     The density is even, piecewise polynomial, and supported on
     [-support_radius, support_radius].  There is no singular continuous
-    part by construction.  tv_norm = sum |atom weights| + int |density|.
+    part by construction.  Both norms are derived from the other fields:
+    density_l1 = int |density|, integrated exactly between the real roots
+    of the density, and tv_norm = sum |atom weights| + density_l1.
     """
 
     atoms: tuple[tuple[float, float], ...]
     density_poly: RatPoly            # even radial profile q(|t|), exact
     support_radius: float
-    density_l1: float
-    tv_norm: float
+    density_l1: float = field(init=False)
+    tv_norm: float = field(init=False)
+
+    def __post_init__(self):
+        l1 = 2.0 * _abs_poly_integral(self.density_poly, 0.0, self.support_radius)
+        object.__setattr__(self, "density_l1", l1)
+        object.__setattr__(self, "tv_norm", sum(abs(w) for _, w in self.atoms) + l1)
 
     def density(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -432,10 +411,7 @@ class FiniteMeasure:
     def restrict(self, radius: float) -> "FiniteMeasure":
         """Restriction of the measure to the closed ball of given radius."""
         atoms = tuple((loc, w) for loc, w in self.atoms if abs(loc) <= radius)
-        sup = min(self.support_radius, radius)
-        l1 = 2.0 * _abs_poly_integral(self.density_poly, 0.0, sup)
-        tv = sum(abs(w) for _, w in atoms) + l1
-        return FiniteMeasure(atoms, self.density_poly, sup, l1, tv)
+        return FiniteMeasure(atoms, self.density_poly, min(self.support_radius, radius))
 
 
 def _abs_poly_integral(p: RatPoly, a: float, b: float) -> float:
@@ -463,7 +439,6 @@ def build_measure_1d(k: int) -> FiniteMeasure:
     jumps of Phi^(2k+1), plus a piecewise polynomial density.  The atom
     weights are validated against the closed forms sqrt(2 pi) B_k / k! and
     sqrt(2 pi) B_k (-1)^(k+1)/(k! 2^(k+1)), with B_k from wend1d_decompose(k).
-    The L^1 norm of the density is exact, integrated between its real roots.
     """
     if k < 1:
         raise ValueError("measure construction requires k >= 1")
@@ -484,32 +459,28 @@ def build_measure_1d(k: int) -> FiniteMeasure:
             f"atom weights ({w0}, {w1}) disagree with closed forms "
             f"({expect0}, {expect1}) for k={k}")
     density_poly = poly_add(p, poly_scale(poly_derivative(p, 2 * k + 2), sign))
-    l1 = 2.0 * _abs_poly_integral(density_poly, 0.0, 1.0)
-    atoms = ((0.0, w0), (1.0, w1), (-1.0, w1))
-    tv = abs(w0) + 2 * abs(w1) + l1
-    return FiniteMeasure(atoms, density_poly, 1.0, l1, tv)
+    return FiniteMeasure(((0.0, w0), (1.0, w1), (-1.0, w1)), density_poly, 1.0)
 
 
 def measure_ft(mu: FiniteMeasure, omega) -> np.ndarray | float:
     """Fourier transform of the measure at omega (symmetric convention).
 
-    Atoms contribute an exact trigonometric sum; the density contributes
-    through oscillation-limited panel quadrature.  Every density quadrature
-    is confirmed by a refined rule; disagreement beyond FT_TOL raises with
-    the achieved error estimate.
+    Atoms contribute an exact trigonometric sum; the even density
+    contributes through the oracle's d = 1 cosine quadrature.  Every density
+    quadrature is confirmed by a refined rule; disagreement beyond FT_TOL
+    raises with the achieved error estimate.
     """
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     out = np.zeros_like(omega_arr)
     for i, w in enumerate(omega_arr):
-        integrand = lambda t, w=w: mu.density(t) * np.cos(w * t)
-        dens = gl_panel_quad(integrand, 0.0, mu.support_radius, abs(w), 16)
-        refined = gl_panel_quad(integrand, 0.0, mu.support_radius, abs(w), 24)
-        estimate = np.sqrt(2.0 / pi) * abs(dens - refined)
+        dens = _hankel_float(mu.density, 1, abs(w), mu.support_radius, 16)
+        refined = _hankel_float(mu.density, 1, abs(w), mu.support_radius, 24)
+        estimate = abs(dens - refined)
         if estimate > FT_TOL:
             raise RuntimeError(
                 f"density quadrature did not converge at omega={w}: "
                 f"achieved error estimate {estimate:.3e} > {FT_TOL:.1e}")
-        out[i] = np.sqrt(2.0 / pi) * refined
+        out[i] = refined
     out = out + mu.discrete_ft(omega_arr)
     if np.isscalar(omega) or np.asarray(omega).ndim == 0:
         return float(out[0])
@@ -556,14 +527,15 @@ def ratio_diagnostic(d: int, k: int, gamma_target: int | None = None) -> dict:
 def spectral_check(d: int, k: int) -> dict:
     """Self-check report: exact coefficients, amplitude, residuals, decay."""
     tf = wendland_transform(d, k)
+    table = partial_fractions(tf.m)
     decay_radii = np.geomspace(1.0, 1e3, 61)
     decay = np.power(decay_radii, 2 * tf.m + 2) * np.asarray(tf.hat(decay_radii))
     return {
         "d": d,
         "k": k,
         "m": tf.m,
-        "alpha": [str(a) for a in tf.table.alpha],
-        "beta": [[str(b.re), str(b.im)] for b in tf.table.beta],
+        "alpha": [str(a) for a in table.alpha],
+        "beta": [[str(b.re), str(b.im)] for b in table.beta],
         "amplitude": tf.amplitude,
         "validation_residuals": list(tf.validation_residuals),
         "decay_table": [{"r": float(r), "scaled_hat": float(v)}

@@ -76,6 +76,10 @@ def test_config_validation():
         ExperimentConfig(family="wendland", d=1)        # k missing
     with pytest.raises(ValueError):
         ExperimentConfig(family="sobolev", d=1)         # gamma missing
+    with pytest.raises(ValueError, match="take k, not gamma"):
+        ExperimentConfig(family="wendland", d=1, k=1, gamma=4)
+    with pytest.raises(ValueError, match="take gamma, not k"):
+        ExperimentConfig(family="sobolev", d=1, gamma=2, k=3)
     with pytest.raises(ValueError):
         ExperimentConfig(family="sobolev", d=1, gamma=2, ratio=1.5)
     with pytest.raises(ValueError, match="constructive witness"):
@@ -208,6 +212,19 @@ def test_cli_property2(tmp_path):
     assert header == ["x0", "t0", "dist_over_h", "abs_E", "bound", "ratio"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kernel", "wendland", "--d", "1", "--k", "1", "--gamma", "7"],
+    ["--kernel", "sobolev", "--d", "1", "--gamma", "4", "--k", "3"],
+], ids=["wendland_with_gamma", "sobolev_with_k"])
+def test_cli_property2_refuses_other_familys_order(argv, capsys, monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built for a refused config")
+
+    monkeypatch.setattr(geometry, "make_quasi_uniform", no_points)
+    assert main(["property2", *argv]) == 2
+    assert "takes no --" in capsys.readouterr().err
+
+
 def test_cli_ratio_diag(tmp_path):
     out = tmp_path / "diag.json"
     assert main(["ratio-diag", "--d", "3", "--k", "1", "--out", str(out)]) == 0
@@ -263,7 +280,7 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("field,value", [
     ("bump_width", -0.2), ("bump_width", 0), ("grid_factor", 0), ("levels", 2.5),
-    ("pad", -1), ("bump_center", 5), ("bump_center", -0.5),
+    ("pad", -1), ("bump_center", 5), ("bump_center", -0.5), ("k", 3),
 ])
 def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
                                                          monkeypatch):

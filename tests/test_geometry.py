@@ -12,6 +12,7 @@ from rbfbench.geometry import (
     fill_distance,
     make_quasi_uniform,
     separation_radius,
+    tensor_grid,
 )
 from rbfbench.polyrep import LocalPolyBuilder
 
@@ -57,7 +58,8 @@ def test_fill_distance_brute_force_oracle():
     rng = np.random.default_rng(11)
     pts = rng.uniform(0, 1, size=(50, 2))
     prod = fill_distance(pts, UNIT_2D, 1e-3)
-    fine = UNIT_2D.candidate_grid(4e-4, max_nodes=10_000_000)
+    n = int(np.ceil(1.0 / 4e-4)) + 1    # the candidate grid of resolution 4e-4
+    fine = tensor_grid([np.linspace(0.0, 1.0, n)] * 2)
     brute = cKDTree(pts).query(fine)[0].max()
     assert abs(prod - brute) <= 1e-3 * np.sqrt(2.0)
 

@@ -6,7 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from rbfbench._quad import gl_panel_quad
+from rbfbench._quad import panel_nodes
 from rbfbench.spectral import (
     FiniteMeasure,
     build_measure_1d,
@@ -70,14 +70,14 @@ def test_no_singular_continuous_part(mu1):
 
 
 def test_measure_ft_of_point_mass():
-    triv = FiniteMeasure(((0.0, 1.0),), (Fraction(0),), 0.0, 0.0, 1.0)
+    triv = FiniteMeasure(((0.0, 1.0),), (Fraction(0),), 0.0)
     for w in (0.0, 2.7, 31.0):
         assert measure_ft(triv, w) == pytest.approx(1 / np.sqrt(2 * np.pi), rel=1e-14, abs=0)
 
 
 def test_measure_ft_of_symmetric_atoms():
     w = 0.35
-    pair = FiniteMeasure(((1.0, w), (-1.0, w)), (Fraction(0),), 0.0, 0.0, 2 * w)
+    pair = FiniteMeasure(((1.0, w), (-1.0, w)), (Fraction(0),), 0.0)
     omegas = np.linspace(0.0, 20.0, 9)
     expected = 2 * w * np.cos(omegas) / np.sqrt(2 * np.pi)
     assert np.allclose(measure_ft(pair, omegas), expected, atol=1e-14)
@@ -128,14 +128,31 @@ def test_restriction_total_variation_is_exact(k):
     assert mu.restrict(0.0).density_l1 == 0.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_norms_are_derived_from_atoms_and_density(k):
+    # The norms are not constructor arguments: a measure built from its
+    # atoms, density and support carries them, and a restriction is exactly
+    # the measure built afresh from the restricted atoms and support.
+    mu = build_measure_1d(k)
+    fresh = FiniteMeasure(mu.atoms, mu.density_poly, mu.support_radius)
+    assert fresh.tv_norm == sum(abs(w) for _, w in fresh.atoms) + fresh.density_l1
+    assert (fresh.density_l1, fresh.tv_norm) == (mu.density_l1, mu.tv_norm)
+    for r in (0.0, 0.3, 0.9, 2.0):
+        got = mu.restrict(r)
+        want = FiniteMeasure(tuple(a for a in mu.atoms if abs(a[0]) <= r),
+                             mu.density_poly, min(mu.support_radius, r))
+        for name in ("atoms", "density_poly", "support_radius", "density_l1", "tv_norm"):
+            assert getattr(got, name) == getattr(want, name), (r, name)
+
+
 def test_convolution_against_direct_quadrature(mu1):
     # Smooth integrand: the fixed panel rule in measure_convolve is exact
     # to roundoff, so an independent quadrature must match tightly.
     f = lambda x: np.cos(1.7 * x) + 0.3 * x
     x0 = 0.37
     direct = sum(w * f(x0 - loc) for loc, w in mu1.atoms)
-    direct += gl_panel_quad(lambda t: f(x0 - t) * mu1.density(t), -1.0, 1.0,
-                            1.7, 24, max_width=0.05)
+    T, W = panel_nodes(np.linspace(-1.0, 1.0, 41), 24)
+    direct += np.sum(W * f(x0 - T) * mu1.density(T))
     val = measure_convolve(mu1, f, np.array([x0]))[0]
     assert val == pytest.approx(direct, rel=1e-11, abs=0)
     # Kinked integrand: panel rule accuracy degrades gracefully.

@@ -33,6 +33,7 @@ COMMANDS = (
     ("spectral check --d 9 --k 5", None),
     ("measure check --k 2", None),
     ("measure check --k 3", None),
+    ("measure check --k 5", None),
     ("ratio-diag --d 3 --k 2", None),
     ("property2 --kernel wendland --d 2 --k 1 --h 0.125 --csv w.csv", "w.csv"),
     ("property2 --kernel sobolev --d 1 --gamma 4 --h 0.0625 --csv s.csv", "s.csv"),
@@ -42,6 +43,8 @@ COMMANDS = (
     ("rates --kernel sobolev --gamma 4 --d 1 --witness quasi --p 1 2 inf --levels 5 --seed 7",
      None),
     ("rates --kernel wendland --k 1 --d 2 --p 2 inf --levels 2 --h0 0.25 --seed 0", None),
+    # Cross-family order parameter: refused with exit 2.
+    ("rates --kernel wendland --d 1 --k 1 --gamma 4 --levels 2 --h0 0.25", None),
 )
 
 
