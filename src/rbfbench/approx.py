@@ -11,9 +11,12 @@ Two routes into the translate space S_X(G) are provided:
   evaluation grid, giving an upper bound on the best-approximation error
   (the same coefficient vector witnesses the L^1 and L^inf errors).
 
-Errors are composite-quadrature L^p norms on an interior region; fitted
-log-log slopes against the fill distance are the empirical convergence
-rates.
+Kernel matrices are built in row blocks into one preallocated array, and
+the least-squares solve overwrites its matrix in place, so a witness holds
+one dense matrix at a time; a matrix that does not fit in the available
+memory is refused before it is allocated.  Errors are composite-quadrature
+L^p norms on an interior region; fitted log-log slopes against the fill
+distance are the empirical convergence rates.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import pi
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lstsq
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 from ._quad import panel_nodes
@@ -45,6 +48,8 @@ _GL_NODES = 48         # Gauss-Legendre nodes per panel of the f = (2 pi)^(-d/2)
 _PANELS_PER_SIDE = 4   # panels on each side of the kink at t = x
 _BLOCK = 128           # evaluation points per block of that quadrature
 _MIDPOINTS = 4         # midpoints per axis of each cube in the quasi-interpolant rule
+_BUILD_BLOCK = 1 << 17  # cdist entries per block of a kernel matrix build
+_BLOCK_BYTES = 17 * _BUILD_BLOCK  # one block's distances, support mask and profile values
 
 
 @dataclass(frozen=True)
@@ -167,24 +172,97 @@ def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float,
     return coeffs * _green_factor(d)
 
 
+def _available_bytes() -> float:
+    """MemAvailable from /proc/meminfo in bytes, or inf where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return 1024.0 * int(line.split()[1])
+    except OSError:
+        pass
+    return float("inf")
+
+
+def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
+                   workspace_bytes: int = 0) -> np.ndarray:
+    """C-order matrix of Phi(|row - col|), built _BUILD_BLOCK entries at a time.
+
+    Each block of rows gets its distances from cdist; for a compactly
+    supported kernel the profile is evaluated only on pairs inside the
+    support radius, and pairs at or beyond it are exactly 0.  Blocks are
+    cut along rows and the profile is elementwise, so every entry is the
+    one a single full-size build would give.  Before the matrix is
+    allocated, its 8 rows cols bytes plus workspace_bytes plus one block
+    are compared with the available memory, and a matrix that does not fit
+    is refused with a ValueError; a non-finite entry is refused as well.
+    """
+    n_rows, n_cols = len(rows), len(cols)
+    need = 8.0 * n_rows * n_cols + workspace_bytes + _BLOCK_BYTES
+    available = _available_bytes()
+    if need > available:
+        raise ValueError(f"a {n_rows} x {n_cols} kernel matrix needs {need / 1e9:.3g} GB, "
+                         f"but only {available / 1e9:.3g} GB is available")
+    out = np.empty((n_rows, n_cols))
+    step = max(1, _BUILD_BLOCK // max(n_cols, 1))
+    radius = Phi.support_radius
+    for start in range(0, n_rows, step):
+        D = cdist(rows[start:start + step], cols)
+        if np.isfinite(radius):
+            inside = D < radius
+            vals = Phi.profile(D[inside])
+            D.fill(0.0)
+            D[inside] = vals
+        else:
+            D = Phi.profile(D)
+        if not np.isfinite(D).all():
+            raise ValueError("kernel matrix has non-finite entries")
+        out[start:start + step] = D
+    return out
+
+
 def collocation_matrix(pts: np.ndarray, X: PointSet, Phi) -> np.ndarray:
     """Matrix of Phi(|pt - xi|): one row per point of pts, one column per xi in X.
 
     pts holds points of R^d, one per row; in d = 1 a flat array or a scalar
-    is read as one point per entry.  For a compactly supported kernel the
-    profile is evaluated only on pairs inside the support radius; pairs at
-    or beyond it are exactly 0 and are not evaluated.  The values are
-    written into the distance array, so no second full-size array is made.
+    is read as one point per entry.  The matrix is the only full-size array
+    made, about 8 rows cols bytes; one that does not fit in the available
+    memory is refused with a ValueError before it is allocated.
     """
-    D = cdist(np.reshape(pts, (-1, X.dim)), X.points)
-    radius = Phi.support_radius
-    if not np.isfinite(radius):
-        return Phi.profile(D)
-    inside = D < radius
-    vals = Phi.profile(D[inside])
-    D.fill(0.0)
-    D[inside] = vals
-    return D
+    return _kernel_matrix(np.reshape(pts, (-1, X.dim)), X.points, Phi)
+
+
+def _gelsd_workspace(m: int, n: int) -> tuple[int, int]:
+    """(lwork, liwork) of a one-column gelsd solve with an m x n matrix."""
+    work, iwork, info = get_lapack_funcs(("gelsd_lwork",))[0](m, n, 1)
+    if info != 0:
+        raise ValueError(f"gelsd workspace query failed: {info}")
+    return int(work), int(iwork)
+
+
+def lstsq(A: np.ndarray, b: np.ndarray, cond: float) -> tuple[np.ndarray, int]:
+    """Minimum-norm least-squares solution of A x = b by LAPACK gelsd: (x, rank).
+
+    A is a Fortran-order float64 matrix and is overwritten, so no copy of
+    it is made.  Singular values below cond times the largest are treated
+    as zero.  The arithmetic is that of scipy.linalg.lstsq with
+    lapack_driver="gelsd"; the solve keeps this module-level name so that
+    it can be timed from outside.
+    """
+    m, n = A.shape
+    gelsd, = get_lapack_funcs(("gelsd",))
+    # gelsd writes the n-entry solution into b, so b is padded to
+    # max(m, n) rows, as lstsq does.
+    rhs = np.zeros(max(m, n))
+    rhs[:m] = b
+    lwork, liwork = _gelsd_workspace(m, n)
+    x, _, rank, info = gelsd(A, rhs, lwork, liwork, cond,
+                             overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise LinAlgError("SVD did not converge in Linear Least Squares")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gelsd")
+    return x[:n], int(rank)
 
 
 def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
@@ -195,17 +273,29 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
     solved by an SVD-based factorization and the minimum-norm solution is
     taken, so a rank-deficient collocation matrix (grid too coarse, or
     translates with no support on the grid) stays well posed; the returned
-    effective rank shows the deficiency.  The fitted values are the one
-    collocation matrix of the solve times the coefficients, so the rate
-    experiments need no second build through evaluate_combination.
+    effective rank shows the deficiency.  One dense matrix is held at a
+    time, about 8 rows cols bytes: the solve overwrites the collocation
+    matrix in place, and once it is released the fitted values are the
+    collocation matrix, built again, times the coefficients.  A level whose
+    matrix and solver workspace do not fit in the available memory is
+    refused with a ValueError before the matrix is allocated.
     """
-    A = collocation_matrix(grid, X, Phi)
-    # cond=None keeps every singular value above the machine-precision
-    # default: a fixed coarse cutoff (e.g. 1e-12) visibly floors the error
-    # of the smoothest kernels, whose collocation spectra decay below it
-    # while the discarded modes still carry needed signal.
-    coeffs, _, rank, _ = lstsq(A, f_vals, cond=None, lapack_driver="gelsd")
-    return coeffs, A @ coeffs, int(rank)
+    if not np.isfinite(f_vals).all():
+        raise ValueError("function values must be finite")
+    grid = np.reshape(grid, (-1, X.dim))
+    m, n = len(grid), X.n
+    lwork, liwork = _gelsd_workspace(m, n)
+    workspace = 8 * (lwork + max(m, n) + min(m, n)) + 4 * liwork
+    # Rows are centres, so the transpose is the Fortran-order collocation
+    # matrix, which the solve overwrites without a copy.
+    A = _kernel_matrix(X.points, grid, Phi, workspace).T
+    # cond = machine epsilon keeps every singular value above it: a fixed
+    # coarse cutoff (e.g. 1e-12) visibly floors the error of the smoothest
+    # kernels, whose collocation spectra decay below it while the discarded
+    # modes still carry needed signal.
+    coeffs, rank = lstsq(A, f_vals, cond=float(np.finfo(float).eps))
+    del A
+    return coeffs, collocation_matrix(grid, X, Phi) @ coeffs, rank
 
 
 def evaluate_combination(coeffs: np.ndarray, X: PointSet, Phi, pts: np.ndarray) -> np.ndarray:

@@ -55,6 +55,9 @@ def _cmd_spectral_check(args) -> int:
 def _cmd_measure_check(args) -> int:
     from .spectral import build_measure_1d, measure_ft, wend1d_decompose, wendland_hat
 
+    if args.grid < 2:
+        print(f"measure check: --grid must be at least 2, got {args.grid}", file=sys.stderr)
+        return EXIT_CONFIG
     k = args.k
     decomp = wend1d_decompose(k)
     mu = build_measure_1d(k)

@@ -5,10 +5,13 @@ quasi-uniform set per level (padded beyond the evaluation region so
 boundary effects stay out of the interior error norms), fits a
 least-squares witness in the kernel translate space, measures L^p errors
 on the interior region, and fits the log-log slope against the measured
-fill distance.  Each level builds one collocation matrix on its
-evaluation grid: the least-squares solve uses it, and the witness values
-on the grid are taken from it.  Reports are deterministic for a fixed
-config: the config hash is embedded and no timestamps are written.
+fill distance.  Each level holds one dense collocation matrix at a time,
+about 8 rows cols bytes: the least-squares solve overwrites it in place,
+and the witness values on the grid come from a fresh build once it is
+released.  A level whose matrix does not fit in the available memory is
+refused with a ValueError before it is allocated.  Reports are
+deterministic for a fixed config: the config hash is embedded and no
+timestamps are written.
 """
 
 from __future__ import annotations

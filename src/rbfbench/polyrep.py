@@ -205,7 +205,9 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     (x, t) pairs are stratified by s = |x - t|/h over [0, s_max], where
     s_max covers the kernel support plus the star radius; kernels with
     unbounded support count as supported on FAR_LIMIT.  t is drawn
-    uniformly in the domain.
+    uniformly in the domain.  The sample budget is split evenly over the
+    strata; a budget below 8 samples per stratum is refused with a
+    ValueError.
     """
     d = X.dim
     h = X.h
@@ -217,11 +219,15 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     edges = [0.0, 0.5, 1.0]
     while edges[-1] < s_max:
         edges.append(min(edges[-1] * 2.0, s_max))
+    strata = len(edges) - 1
+    if sample_budget < 8 * strata:
+        raise ValueError(f"sample budget {sample_budget} is below 8 samples for each "
+                         f"of the {strata} distance strata ({8 * strata})")
     builder = LocalPolyBuilder(X, degree, c3)
     rng = np.random.Generator(np.random.Philox(key=seed))
     lo = np.asarray(X.domain.lo)
     hi = np.asarray(X.domain.hi)
-    n_per = max(8, sample_budget // (len(edges) - 1))
+    n_per = sample_budget // strata
     xs, ts, ss, es = [], [], [], []
     for a, b in zip(edges[:-1], edges[1:]):
         for _ in range(n_per):

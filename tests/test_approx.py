@@ -1,5 +1,6 @@
 """Test-function synthesis, witnesses, error norms, and rate fitting."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from rbfbench import approx, experiments
 from rbfbench._quad import trapezoid_weights
+from rbfbench.cli import main
 from rbfbench.approx import (
     SmoothBump,
     collocation_matrix,
@@ -193,32 +195,82 @@ def test_collocation_matrix_takes_flat_points_in_1d():
 @pytest.mark.parametrize("Phi", [wendland_construct(2, 1), sobolev_spline_construct(4, 2)],
                          ids=["wendland_d2_k1", "sobolev_d2_g4"])
 def test_ls_fit_values_equal_evaluate_combination(Phi):
+    # 169 centres against 441 grid points, and against 81, where the
+    # solution is longer than the right-hand side.
     X = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 4, seed=2, pad=1.0)
-    axis = np.linspace(0, 1, 21)
+    for n_axis in (21, 9):
+        axis = np.linspace(0, 1, n_axis)
+        grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], -1)
+        assert (len(grid) < X.n) == (n_axis == 9)
+        f_vals = SmoothBump((0.5, 0.5), 0.3)(grid)
+        coeffs, s_vals, rank = ls_witness(f_vals, grid, Phi, X)
+        # The minimum-norm gelsd solution with the default cutoff, on the
+        # full-profile matrix (bit-identical to the collocation matrix).
+        ref, _, ref_rank, _ = lstsq(_full_profile_matrix(grid, X, Phi), f_vals,
+                                    lapack_driver="gelsd")
+        assert coeffs.shape == (X.n,)
+        assert np.array_equal(coeffs, ref) and rank == ref_rank
+        assert np.array_equal(s_vals, evaluate_combination(coeffs, X, Phi, grid))
+
+
+def test_ls_witness_holds_one_matrix_at_a_time():
+    # The solve overwrites the collocation matrix instead of copying it,
+    # and the fitted values are built after it is released.
+    Phi = wendland_construct(2, 1)
+    X = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 8, seed=0, pad=1.0)
+    axis = np.linspace(0, 1, 71)
     grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], -1)
-    f_vals = SmoothBump((0.5, 0.5), 0.3)(grid)
-    coeffs, s_vals, rank = ls_witness(f_vals, grid, Phi, X)
-    # The minimum-norm gelsd solution with the default cutoff, on the
-    # full-profile matrix (bit-identical to the collocation matrix).
-    ref, _, ref_rank, _ = lstsq(_full_profile_matrix(grid, X, Phi), f_vals,
-                                lapack_driver="gelsd")
-    assert np.array_equal(coeffs, ref) and rank == ref_rank
-    assert np.array_equal(s_vals, evaluate_combination(coeffs, X, Phi, grid))
+    f_vals = SmoothBump((0.5, 0.5), 0.2)(grid)
+    matrix_bytes = 8 * len(grid) * X.n
+    assert matrix_bytes > 20e6
+    tracemalloc.start()
+    try:
+        ls_witness(f_vals, grid, Phi, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * matrix_bytes + 4e6
+
+
+def test_oversize_level_is_refused_before_allocation(monkeypatch, capsys):
+    # The first level's collocation matrix is 5929 x 1681 (80 MB); with
+    # 50 MB available the run stops with exit 2 before building it.
+    monkeypatch.setattr(approx, "_available_bytes", lambda: 50e6)
+    tracemalloc.start()
+    try:
+        code = main(["rates", "--kernel", "wendland", "--d", "2", "--k", "1",
+                     "--levels", "2", "--h0", "0.125", "--seed", "0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 8e6
+    assert re.search(r"a 1681 x 5929 kernel matrix needs 0\.08\d* GB, "
+                     r"but only 0\.05 GB is available", capsys.readouterr().err)
+
+
+def test_evaluate_combination_refuses_a_matrix_that_does_not_fit(monkeypatch):
+    Phi = wendland_construct(1, 1)
+    ps = make_quasi_uniform(UNIT_1D, 1 / 8)
+    monkeypatch.setattr(approx, "_available_bytes", lambda: 1e3)
+    with pytest.raises(ValueError, match=f"a 5 x {ps.n} kernel matrix needs"):
+        evaluate_combination(np.ones(ps.n), ps, Phi, np.linspace(0, 1, 5))
 
 
 def test_rate_report_equals_two_build_reference(monkeypatch):
-    # One matrix per level gives the same report as solving on a
-    # full-profile matrix and building it again to evaluate the witness.
+    # The in-place solve and the rebuilt matrix give the same report as
+    # scipy's lstsq on a full-profile matrix, built again to evaluate the
+    # witness.
     cfg = experiments.ExperimentConfig(family="wendland", d=2, k=1, levels=2,
                                        h0=1 / 4, p_list=(2.0, np.inf), seed=0)
     fast = {key: rep.to_dict() for key, rep in
             experiments.run_rate_experiment(cfg).items()}
 
     def two_builds(f_vals, grid, Phi, X):
-        coeffs, _, rank = ls_witness(f_vals, grid, Phi, X)
-        return coeffs, evaluate_combination(coeffs, X, Phi, grid), rank
+        coeffs, _, rank, _ = lstsq(_full_profile_matrix(grid, X, Phi), f_vals,
+                                   lapack_driver="gelsd")
+        return coeffs, _full_profile_matrix(grid, X, Phi) @ coeffs, rank
 
-    monkeypatch.setattr(approx, "collocation_matrix", _full_profile_matrix)
     monkeypatch.setattr(experiments, "ls_witness", two_builds)
     reference = {key: rep.to_dict() for key, rep in
                  experiments.run_rate_experiment(cfg).items()}

@@ -198,6 +198,12 @@ def test_cli_measure_check(tmp_path):
     assert data["discrete_ft_min"] >= data["discrete_ft_bound"] * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_cli_measure_check_refuses_grid_below_2(grid, capsys):
+    assert main(["measure", "check", "--k", "2", "--grid", grid]) == 2
+    assert f"--grid must be at least 2, got {grid}" in capsys.readouterr().err
+
+
 def test_cli_property2(tmp_path):
     out = tmp_path / "p2.json"
     csv_path = tmp_path / "p2.csv"
@@ -210,6 +216,13 @@ def test_cli_property2(tmp_path):
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
     assert header == ["x0", "t0", "dist_over_h", "abs_E", "bound", "ratio"]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_property2_refuses_budget_below_8_per_stratum(budget, capsys):
+    assert main(["property2", "--kernel", "wendland", "--d", "1", "--k", "1",
+                 "--budget", budget]) == 2
+    assert f"sample budget {budget} is below 8 samples" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -164,6 +164,20 @@ def test_scan_covers_near_and_far_field():
     assert np.isfinite(scan.c_emp)
 
 
+def test_scan_refuses_a_budget_below_8_samples_per_stratum():
+    # s_max = (1 + 16.5 h) / h = 32.5 gives the 8 strata with edges
+    # 0, 1/2, 1, 2, 4, ..., 32, 32.5, so the smallest budget is 64.
+    Phi = wendland_construct(1, 1)
+    ps = make_quasi_uniform(UNIT_1D, 1 / 16, jitter=0.25, seed=3, pad=2.0)
+    for budget in (-1, 0, 63):
+        with pytest.raises(ValueError, match="8 samples for each of the 8 distance strata"):
+            property2_scan(Phi, ps, kappa=2.0, ell=2.0, sample_budget=budget,
+                           degree=1, c3=16.0, seed=1)
+    scan = property2_scan(Phi, ps, kappa=2.0, ell=2.0, sample_budget=64,
+                          degree=1, c3=16.0, seed=1)
+    assert len(scan.ratio) == 64
+
+
 def test_scaling_consistency_across_halving():
     Phi = wendland_construct(1, 1)
     cs = []

@@ -43,8 +43,11 @@ COMMANDS = (
     ("rates --kernel sobolev --gamma 4 --d 1 --witness quasi --p 1 2 inf --levels 5 --seed 7",
      None),
     ("rates --kernel wendland --k 1 --d 2 --p 2 inf --levels 2 --h0 0.25 --seed 0", None),
-    # Cross-family order parameter: refused with exit 2.
+    # Refused with exit 2: a cross-family order parameter, a sample budget
+    # below 8 per stratum, and a frequency grid of fewer than 2 points.
     ("rates --kernel wendland --d 1 --k 1 --gamma 4 --levels 2 --h0 0.25", None),
+    ("property2 --kernel wendland --d 1 --k 1 --budget 0", None),
+    ("measure check --k 2 --grid 1", None),
 )
 
 
