@@ -21,6 +21,7 @@ distance are the empirical convergence rates.
 
 from __future__ import annotations
 
+import resource
 from dataclasses import dataclass
 from math import pi
 from typing import Callable
@@ -31,7 +32,7 @@ from scipy.spatial.distance import cdist
 
 from ._quad import panel_nodes
 from .geometry import PointSet, cube_center, tensor_grid
-from .polyrep import LocalPolyBuilder, _basis_matrix
+from .polyrep import LocalPolyBuilder
 
 __all__ = [
     "SmoothBump",
@@ -139,22 +140,21 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     return TestFunction(bump, f)
 
 
-def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float,
-                      c2_cap: float = 2.0) -> np.ndarray:
+def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float) -> np.ndarray:
     """Constructive coefficients of G(. - xi) for f = (2 pi)^(-d/2) G * g.
 
     c_xi = (2 pi)^(-d/2) times the integral of g(t) A(t, xi) dt over the
     cubes meeting the support of the source term g, with a midpoint rule
     of _MIDPOINTS points per axis inside each cube of side h, and A(t, .)
-    from LocalPolyBuilder(X, degree, c3, c2_cap).  Returns one coefficient
-    per point of X.
+    from LocalPolyBuilder(X, degree, c3), all midpoints of a cube at once.
+    Returns one coefficient per point of X.
     """
     d = X.dim
     side = X.h
     m = _MIDPOINTS
     offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
     w_quad = (side / m) ** d
-    builder = LocalPolyBuilder(X, degree, c3, c2_cap)
+    builder = LocalPolyBuilder(X, degree, c3)
     lo = np.floor((np.asarray(g.center) - g.width) / side + 0.5).astype(int)
     hi = np.floor((np.asarray(g.center) + g.width) / side + 0.5).astype(int)
     coeffs = np.zeros(X.n)
@@ -165,23 +165,32 @@ def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float,
         gv = np.atleast_1d(g(samples if d > 1 else samples[:, 0]))
         if not np.any(gv):
             continue
-        star, V, anchor, scale, _ = builder.cube_map(idx)
-        beta = _basis_matrix(samples, anchor, scale, builder.exponents)
-        alpha = V @ beta                      # (n_star, n_samples)
+        star, alpha = builder.weights(idx, samples)   # (n_star, n_samples)
         coeffs[star] += w_quad * (alpha @ gv)
     return coeffs * _green_factor(d)
 
 
-def _available_bytes() -> float:
-    """MemAvailable from /proc/meminfo in bytes, or inf where it cannot be read."""
+def _proc_bytes(path: str, key: str, unread: float) -> float:
+    """The kB entry key of a /proc file in bytes, or unread where it cannot be read."""
     try:
-        with open("/proc/meminfo") as fh:
+        with open(path) as fh:
             for line in fh:
-                if line.startswith("MemAvailable:"):
+                if line.startswith(key):
                     return 1024.0 * int(line.split()[1])
     except OSError:
         pass
-    return float("inf")
+    return unread
+
+
+def _available_bytes() -> tuple[float, str]:
+    """(bytes, name) of the tighter limit: MemAvailable, or RLIMIT_AS less VmSize."""
+    memory = _proc_bytes("/proc/meminfo", "MemAvailable:", float("inf"))
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    address_space = (float("inf") if soft == resource.RLIM_INFINITY
+                     else soft - _proc_bytes("/proc/self/status", "VmSize:", 0.0))
+    if address_space < memory:
+        return address_space, "the RLIMIT_AS soft limit less VmSize"
+    return memory, "MemAvailable"
 
 
 def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
@@ -194,15 +203,15 @@ def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
     cut along rows and the profile is elementwise, so every entry is the
     one a single full-size build would give.  Before the matrix is
     allocated, its 8 rows cols bytes plus workspace_bytes plus one block
-    are compared with the available memory, and a matrix that does not fit
+    are compared with _available_bytes(), and a matrix that does not fit
     is refused with a ValueError; a non-finite entry is refused as well.
     """
     n_rows, n_cols = len(rows), len(cols)
     need = 8.0 * n_rows * n_cols + workspace_bytes + _BLOCK_BYTES
-    available = _available_bytes()
+    available, limit = _available_bytes()
     if need > available:
         raise ValueError(f"a {n_rows} x {n_cols} kernel matrix needs {need / 1e9:.3g} GB, "
-                         f"but only {available / 1e9:.3g} GB is available")
+                         f"but only {available / 1e9:.3g} GB is available ({limit})")
     out = np.empty((n_rows, n_cols))
     step = max(1, _BUILD_BLOCK // max(n_cols, 1))
     radius = Phi.support_radius
@@ -266,19 +275,19 @@ def lstsq(A: np.ndarray, b: np.ndarray, cond: float) -> tuple[np.ndarray, int]:
 
 
 def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
-               X: PointSet) -> tuple[np.ndarray, np.ndarray, int]:
-    """Least-squares witness on the grid: (coefficients, fitted values, rank).
+               X: PointSet) -> tuple[np.ndarray, int]:
+    """Least-squares witness on the grid: (coefficients, rank).
 
     The coefficients minimize the discrete l^2 error on the grid.  They are
     solved by an SVD-based factorization and the minimum-norm solution is
     taken, so a rank-deficient collocation matrix (grid too coarse, or
     translates with no support on the grid) stays well posed; the returned
-    effective rank shows the deficiency.  One dense matrix is held at a
-    time, about 8 rows cols bytes: the solve overwrites the collocation
-    matrix in place, and once it is released the fitted values are the
-    collocation matrix, built again, times the coefficients.  A level whose
-    matrix and solver workspace do not fit in the available memory is
-    refused with a ValueError before the matrix is allocated.
+    effective rank shows the deficiency.  The solve overwrites the
+    collocation matrix, about 8 rows cols bytes, in place and releases it
+    before returning, so evaluate_combination can build the fitted values
+    without a second matrix alive.  A level whose matrix and solver
+    workspace do not fit in the available memory is refused with a
+    ValueError before the matrix is allocated.
     """
     if not np.isfinite(f_vals).all():
         raise ValueError("function values must be finite")
@@ -293,9 +302,7 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
     # coarse cutoff (e.g. 1e-12) visibly floors the error of the smoothest
     # kernels, whose collocation spectra decay below it while the discarded
     # modes still carry needed signal.
-    coeffs, rank = lstsq(A, f_vals, cond=float(np.finfo(float).eps))
-    del A
-    return coeffs, collocation_matrix(grid, X, Phi) @ coeffs, rank
+    return lstsq(A, f_vals, cond=float(np.finfo(float).eps))
 
 
 def evaluate_combination(coeffs: np.ndarray, X: PointSet, Phi, pts: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def _cmd_measure_check(args) -> int:
 
 
 def _cmd_property2(args) -> int:
-    from .experiments import reproduction_defaults
+    from .experiments import DEFAULT_PAD, reproduction_defaults
     from .geometry import Box, make_quasi_uniform
     from .kernels import sobolev_spline_construct, wendland_construct
     from .polyrep import property2_scan
@@ -103,10 +103,9 @@ def _cmd_property2(args) -> int:
         kappa = args.kappa if args.kappa is not None else float(args.gamma - d)
         order = args.gamma
     degree, c3 = reproduction_defaults(args.kernel, order)
-    c3 = args.c3 if args.c3 is not None else c3
     ell = args.l if args.l is not None else d + 1
     X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), args.h, jitter=args.jitter,
-                           seed=args.seed, pad=2.0)
+                           seed=args.seed, pad=DEFAULT_PAD)
     scan = property2_scan(Phi, X, kappa, ell, args.budget, degree=degree,
                           c3=c3, seed=args.seed)
     if args.csv:
@@ -209,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lattice spacing of the sampled point set")
     prop2.add_argument("--kappa", type=float, default=None)
     prop2.add_argument("--l", type=float, default=None)
-    prop2.add_argument("--c3", type=float, default=None)
     prop2.add_argument("--jitter", type=float, default=0.25)
     prop2.add_argument("--seed", type=int, default=7)
     prop2.add_argument("--budget", type=int, default=1200)

@@ -5,13 +5,14 @@ quasi-uniform set per level (padded beyond the evaluation region so
 boundary effects stay out of the interior error norms), fits a
 least-squares witness in the kernel translate space, measures L^p errors
 on the interior region, and fits the log-log slope against the measured
-fill distance.  Each level holds one dense collocation matrix at a time,
-about 8 rows cols bytes: the least-squares solve overwrites it in place,
-and the witness values on the grid come from a fresh build once it is
-released.  A level whose matrix does not fit in the available memory is
-refused with a ValueError before it is allocated.  Reports are
-deterministic for a fixed config: the config hash is embedded and no
-timestamps are written.
+fill distance.  Star parameters are derived, not configured
+(reproduction_defaults, polyrep.C2_CAP, RHO_MAX).  Each level holds one
+dense collocation matrix at a time, about 8 rows cols bytes: the
+least-squares solve overwrites it in place, and either witness is
+evaluated on the grid by evaluate_combination once it is released.  A
+level whose matrix does not fit in the available memory is refused with
+a ValueError before it is allocated.  Reports are deterministic for a
+fixed config: the config hash is embedded and no timestamps are written.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ __all__ = [
 ]
 
 RATE_TOLERANCE = 0.4   # fitted slope must reach theory_rate - RATE_TOLERANCE
-RHO_MAX = 4.0          # default bound on the mesh ratio of each level's point set
+RHO_MAX = 4.0          # bound on the mesh ratio of each level's point set
+DEFAULT_PAD = 2.0      # point-set padding beyond the evaluation region
 
 
 @dataclass
@@ -66,10 +68,7 @@ class ExperimentConfig:
     ratio: float = 0.5               # geometric schedule factor (< 1)
     jitter: float = 0.25
     seed: int = 7
-    c3: float | None = None          # star radius factor (default per degree)
-    c2_cap: float = 2.0
-    rho_max: float = RHO_MAX
-    pad: float | None = None         # point-set padding beyond the region
+    pad: float | None = None         # point-set padding (None: DEFAULT_PAD)
     bump_center: float = 0.5
     bump_width: float = 0.2
     witness: str = "ls"              # "ls" | "quasi"
@@ -183,39 +182,36 @@ def _build_kernel(cfg: ExperimentConfig):
     return sobolev_spline_construct(cfg.gamma, cfg.d)
 
 
-def reproduction_defaults(family: str, order: int,
-                          rho_max: float = RHO_MAX) -> tuple[int, float]:
-    """Default local reproduction degree and star radius factor c3.
+def reproduction_defaults(family: str, order: int) -> tuple[int, float]:
+    """Local reproduction degree and star radius factor c3.
 
     order is k for the Wendland family and gamma for Sobolev splines.  The
     degree is max(1, 2k - 1) for Wendland, from the comparison order 2k of
     the local Taylor argument, and gamma for Sobolev splines; the star
-    radius factor is c3 = 2 (degree + 1) rho_max.
+    radius factor is c3 = 2 (degree + 1) RHO_MAX.
     """
     degree = max(1, 2 * order - 1) if family == "wendland" else order
-    return degree, 2.0 * (degree + 1) * rho_max
+    return degree, 2.0 * (degree + 1) * RHO_MAX
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
     """Run the level schedule and return one report per requested p."""
     kernel = _build_kernel(cfg)
     domain = Box((0.0,) * cfg.d, (1.0,) * cfg.d)
-    support = kernel.support_radius if np.isfinite(kernel.support_radius) else 1.0
-    pad = cfg.pad if cfg.pad is not None else 2.0 * support
+    pad = cfg.pad if cfg.pad is not None else DEFAULT_PAD
     bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
     f = synth_test_function(kernel, bump).f if cfg.family == "sobolev" else bump
 
     order = cfg.k if cfg.family == "wendland" else cfg.gamma
-    degree, c3 = reproduction_defaults(cfg.family, order, cfg.rho_max)
-    c3 = cfg.c3 if cfg.c3 is not None else c3
+    degree, c3 = reproduction_defaults(cfg.family, order)
     level_rows: list[dict] = []
     errors: dict[float, list[tuple[float, float]]] = {p: [] for p in cfg.p_list}
     f_scale = 0.0
     for spacing in cfg.spacings():
         X = make_quasi_uniform(domain, spacing, jitter=cfg.jitter, seed=cfg.seed,
                                pad=pad)
-        if X.rho > cfg.rho_max:
-            raise RuntimeError(f"mesh ratio {X.rho:.3f} exceeds rho_max={cfg.rho_max}")
+        if X.rho > RHO_MAX:
+            raise RuntimeError(f"mesh ratio {X.rho:.3f} exceeds RHO_MAX={RHO_MAX}")
         grid_spacing = X.q / cfg.grid_factor
         counts = [int(np.ceil(1.0 / grid_spacing)) + 1] * cfg.d
         axes = [np.linspace(0.0, 1.0, n) for n in counts]
@@ -225,10 +221,10 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
         f_scale = max(f_scale, float(np.abs(f_vals).max()))
         if cfg.witness == "quasi":
-            coeffs = quasi_interpolant(bump, X, degree, c3, c2_cap=cfg.c2_cap)
-            s_vals = evaluate_combination(coeffs, X, kernel, grid)
+            coeffs = quasi_interpolant(bump, X, degree, c3)
         else:
-            _, s_vals, _ = ls_witness(f_vals, grid, kernel, X)
+            coeffs, _ = ls_witness(f_vals, grid, kernel, X)
+        s_vals = evaluate_combination(coeffs, X, kernel, grid)
         row = {"h": X.h, "q": X.q, "rho": X.rho, "n_points": X.n,
                "witness": cfg.witness}
         for p in cfg.p_list:

@@ -25,6 +25,7 @@ from itertools import product
 import numpy as np
 
 from .geometry import PointSet, cube_center, cube_index
+from .kernels import PiecewisePolyRadial
 
 __all__ = [
     "ReproFunctional",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 SVD_CUTOFF = 1e-10     # relative singular-value cutoff of the star pseudo-inverse
+C2_CAP = 2.0           # l1 norm above which a star is enlarged
 MAX_RETRIES = 4        # star enlargements before a cube counts as unisolvent
 FAR_LIMIT = 3.0        # support radius property2_scan assumes for unbounded kernels
 
@@ -73,13 +75,9 @@ def _basis_matrix(pts: np.ndarray, anchor: np.ndarray, scale: float,
 class ReproFunctional:
     """Point-evaluation weights realizing polynomial reproduction at t."""
 
-    t: np.ndarray
     star: np.ndarray              # indices into the point set
     points: np.ndarray            # star coordinates, (n_star, d)
     weights: np.ndarray           # A(t, xi)
-    degree: int
-    anchor: np.ndarray            # cube center the star is anchored at
-    c3_used: float
 
     @property
     def l1_norm(self) -> float:
@@ -93,20 +91,19 @@ class ReproFunctional:
 class LocalPolyBuilder:
     """Builds and caches reproduction functionals, one linear map per cube.
 
-    Cubes have side X.h.  On rank deficiency or an l1 norm above c2_cap, the
+    Cubes have side X.h.  On rank deficiency or an l1 norm above C2_CAP, the
     star radius factor is enlarged by 1.5 and the cube rebuilt, at most
     MAX_RETRIES times.  Rank deficiency that survives all retries raises
     UnisolvencyError; an l1 norm still above the cap is reported on the
     functional, not raised.
     """
 
-    def __init__(self, X: PointSet, degree: int, c3: float, c2_cap: float = 2.0):
+    def __init__(self, X: PointSet, degree: int, c3: float):
         if degree < 0:
             raise ValueError("degree must be non-negative")
         self.X = X
         self.degree = degree
         self.c3 = float(c3)
-        self.c2_cap = c2_cap
         self.side = X.h
         self.exponents = monomial_exponents(X.dim, degree)
         self._cubes: dict[tuple[int, ...], tuple] = {}
@@ -141,7 +138,7 @@ class LocalPolyBuilder:
                 c3 *= 1.5
                 continue
             last = (star, V, anchor, scale, c3)
-            if np.abs(alpha).sum(axis=1).max() > self.c2_cap:
+            if np.abs(alpha).sum(axis=1).max() > C2_CAP:
                 c3 *= 1.5
                 continue
             break
@@ -152,14 +149,15 @@ class LocalPolyBuilder:
         self._cubes[idx] = last
         return last
 
+    def weights(self, idx: tuple[int, ...], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(star, A) for the points ts of cube idx, one column A(t, .) per row t of ts."""
+        star, V, anchor, scale, _ = self.cube_map(idx)
+        return star, V @ _basis_matrix(ts, anchor, scale, self.exponents)
+
     def functional_at(self, t: np.ndarray) -> ReproFunctional:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = cube_index(t, self.side)
-        star, V, anchor, scale, c3 = self.cube_map(idx)
-        beta = _basis_matrix(t[None, :], anchor, scale, self.exponents)[:, 0]
-        weights = V @ beta
-        return ReproFunctional(t, star, self.X.points[star], weights,
-                               self.degree, anchor, c3)
+        star, A = self.weights(cube_index(t, self.side), t[None, :])
+        return ReproFunctional(star, self.X.points[star], A[:, 0])
 
 
 def kernel_K(x, Phi, F: ReproFunctional) -> np.ndarray | float:
@@ -212,7 +210,7 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     d = X.dim
     h = X.h
     c1 = c3 + np.sqrt(d) / 2.0
-    support = getattr(Phi, "support_radius", np.inf)
+    support = Phi.support_radius
     if np.isinf(support):
         support = FAR_LIMIT
     s_max = (support + c1 * h) / h
@@ -247,7 +245,7 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     ss = np.asarray(ss)
     es = np.asarray(es)
     bound = h ** (kappa - d) * (1.0 + ss) ** (-ell)
-    kid = getattr(Phi, "smoothness", None)
-    kernel_id = (f"wendland_d{getattr(Phi, 'dim', d)}_k{kid}" if kid is not None
-                 else f"sobolev_gamma{getattr(Phi, 'gamma', '?')}_d{d}")
+    kernel_id = (f"wendland_d{Phi.dim}_k{Phi.smoothness}"
+                 if isinstance(Phi, PiecewisePolyRadial)
+                 else f"sobolev_gamma{Phi.gamma}_d{Phi.dim}")
     return ErrorKernelScan(kernel_id, h, kappa, ell, xs, ts, ss, es, bound, es / bound)

@@ -1,6 +1,9 @@
 """Test-function synthesis, witnesses, error norms, and rate fitting."""
 
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,7 +140,7 @@ def test_ls_witness_recovers_translates():
     grid = np.linspace(0, 1, 201)[:, None]
     j0 = ps.n // 2
     f_vals = Phi.profile(np.abs(grid[:, 0] - ps.points[j0, 0]))
-    coeffs, _, _ = ls_witness(f_vals, grid, Phi, ps)
+    coeffs, _ = ls_witness(f_vals, grid, Phi, ps)
     s_vals = evaluate_combination(coeffs, ps, Phi, grid)
     assert np.abs(f_vals - s_vals).max() < 1e-10
     expected = np.zeros(ps.n)
@@ -145,7 +148,7 @@ def test_ls_witness_recovers_translates():
     assert np.allclose(coeffs, expected, atol=1e-8)
     # a sum of two translates is recovered exactly as well
     f2 = f_vals + 0.7 * Phi.profile(np.abs(grid[:, 0] - ps.points[j0 - 2, 0]))
-    c2, _, _ = ls_witness(f2, grid, Phi, ps)
+    c2, _ = ls_witness(f2, grid, Phi, ps)
     s2 = evaluate_combination(c2, ps, Phi, grid)
     assert np.abs(f2 - s2).max() < 1e-10
     expected[j0 - 2] = 0.7
@@ -203,19 +206,17 @@ def test_ls_fit_values_equal_evaluate_combination(Phi):
         grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], -1)
         assert (len(grid) < X.n) == (n_axis == 9)
         f_vals = SmoothBump((0.5, 0.5), 0.3)(grid)
-        coeffs, s_vals, rank = ls_witness(f_vals, grid, Phi, X)
+        coeffs, rank = ls_witness(f_vals, grid, Phi, X)
         # The minimum-norm gelsd solution with the default cutoff, on the
         # full-profile matrix (bit-identical to the collocation matrix).
         ref, _, ref_rank, _ = lstsq(_full_profile_matrix(grid, X, Phi), f_vals,
                                     lapack_driver="gelsd")
         assert coeffs.shape == (X.n,)
         assert np.array_equal(coeffs, ref) and rank == ref_rank
-        assert np.array_equal(s_vals, evaluate_combination(coeffs, X, Phi, grid))
 
 
 def test_ls_witness_holds_one_matrix_at_a_time():
-    # The solve overwrites the collocation matrix instead of copying it,
-    # and the fitted values are built after it is released.
+    # The solve overwrites the collocation matrix instead of copying it.
     Phi = wendland_construct(2, 1)
     X = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 8, seed=0, pad=1.0)
     axis = np.linspace(0, 1, 71)
@@ -235,7 +236,7 @@ def test_ls_witness_holds_one_matrix_at_a_time():
 def test_oversize_level_is_refused_before_allocation(monkeypatch, capsys):
     # The first level's collocation matrix is 5929 x 1681 (80 MB); with
     # 50 MB available the run stops with exit 2 before building it.
-    monkeypatch.setattr(approx, "_available_bytes", lambda: 50e6)
+    monkeypatch.setattr(approx, "_available_bytes", lambda: (50e6, "MemAvailable"))
     tracemalloc.start()
     try:
         code = main(["rates", "--kernel", "wendland", "--d", "2", "--k", "1",
@@ -249,10 +250,27 @@ def test_oversize_level_is_refused_before_allocation(monkeypatch, capsys):
                      r"but only 0\.05 GB is available", capsys.readouterr().err)
 
 
+def test_level_over_the_address_space_limit_exits_2():
+    # Under a 1.2 GB RLIMIT_AS the first level's 6561 x 24649 matrix
+    # (1.29 GB) is refused with exit 2 before numpy fails to allocate it.
+    limit = 1_200_000_000
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbfbench.cli", "rates", "--kernel", "wendland", "--d", "2",
+         "--k", "1", "--levels", "1", "--h0", "0.0625", "--seed", "7"],
+        capture_output=True, text=True, preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(r"a 6561 x 24649 kernel matrix needs 1\.\d+ GB, but only 0\.\d+ GB "
+                     r"is available \(the RLIMIT_AS soft limit less VmSize\)", proc.stderr)
+
+
 def test_evaluate_combination_refuses_a_matrix_that_does_not_fit(monkeypatch):
     Phi = wendland_construct(1, 1)
     ps = make_quasi_uniform(UNIT_1D, 1 / 8)
-    monkeypatch.setattr(approx, "_available_bytes", lambda: 1e3)
+    monkeypatch.setattr(approx, "_available_bytes", lambda: (1e3, "MemAvailable"))
     with pytest.raises(ValueError, match=f"a 5 x {ps.n} kernel matrix needs"):
         evaluate_combination(np.ones(ps.n), ps, Phi, np.linspace(0, 1, 5))
 
@@ -269,7 +287,7 @@ def test_rate_report_equals_two_build_reference(monkeypatch):
     def two_builds(f_vals, grid, Phi, X):
         coeffs, _, rank, _ = lstsq(_full_profile_matrix(grid, X, Phi), f_vals,
                                    lapack_driver="gelsd")
-        return coeffs, _full_profile_matrix(grid, X, Phi) @ coeffs, rank
+        return coeffs, rank
 
     monkeypatch.setattr(experiments, "ls_witness", two_builds)
     reference = {key: rep.to_dict() for key, rep in
@@ -348,7 +366,7 @@ def test_witness_beats_quasi_interpolant(g2_testfunction):
     f_vals = tf.f(grid[:, 0])
     cq = quasi_interpolant(tf.g, ps, degree=2, c3=24.0)
     eq = lp_error(f_vals, evaluate_combination(cq, ps, G2, grid), 2, w)
-    cw, _, _ = ls_witness(f_vals, grid, G2, ps)
+    cw, _ = ls_witness(f_vals, grid, G2, ps)
     ew = lp_error(f_vals, evaluate_combination(cw, ps, G2, grid), 2, w)
     assert ew <= eq
 
@@ -382,7 +400,7 @@ def test_translation_equivariance():
         grid = np.linspace(lo, lo + 1.0, 401)[:, None]
         w = trapezoid_weights(401, grid[1, 0] - grid[0, 0])
         f_vals = b(grid[:, 0])
-        co, _, _ = ls_witness(f_vals, grid, Phi, ps)
+        co, _ = ls_witness(f_vals, grid, Phi, ps)
         errs.append(lp_error(f_vals, evaluate_combination(co, ps, Phi, grid), 2, w))
     assert errs[0] == pytest.approx(errs[1], abs=1e-10)
 
@@ -396,6 +414,6 @@ def test_error_grid_refinement_stable():
         grid = np.linspace(0, 1, n)[:, None]
         w = trapezoid_weights(n, grid[1, 0] - grid[0, 0])
         f_vals = bump(grid[:, 0])
-        co, _, _ = ls_witness(f_vals, grid, Phi, ps)
+        co, _ = ls_witness(f_vals, grid, Phi, ps)
         errs.append(lp_error(f_vals, evaluate_combination(co, ps, Phi, grid), 2, w))
     assert abs(errs[1] - errs[0]) < 0.02 * errs[0]

@@ -110,20 +110,6 @@ def test_config_validation():
         ExperimentConfig(family="wendland", d=1, k=1, pad=pad, bump_center=center)
 
 
-def test_quasi_witness_passes_c2_cap_to_builder(monkeypatch):
-    caps = []
-
-    class Recording(approx.LocalPolyBuilder):
-        def __init__(self, X, degree, c3, c2_cap=2.0):
-            caps.append(c2_cap)
-            super().__init__(X, degree, c3, c2_cap)
-
-    monkeypatch.setattr(approx, "LocalPolyBuilder", Recording)
-    run_rate_experiment(ExperimentConfig(**{**SMALL, "levels": 2, "witness": "quasi",
-                                            "c2_cap": 1.5}))
-    assert caps == [1.5, 1.5]
-
-
 def test_quasi_witness_is_evaluated_with_the_runs_own_kernel(monkeypatch):
     # The constructive coefficients are coefficients of the run's kernel
     # G(. - xi), so the witness is evaluated with G itself, as for "ls".
@@ -294,6 +280,7 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("field,value", [
     ("bump_width", -0.2), ("bump_width", 0), ("grid_factor", 0), ("levels", 2.5),
     ("pad", -1), ("bump_center", 5), ("bump_center", -0.5), ("k", 3),
+    ("c3", 16), ("c2_cap", 1.5), ("rho_max", 4),
 ])
 def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
                                                          monkeypatch):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from rbfbench.geometry import Box, PointSet, make_quasi_uniform
+from rbfbench import polyrep
+from rbfbench.geometry import Box, PointSet, cube_index, make_quasi_uniform
 from rbfbench.kernels import sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import (
     LocalPolyBuilder,
+    _basis_matrix,
     UnisolvencyError,
     kernel_K,
     monomial_exponents,
@@ -77,11 +79,10 @@ def test_reproduction_oracle_2d():
 def test_minimum_norm_among_solutions():
     ps = make_quasi_uniform(UNIT_1D, 1 / 16, jitter=0.2, seed=5)
     builder = LocalPolyBuilder(ps, degree=2, c3=24.0)
-    F = builder.functional_at(np.array([0.5]))
-    star, V, anchor, scale, _ = builder.cube_map(
-        tuple(np.floor(F.t / builder.side + 0.5).astype(int)))
-    from rbfbench.polyrep import _basis_matrix
-    M = _basis_matrix(F.points, F.anchor, scale, builder.exponents)
+    t = np.array([0.5])
+    F = builder.functional_at(t)
+    _, _, anchor, scale, _ = builder.cube_map(cube_index(t, builder.side))
+    M = _basis_matrix(F.points, anchor, scale, builder.exponents)
     N = null_space(M)
     rng = np.random.default_rng(3)
     base = np.linalg.norm(F.weights)
@@ -107,12 +108,13 @@ def test_unisolvency_failure_reported():
         LocalPolyBuilder(ps, degree=4, c3=1.0).functional_at(np.array([0.5]))
 
 
-def test_l1_cap_reported_not_raised():
+def test_l1_cap_reported_not_raised(monkeypatch):
     # A 2-point star reproducing degree 1 from an off-center t has l1 > 1;
     # an unreachable cap must still return the functional.
+    monkeypatch.setattr(polyrep, "C2_CAP", 1.5)
     ps = PointSet(np.array([[0.45], [0.55]]), Box((0.0,), (1.0,)),
                   h=0.45, h_slack=0.0, q=0.05)
-    F = LocalPolyBuilder(ps, degree=1, c3=2.0, c2_cap=1.5).functional_at(np.array([0.9]))
+    F = LocalPolyBuilder(ps, degree=1, c3=2.0).functional_at(np.array([0.9]))
     assert F.l1_norm > 1.5
 
 
@@ -120,8 +122,7 @@ def test_kernel_surrogate_basics():
     Phi = wendland_construct(1, 1)
     ps = make_quasi_uniform(UNIT_1D, 1 / 8)
     F = LocalPolyBuilder(ps, degree=1, c3=3.0).functional_at(np.array([0.5]))
-    zeroed = type(F)(F.t, F.star, F.points, np.zeros_like(F.weights),
-                     F.degree, F.anchor, F.c3_used)
+    zeroed = type(F)(F.star, F.points, np.zeros_like(F.weights))
     assert kernel_K(np.array([0.4]), Phi, zeroed) == 0.0
     # all star points farther than the support radius from x
     far_x = np.array([5.0])
