@@ -87,9 +87,10 @@ class ExperimentConfig:
             raise ValueError("sobolev experiments take gamma, not k")
         if not 0 < self.ratio < 1:
             raise ValueError("schedule ratio must lie in (0, 1)")
-        whole = isinstance(self.levels, Integral) and not isinstance(self.levels, bool)
-        if not whole or self.levels < 1:
-            raise ValueError(f"levels must be an integer >= 1, got {self.levels!r}")
+        for name, low in (("levels", 1), ("seed", 0)):
+            val = getattr(self, name)
+            if not isinstance(val, Integral) or isinstance(val, bool) or val < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")
         if not self.h0 > 0:
             raise ValueError(f"coarsest spacing h0 must be positive, got {self.h0}")
         for name in ("bump_width", "grid_factor"):

@@ -145,7 +145,7 @@ def separation_radius(points: np.ndarray) -> float:
 
 
 def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
-                       seed: int | None = 0, pad: float = 0.0) -> PointSet:
+                       seed: int = 0, pad: float = 0.0) -> PointSet:
     """Jittered lattice with spacing h_target covering the padded domain.
 
     Each lattice point moves by a uniform offset in
@@ -167,7 +167,7 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     pts = tensor_grid([np.linspace(a, b, max(1, round((b - a) / h_target)) + 1)
                        for a, b in zip(box.lo, box.hi)])
     if jitter > 0:
-        rng = np.random.Generator(np.random.Philox(key=seed or 0))
+        rng = np.random.Generator(np.random.Philox(key=seed))
         pts = pts + rng.uniform(-jitter * h_target, jitter * h_target, size=pts.shape)
     resolution = h_target / 32.0 if domain.dim < 3 else h_target / 8.0
     h = fill_distance(pts, domain, resolution)

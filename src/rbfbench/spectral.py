@@ -27,6 +27,7 @@ All transforms use the symmetric (2 pi)^(-d/2) convention.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -76,6 +77,7 @@ ORACLE_NODES = 20        # Gauss-Legendre nodes per panel of hankel_oracle
 FT_TOL = 1e-8            # largest accepted error estimate of a measure_ft quadrature
 CONV_PANELS = 256        # panels of the fixed measure_convolve rule on the support
 CONV_NODES = 8           # Gauss-Legendre nodes per panel of that rule
+CONV_BLOCK = 1 << 17     # f evaluations per measure_convolve block (rows x rule nodes)
 
 
 class CalibrationError(RuntimeError):
@@ -465,14 +467,16 @@ def build_measure_1d(k: int) -> FiniteMeasure:
 def measure_ft(mu: FiniteMeasure, omega) -> np.ndarray | float:
     """Fourier transform of the measure at omega (symmetric convention).
 
-    Atoms contribute an exact trigonometric sum; the even density
-    contributes through the oracle's d = 1 cosine quadrature.  Every density
-    quadrature is confirmed by a refined rule; disagreement beyond FT_TOL
-    raises with the achieved error estimate.
+    omega is a scalar or an array of any shape, and an array gives an
+    array of its shape.  Atoms contribute an exact trigonometric sum; the
+    even density contributes through the oracle's d = 1 cosine quadrature.
+    Every density quadrature is confirmed by a refined rule; disagreement
+    beyond FT_TOL raises with the achieved error estimate.
     """
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.zeros_like(omega_arr)
-    for i, w in enumerate(omega_arr):
+    omega_arr = np.asarray(omega, dtype=float)
+    flat = omega_arr.reshape(-1)
+    out = np.zeros_like(flat)
+    for i, w in enumerate(flat):
         dens = _hankel_float(mu.density, 1, abs(w), mu.support_radius, 16)
         refined = _hankel_float(mu.density, 1, abs(w), mu.support_radius, 24)
         estimate = abs(dens - refined)
@@ -481,19 +485,44 @@ def measure_ft(mu: FiniteMeasure, omega) -> np.ndarray | float:
                 f"density quadrature did not converge at omega={w}: "
                 f"achieved error estimate {estimate:.3e} > {FT_TOL:.1e}")
         out[i] = refined
-    out = out + mu.discrete_ft(omega_arr)
-    if np.isscalar(omega) or np.asarray(omega).ndim == 0:
+    out = out + mu.discrete_ft(flat)
+    if omega_arr.ndim == 0:
         return float(out[0])
-    return out
+    return out.reshape(omega_arr.shape)
 
 
 def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:
-    """(f * mu)(x) for a vectorized integrable f (x may be an array)."""
+    """(f * mu)(x) for a vectorized integrable f (x may be an array).
+
+    The density part uses the fixed rule of CONV_PANELS x CONV_NODES
+    Gauss-Legendre nodes on the support.  It is evaluated over the flattened
+    x in row blocks of CONV_BLOCK = 2^17 f values each, so memory stays
+    flat in the size of x.  The blocks run on one thread per available CPU
+    and each writes its own slice of the output, so f must be safe to call
+    from several threads at once (pure numpy functions are).  The partition
+    does not depend on the thread count, and neither does the result.
+    """
     x = np.asarray(x, dtype=float)
     edges = np.linspace(-mu.support_radius, mu.support_radius, CONV_PANELS + 1)
     T, W = panel_nodes(edges, CONV_NODES)
-    dens = mu.density(T)
-    out = f(x[..., None] - T) @ (W * dens)
+    weights = W * mu.density(T)
+    flat = x.reshape(-1)
+    out = np.empty(flat.size)
+    rows = max(1, CONV_BLOCK // T.size)
+    starts = range(0, flat.size, rows)
+
+    def block(s):
+        out[s:s + rows] = f(flat[s:s + rows, None] - T) @ weights
+
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    if workers <= 1:
+        for s in starts:
+            block(s)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(block, starts))   # reading each result re-raises what f raised
+    out = out.reshape(x.shape)
     for loc, w in mu.atoms:
         out = out + w * f(x - loc)
     return out

@@ -99,6 +99,9 @@ def test_config_validation():
     for levels in (2.5, 0, -1, True, "3"):
         with pytest.raises(ValueError, match="levels must be an integer"):
             ExperimentConfig(family="sobolev", d=1, gamma=2, levels=levels)
+    for seed in (None, -1, 1.5, True, "7"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ExperimentConfig(family="wendland", d=1, k=1, seed=seed)
     for pad in (-1.0, -1e-9, np.nan, np.inf):
         with pytest.raises(ValueError, match="pad must be non-negative and finite"):
             ExperimentConfig(family="wendland", d=1, k=1, pad=pad)
@@ -280,7 +283,7 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("field,value", [
     ("bump_width", -0.2), ("bump_width", 0), ("grid_factor", 0), ("levels", 2.5),
     ("pad", -1), ("bump_center", 5), ("bump_center", -0.5), ("k", 3),
-    ("c3", 16), ("c2_cap", 1.5), ("rho_max", 4),
+    ("c3", 16), ("c2_cap", 1.5), ("rho_max", 4), ("seed", None),
 ])
 def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
                                                          monkeypatch):

@@ -1,13 +1,19 @@
 """The finite Borel measure factoring the Wendland transform."""
 
+import os
+import sys
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
+from rbfbench import spectral
 from rbfbench._quad import panel_nodes
 from rbfbench.spectral import (
+    CONV_BLOCK,
+    CONV_NODES,
+    CONV_PANELS,
     FiniteMeasure,
     build_measure_1d,
     measure_convolve,
@@ -16,7 +22,7 @@ from rbfbench.spectral import (
     wendland_hat,
 )
 
-from helpers import young_trials
+from helpers import PiecewiseLinear, young_trials
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +87,14 @@ def test_measure_ft_of_symmetric_atoms():
     omegas = np.linspace(0.0, 20.0, 9)
     expected = 2 * w * np.cos(omegas) / np.sqrt(2 * np.pi)
     assert np.allclose(measure_ft(pair, omegas), expected, atol=1e-14)
+
+
+def test_measure_ft_takes_any_shape(mu1):
+    omegas = np.linspace(0.0, 20.0, 6).reshape(2, 3)
+    got = measure_ft(mu1, omegas)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, measure_ft(mu1, omegas.ravel()).reshape(2, 3))
+    assert measure_ft(mu1, np.ones((2, 2))).shape == (2, 2)
 
 
 def test_measure_ft_at_zero_matches_transform(mu1):
@@ -170,3 +184,62 @@ def test_young_inequality(k, mu1, mu2):
     margins = young_trials(mu, 30, seed=k)
     for margin, rhs, p in margins:
         assert margin <= 1e-10 * rhs, f"violation at p={p}: margin {margin}"
+
+
+# Rows of one measure_convolve block.
+ROWS = CONV_BLOCK // (CONV_PANELS * CONV_NODES)
+
+
+def _one_shot_convolve(mu, f, x):
+    """The whole argument matrix x - T at once: the oracle for the blocks."""
+    x = np.asarray(x, dtype=float)
+    edges = np.linspace(-mu.support_radius, mu.support_radius, CONV_PANELS + 1)
+    T, W = panel_nodes(edges, CONV_NODES)
+    out = f(x[..., None] - T) @ (W * mu.density(T))
+    for loc, w in mu.atoms:
+        out = out + w * f(x - loc)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_blocked_convolution_matches_one_shot(k):
+    mu = build_measure_1d(k)
+    f = PiecewiseLinear(np.random.default_rng(k))
+    tol = 1e-13 * mu.tv_norm * np.abs(f.vals).max()
+    span = 3.5 + mu.support_radius
+    xs = [0.37] + [np.linspace(-span, span, n) for n in (1, ROWS - 1, ROWS, ROWS + 1, 2801)]
+    xs.append(np.linspace(-span, span, 7 * 111).reshape(7, 111))
+    for x in xs:
+        got = measure_convolve(mu, f, x)
+        want = _one_shot_convolve(mu, f, x)
+        assert np.shape(got) == np.shape(want)
+        assert np.abs(got - want).max() <= tol, (k, np.shape(x))
+
+
+def test_convolution_does_not_depend_on_cpu_count(mu2, monkeypatch):
+    # More threads than cores, switching often: a block written into the
+    # wrong slice or lost would change the output.
+    f = PiecewiseLinear(np.random.default_rng(3))
+    x = np.linspace(-4.5, 4.5, 2801)
+    default = measure_convolve(mu2, f, x)
+    results = []
+    for cpus in (1, 2 * len(os.sched_getaffinity(0)) + 1):
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results.append(measure_convolve(mu2, f, x))
+        finally:
+            sys.setswitchinterval(interval)
+    for got in results:
+        assert np.array_equal(got, default)
+
+
+def test_convolution_passes_on_an_exception_raised_in_f(mu2):
+    def f(t):
+        if t.ndim == 2 and t[0, 0] > 0.0:
+            raise ArithmeticError("f refuses positive arguments")
+        return np.cos(t)
+
+    with pytest.raises(ArithmeticError, match="f refuses positive arguments"):
+        measure_convolve(mu2, f, np.linspace(-4.5, 4.5, 2801))
