@@ -17,6 +17,7 @@ that every t in a given cube sees the same star.  Every neighbour search
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -150,8 +151,9 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
 
     Each lattice point moves by a uniform offset in
     [-jitter*h_target, jitter*h_target] per coordinate, drawn from a
-    counter-based generator keyed by the seed, so the set is reproducible
-    independent of evaluation order.  jitter < 0.5 guarantees no collisions.
+    counter-based generator keyed by the seed (an integer >= 0), so the set
+    is reproducible independent of evaluation order.  jitter < 0.5
+    guarantees no collisions.
 
     h_target must be positive and smaller than the domain's shortest side;
     the returned PointSet caches the measured fill distance (w.r.t. the
@@ -163,6 +165,8 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
         raise ValueError(f"h_target must be positive, got {h_target}")
     if h_target >= min(domain.sides):
         raise ValueError("h_target must be smaller than the domain's shortest side")
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     box = domain.pad(pad) if pad > 0 else domain
     pts = tensor_grid([np.linspace(a, b, max(1, round((b - a) / h_target)) + 1)
                        for a, b in zip(box.lo, box.hi)])

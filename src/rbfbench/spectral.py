@@ -27,7 +27,6 @@ All transforms use the symmetric (2 pi)^(-d/2) convention.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -77,7 +76,9 @@ ORACLE_NODES = 20        # Gauss-Legendre nodes per panel of hankel_oracle
 FT_TOL = 1e-8            # largest accepted error estimate of a measure_ft quadrature
 CONV_PANELS = 256        # panels of the fixed measure_convolve rule on the support
 CONV_NODES = 8           # Gauss-Legendre nodes per panel of that rule
-CONV_BLOCK = 1 << 17     # f evaluations per measure_convolve block (rows x rule nodes)
+CONV_BLOCK = 1 << 14     # f evaluations per measure_convolve block (rows x rule nodes);
+                         # 128 KiB temporaries; blocks of 2^15 and up ran ~1.6x slower
+                         # (fresh page faults per block, 2-CPU Xeon, glibc)
 
 
 class CalibrationError(RuntimeError):
@@ -496,11 +497,8 @@ def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:
 
     The density part uses the fixed rule of CONV_PANELS x CONV_NODES
     Gauss-Legendre nodes on the support.  It is evaluated over the flattened
-    x in row blocks of CONV_BLOCK = 2^17 f values each, so memory stays
-    flat in the size of x.  The blocks run on one thread per available CPU
-    and each writes its own slice of the output, so f must be safe to call
-    from several threads at once (pure numpy functions are).  The partition
-    does not depend on the thread count, and neither does the result.
+    x in row blocks of CONV_BLOCK = 2^14 f values each, so memory stays
+    flat in the size of x.
     """
     x = np.asarray(x, dtype=float)
     edges = np.linspace(-mu.support_radius, mu.support_radius, CONV_PANELS + 1)
@@ -509,19 +507,8 @@ def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:
     flat = x.reshape(-1)
     out = np.empty(flat.size)
     rows = max(1, CONV_BLOCK // T.size)
-    starts = range(0, flat.size, rows)
-
-    def block(s):
+    for s in range(0, flat.size, rows):
         out[s:s + rows] = f(flat[s:s + rows, None] - T) @ weights
-
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
-    if workers <= 1:
-        for s in starts:
-            block(s)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(block, starts))   # reading each result re-raises what f raised
     out = out.reshape(x.shape)
     for loc, w in mu.atoms:
         out = out + w * f(x - loc)

@@ -136,3 +136,7 @@ def test_generator_guards():
     for h in (0.0, -0.1, np.nan):
         with pytest.raises(ValueError, match="h_target must be positive"):
             make_quasi_uniform(UNIT_1D, h)
+    # Philox keyed with None would draw unreproducible OS entropy.
+    for seed in (None, -1, 1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            make_quasi_uniform(UNIT_1D, 0.25, jitter=0.25, seed=seed)

@@ -15,8 +15,6 @@ import rbfbench
 
 SUBMODULES = ("approx", "experiments", "geometry", "kernels", "polyrep", "spectral")
 HEAVY = ("scipy", "sympy", "mpmath")
-# Loaded only inside the function that needs it.
-LAZY = ("concurrent.futures",)
 SRC = str(Path(rbfbench.__file__).resolve().parent.parent)
 
 
@@ -31,10 +29,9 @@ def _run_fresh(code: str, tmp_path):
 
 
 def _loaded_roots(code: str, tmp_path) -> list[str]:
-    """Heavy top-level packages and lazy modules in sys.modules after running code afresh."""
+    """Top-level heavy packages in sys.modules after running code afresh."""
     return _run_fresh(f"{code}\nprint(json.dumps(sorted("
-                      f"({{m.split('.')[0] for m in sys.modules}} & {set(HEAVY)!r})"
-                      f" | (set(sys.modules) & {set(LAZY)!r}))))",
+                      f"{{m.split('.')[0] for m in sys.modules}} & {set(HEAVY)!r})))",
                       tmp_path)
 
 
@@ -92,7 +89,6 @@ def test_transform_commands_load_no_scipy_or_sympy(argv, tmp_path):
     loaded = _loaded_roots(code, tmp_path)
     assert "scipy" not in loaded and "sympy" not in loaded
     assert "mpmath" not in loaded
-    assert "concurrent.futures" not in loaded
 
 
 def test_kernel_derivative_loads_no_sympy(tmp_path):
