@@ -7,9 +7,10 @@ Exit codes: 0 all asserted invariants pass, 1 invariant failure,
 explicit; reports carry the config hash and no timestamps, so identical
 invocations produce byte-identical files.  Each handler imports the library
 modules it calls, so a command loads only what it runs: `kernels table`,
-`spectral check`, `measure check` and `ratio-diag` never load mpmath, and
-load scipy only for the Bessel oracle of `spectral check` in d >= 5.  The
-library itself depends on numpy and scipy only.
+`spectral check`, `measure check` and `ratio-diag` need only numpy, except
+that the transform validation of `spectral check` and `ratio-diag` in odd
+d >= 5 loads scipy.special for the Bessel oracle.  The library itself
+depends on numpy and scipy only.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ def _cmd_kernels_table(args) -> int:
 def _cmd_spectral_check(args) -> int:
     from .spectral import spectral_check
 
-    report = spectral_check(args.d, args.k)
-    _emit(report, args.out)
-    worst = max(report["validation_residuals"])
-    return EXIT_OK if worst < 1e-5 else EXIT_INVARIANT
+    _emit(spectral_check(args.d, args.k), args.out)
+    return EXIT_OK
 
 
 def _cmd_measure_check(args) -> int:
@@ -83,30 +82,18 @@ def _cmd_measure_check(args) -> int:
 
 
 def _cmd_property2(args) -> int:
-    from .experiments import DEFAULT_PAD, reproduction_defaults
+    from .experiments import DEFAULT_PAD, family_kernel, reproduction_defaults
     from .geometry import Box, make_quasi_uniform
-    from .kernels import sobolev_spline_construct, wendland_construct
     from .polyrep import property2_scan
 
     d = args.d
-    own, other = ("k", "gamma") if args.kernel == "wendland" else ("gamma", "k")
-    if getattr(args, own) is None or getattr(args, other) is not None:
-        print(f"property2: {args.kernel} needs --{own} and takes no --{other}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if args.kernel == "wendland":
-        Phi = wendland_construct(d, args.k)
-        kappa = args.kappa if args.kappa is not None else 2.0 * args.k
-        order = args.k
-    else:
-        Phi = sobolev_spline_construct(args.gamma, d)
-        kappa = args.kappa if args.kappa is not None else float(args.gamma - d)
-        order = args.gamma
+    Phi, order = family_kernel(args.kernel, d, args.k, args.gamma)
+    # Envelope h^(kappa - d) (1 + |x - t|/h)^(-l), kappa = 2k or gamma - d, l = d + 1.
+    kappa = 2.0 * order if args.kernel == "wendland" else float(order - d)
     degree, c3 = reproduction_defaults(args.kernel, order)
-    ell = args.l if args.l is not None else d + 1
     X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), args.h, jitter=args.jitter,
                            seed=args.seed, pad=DEFAULT_PAD)
-    scan = property2_scan(Phi, X, kappa, ell, args.budget, degree=degree,
+    scan = property2_scan(Phi, X, kappa, d + 1, args.budget, degree=degree,
                           c3=c3, seed=args.seed)
     if args.csv:
         import csv as _csv
@@ -157,7 +144,7 @@ def _cmd_rates(args) -> int:
 def _cmd_ratio_diag(args) -> int:
     from .spectral import ratio_diagnostic
 
-    diag = ratio_diagnostic(args.d, args.k, args.gamma_target)
+    diag = ratio_diagnostic(args.d, args.k)
     payload = {
         "d": diag["d"], "k": diag["k"], "gamma": diag["gamma"],
         "min": diag["min"], "max": diag["max"],
@@ -206,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     prop2.add_argument("--gamma", type=int, default=None)
     prop2.add_argument("--h", type=float, default=1.0 / 32.0,
                        help="lattice spacing of the sampled point set")
-    prop2.add_argument("--kappa", type=float, default=None)
-    prop2.add_argument("--l", type=float, default=None)
     prop2.add_argument("--jitter", type=float, default=0.25)
     prop2.add_argument("--seed", type=int, default=7)
     prop2.add_argument("--budget", type=int, default=1200)
@@ -235,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     rdiag = sub.add_parser("ratio-diag", help="transform ratio diagnostic table")
     rdiag.add_argument("--d", type=int, required=True)
     rdiag.add_argument("--k", type=int, required=True)
-    rdiag.add_argument("--gamma-target", type=int, default=None)
     rdiag.add_argument("--out", default=None)
     rdiag.set_defaults(func=_cmd_ratio_diag)
 

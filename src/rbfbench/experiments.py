@@ -43,6 +43,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_rate_experiment",
+    "family_kernel",
     "reproduction_defaults",
     "config_hash",
     "report_to_json",
@@ -75,16 +76,7 @@ class ExperimentConfig:
     grid_factor: float = 2.5         # evaluation grid spacing = q / grid_factor
 
     def __post_init__(self):
-        if self.family not in ("wendland", "sobolev"):
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "wendland" and self.k is None:
-            raise ValueError("wendland experiments need k")
-        if self.family == "sobolev" and self.gamma is None:
-            raise ValueError("sobolev experiments need gamma")
-        if self.family == "wendland" and self.gamma is not None:
-            raise ValueError("wendland experiments take k, not gamma")
-        if self.family == "sobolev" and self.k is not None:
-            raise ValueError("sobolev experiments take gamma, not k")
+        family_kernel(self.family, self.d, self.k, self.gamma)   # refuses bad orders
         if not 0 < self.ratio < 1:
             raise ValueError("schedule ratio must lie in (0, 1)")
         for name, low in (("levels", 1), ("seed", 0)):
@@ -113,11 +105,6 @@ class ExperimentConfig:
         if self.family == "sobolev" and self.d != 1:
             raise ValueError("sobolev experiments synthesize their test function "
                              f"in d = 1 only, got d={self.d}")
-
-    @property
-    def kernel_label(self) -> dict:
-        return {"family": self.family, "d": self.d,
-                "k_or_gamma": self.k if self.family == "wendland" else self.gamma}
 
     @property
     def theory_rate(self) -> float:
@@ -177,10 +164,26 @@ class ExperimentReport:
         }
 
 
-def _build_kernel(cfg: ExperimentConfig):
-    if cfg.family == "wendland":
-        return wendland_construct(cfg.d, cfg.k)
-    return sobolev_spline_construct(cfg.gamma, cfg.d)
+def family_kernel(family: str, d: int, k: int | None, gamma: int | None):
+    """(kernel, order) of a run, order k for Wendland and gamma for Sobolev splines.
+
+    Refuses an unknown family, a missing or cross-family order, and a d or
+    order that is not an integer (bool included) before building anything.
+    """
+    if family not in ("wendland", "sobolev"):
+        raise ValueError(f"unknown kernel family {family!r}")
+    wendland = family == "wendland"
+    own, other = ("k", "gamma") if wendland else ("gamma", "k")
+    order, rival = (k, gamma) if wendland else (gamma, k)
+    if order is None:
+        raise ValueError(f"{family} kernels need {own}")
+    if rival is not None:
+        raise ValueError(f"{family} kernels take {own}, not {other}")
+    for name, val in (("d", d), (own, order)):
+        if not isinstance(val, Integral) or isinstance(val, bool):
+            raise ValueError(f"{name} must be an integer, got {val!r}")
+    kernel = wendland_construct(d, k) if wendland else sobolev_spline_construct(gamma, d)
+    return kernel, order
 
 
 def reproduction_defaults(family: str, order: int) -> tuple[int, float]:
@@ -197,13 +200,12 @@ def reproduction_defaults(family: str, order: int) -> tuple[int, float]:
 
 def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
     """Run the level schedule and return one report per requested p."""
-    kernel = _build_kernel(cfg)
+    kernel, order = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
     domain = Box((0.0,) * cfg.d, (1.0,) * cfg.d)
     pad = cfg.pad if cfg.pad is not None else DEFAULT_PAD
     bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
     f = synth_test_function(kernel, bump).f if cfg.family == "sobolev" else bump
 
-    order = cfg.k if cfg.family == "wendland" else cfg.gamma
     degree, c3 = reproduction_defaults(cfg.family, order)
     level_rows: list[dict] = []
     errors: dict[float, list[tuple[float, float]]] = {p: [] for p in cfg.p_list}
@@ -235,6 +237,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
         level_rows.append(row)
 
     chash = config_hash(cfg)
+    label = {"family": cfg.family, "d": cfg.d, "k_or_gamma": order}
     reports = {}
     for p in cfg.p_list:
         fitted = residual = None
@@ -244,7 +247,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
                  "n_points": r["n_points"], "error": r[_p_key(p)],
                  "witness": r["witness"]} for r in level_rows]
         reports[_p_key(p)] = ExperimentReport(
-            cfg.kernel_label, p, rows, fitted, residual, cfg.theory_rate,
+            label, p, rows, fitted, residual, cfg.theory_rate,
             cfg.seed, chash)
     return reports
 

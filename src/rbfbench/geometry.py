@@ -17,6 +17,7 @@ that every t in a given cube sees the same star.  Every neighbour search
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from numbers import Integral
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
     "cube_center",
 ]
 
-MAX_CANDIDATES = 4_000_000   # largest candidate grid a fill distance estimate may build
+MAX_CANDIDATES = 4_000_000   # largest point lattice or candidate grid a point set may build
 
 
 def tensor_grid(axes) -> np.ndarray:
@@ -66,12 +67,19 @@ class Box:
 
     def candidate_grid(self, resolution: float) -> np.ndarray:
         """Uniform grid of spacing <= resolution covering the box."""
-        counts = [int(np.ceil(s / resolution)) + 1 for s in self.sides]
-        total = int(np.prod(counts))
-        if total > MAX_CANDIDATES:
-            raise ValueError(f"candidate grid would need {total} nodes; "
-                             "coarsen the resolution")
+        counts = self._candidate_counts(resolution)
         return tensor_grid([np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)])
+
+    def _candidate_counts(self, resolution: float) -> list[int]:
+        return _capped("candidate grid", [int(np.ceil(s / resolution)) + 1 for s in self.sides])
+
+
+def _capped(what: str, counts: list[int]) -> list[int]:
+    """The per-axis node counts of a grid, refused above MAX_CANDIDATES nodes."""
+    if prod(counts) > MAX_CANDIDATES:
+        raise ValueError(f"{what} would need {prod(counts)} nodes, above the cap of "
+                         f"{MAX_CANDIDATES}; coarsen the spacing")
+    return counts
 
 
 def cube_index(t: np.ndarray, side: float) -> tuple[int, ...]:
@@ -168,12 +176,14 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     box = domain.pad(pad) if pad > 0 else domain
-    pts = tensor_grid([np.linspace(a, b, max(1, round((b - a) / h_target)) + 1)
-                       for a, b in zip(box.lo, box.hi)])
+    counts = _capped("point lattice", [max(1, round((b - a) / h_target)) + 1
+                                       for a, b in zip(box.lo, box.hi)])
+    resolution = h_target / 32.0 if domain.dim < 3 else h_target / 8.0
+    domain._candidate_counts(resolution)        # refused before any array exists
+    pts = tensor_grid([np.linspace(a, b, n) for a, b, n in zip(box.lo, box.hi, counts)])
     if jitter > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
         pts = pts + rng.uniform(-jitter * h_target, jitter * h_target, size=pts.shape)
-    resolution = h_target / 32.0 if domain.dim < 3 else h_target / 8.0
     h = fill_distance(pts, domain, resolution)
     q = separation_radius(pts)
     return PointSet(pts, domain, h, resolution * np.sqrt(domain.dim), q)

@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import PointSet, cube_center, cube_index
+from .geometry import PointSet, cube_center, cube_index, tensor_grid
 from .kernels import PiecewisePolyRadial
 
 __all__ = [
@@ -106,6 +106,8 @@ class LocalPolyBuilder:
         self.c3 = float(c3)
         self.side = X.h
         self.exponents = monomial_exponents(X.dim, degree)
+        # Offsets of the cube corners, kept just inside the cube.
+        self._corners = self.side / 2.0 * 0.999 * tensor_grid([(-1.0, 1.0)] * X.dim)
         self._cubes: dict[tuple[int, ...], tuple] = {}
 
     def cube_map(self, idx: tuple[int, ...]):
@@ -127,9 +129,7 @@ class LocalPolyBuilder:
             V = np.linalg.pinv(M, rcond=SVD_CUTOFF)
             # Solvability and norm probe at the cube center and all cube
             # corners (the functional norm peaks towards the corners).
-            corners = anchor + self.side / 2.0 * 0.999 * np.array(
-                list(product((-1.0, 1.0), repeat=self.X.dim)))
-            probes = np.vstack([anchor[None, :], corners])
+            probes = np.vstack([anchor[None, :], anchor + self._corners])
             beta = _basis_matrix(probes, anchor, scale, self.exponents).T
             alpha = beta @ V.T                        # (n_probe, n_star)
             resid = np.abs(alpha @ M.T - beta).max()

@@ -73,6 +73,7 @@ SERIES_EXTRA = 48        # series terms kept past the leading power
 SWITCH_CANDIDATES = (0.6, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0,
                      8.0, 10.0, 12.0, 16.0)
 ORACLE_NODES = 20        # Gauss-Legendre nodes per panel of hankel_oracle
+ORACLE_GATE = 1e-5       # largest accepted relative transform residual against the oracle
 FT_TOL = 1e-8            # largest accepted error estimate of a measure_ft quadrature
 CONV_PANELS = 256        # panels of the fixed measure_convolve rule on the support
 CONV_NODES = 8           # Gauss-Legendre nodes per panel of that rule
@@ -250,7 +251,7 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     for r in np.geomspace(0.3, 5.0, 10):
         ref = hankel_oracle(kernel, d, float(r))
         residuals.append(abs(float(tf.hat(float(r))) - ref) / abs(ref))
-    if max(residuals) > 1e-5:
+    if max(residuals) > ORACLE_GATE:
         raise CalibrationError(
             f"amplitude validation failed for (d={d}, k={k}): "
             f"max relative residual {max(residuals):.3e}")
@@ -519,22 +520,22 @@ def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:
 # Diagnostics and reports
 # ----------------------------------------------------------------------------
 
-def ratio_diagnostic(d: int, k: int, gamma_target: int | None = None) -> dict:
+def ratio_diagnostic(d: int, k: int) -> dict:
     """Tabulate (1 + w^2)^(-gamma/2) / hat(Phi)_{d,k}(w) on a log grid.
 
     Exploratory only: emits the observed ratio with its min and max, no
-    pass/fail.  gamma_target defaults to d + 2k + 1, the order matching the
-    transform's decay.
+    pass/fail.  gamma = d + 2k + 1 is the order matching the transform's
+    decay.
     """
     if k < 1:
         raise ValueError("ratio diagnostic requires k >= 1")
-    gamma_t = d + 2 * k + 1 if gamma_target is None else gamma_target
+    gamma = d + 2 * k + 1
     omegas = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 121)])
     phat = np.asarray(wendland_hat(d, k, omegas))
-    ghat = (1.0 + omegas ** 2) ** (-gamma_t / 2.0)
+    ghat = (1.0 + omegas ** 2) ** (-gamma / 2.0)
     ratio = ghat / phat
     return {
-        "d": d, "k": k, "gamma": gamma_t,
+        "d": d, "k": k, "gamma": gamma,
         "omega": omegas, "ratio": ratio,
         "min": float(ratio.min()), "max": float(ratio.max()),
     }

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rbfbench import approx, experiments, geometry
+from rbfbench import approx, experiments, geometry, spectral
 from rbfbench.cli import main
 from rbfbench.experiments import (
     ExperimentConfig,
@@ -17,7 +17,7 @@ from rbfbench.experiments import (
     report_to_json,
     run_rate_experiment,
 )
-from rbfbench.kernels import SobolevSpline, sobolev_spline_construct
+from rbfbench.kernels import SobolevSpline, sobolev_spline_construct, wendland_construct
 
 from helpers import proportionality_factor, tabulated_poly
 
@@ -113,6 +113,29 @@ def test_config_validation():
         ExperimentConfig(family="wendland", d=1, k=1, pad=pad, bump_center=center)
 
 
+def test_family_kernel_builds_and_refuses():
+    family_kernel = experiments.family_kernel
+    assert family_kernel("wendland", 3, 2, None) == (wendland_construct(3, 2), 2)
+    assert family_kernel("sobolev", 1, None, 4) == (sobolev_spline_construct(4, 1), 4)
+    for args, message in [
+        (("gauss", 1, None, 2), "unknown kernel family 'gauss'"),
+        (("wendland", 1, None, None), "wendland kernels need k"),
+        (("sobolev", 1, None, None), "sobolev kernels need gamma"),
+        (("wendland", 1, 1, 4), "wendland kernels take k, not gamma"),
+        (("sobolev", 1, 3, 2), "sobolev kernels take gamma, not k"),
+        (("wendland", 1.5, 1, None), "d must be an integer, got 1.5"),
+        (("wendland", True, 1, None), "d must be an integer, got True"),
+        (("wendland", 1, 1.0, None), "k must be an integer, got 1.0"),
+        (("wendland", 1, True, None), "k must be an integer, got True"),
+        (("sobolev", 1, None, 2.0), "gamma must be an integer, got 2.0"),
+        (("sobolev", 1, None, "2"), "gamma must be an integer, got '2'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            family_kernel(*args)
+        assert str(exc.value) == message
+    assert family_kernel("wendland", np.int64(1), np.int64(1), None)[1] == 1
+
+
 def test_quasi_witness_is_evaluated_with_the_runs_own_kernel(monkeypatch):
     # The constructive coefficients are coefficients of the run's kernel
     # G(. - xi), so the witness is evaluated with G itself, as for "ls".
@@ -179,6 +202,18 @@ def test_cli_spectral_check_odd_d5(tmp_path):
     assert max(data["validation_residuals"]) < 1e-5
 
 
+def test_cli_spectral_check_exits_1_on_failed_validation(capsys, monkeypatch):
+    oracle = spectral.hankel_oracle
+    monkeypatch.setattr(spectral, "hankel_oracle", lambda K, d, r: 2.0 * oracle(K, d, r))
+    spectral.wendland_transform.cache_clear()
+    try:
+        assert main(["spectral", "check", "--d", "3", "--k", "1"]) == 1
+    finally:
+        spectral.wendland_transform.cache_clear()
+    assert ("amplitude validation failed for (d=3, k=1): max relative residual "
+            "5.000e-01") in capsys.readouterr().err
+
+
 def test_cli_measure_check(tmp_path):
     out = tmp_path / "measure.json"
     assert main(["measure", "check", "--k", "1", "--out", str(out)]) == 0
@@ -214,17 +249,46 @@ def test_cli_property2_refuses_budget_below_8_per_stratum(budget, capsys):
     assert f"sample budget {budget} is below 8 samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["--kernel", "wendland", "--d", "1", "--k", "1", "--gamma", "7"],
-    ["--kernel", "sobolev", "--d", "1", "--gamma", "4", "--k", "3"],
+@pytest.mark.parametrize("argv,message", [
+    (["--kernel", "wendland", "--d", "1", "--k", "1", "--gamma", "7"],
+     "wendland kernels take k, not gamma"),
+    (["--kernel", "sobolev", "--d", "1", "--gamma", "4", "--k", "3"],
+     "sobolev kernels take gamma, not k"),
 ], ids=["wendland_with_gamma", "sobolev_with_k"])
-def test_cli_property2_refuses_other_familys_order(argv, capsys, monkeypatch):
+def test_cli_property2_refuses_other_familys_order(argv, message, capsys, monkeypatch):
     def no_points(*args, **kwargs):
         raise AssertionError("a point set was built for a refused config")
 
     monkeypatch.setattr(geometry, "make_quasi_uniform", no_points)
     assert main(["property2", *argv]) == 2
-    assert "takes no --" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"rbfbench: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["property2", "--kernel", "wendland", "--d", "2", "--k", "1", "--h", "0.0005"],
+    ["rates", "--kernel", "wendland", "--d", "2", "--k", "1", "--h0", "0.0005",
+     "--levels", "1"],
+], ids=["property2", "rates"])
+def test_cli_refuses_oversize_point_set_before_building_it(argv, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built for a refused point set")
+
+    monkeypatch.setattr(geometry, "tensor_grid", no_grid)
+    assert main(argv) == 2
+    assert ("point lattice would need 100020001 nodes, above the cap of 4000000"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["property2", "--kernel", "wendland", "--d", "1", "--k", "1", "--kappa", "2"],
+    ["property2", "--kernel", "wendland", "--d", "1", "--k", "1", "--l", "2"],
+    ["ratio-diag", "--d", "3", "--k", "1", "--gamma-target", "6"],
+], ids=["property2_kappa", "property2_l", "ratio_diag_gamma_target"])
+def test_cli_has_no_envelope_or_target_overrides(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_ratio_diag(tmp_path):
@@ -284,6 +348,7 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
     ("bump_width", -0.2), ("bump_width", 0), ("grid_factor", 0), ("levels", 2.5),
     ("pad", -1), ("bump_center", 5), ("bump_center", -0.5), ("k", 3),
     ("c3", 16), ("c2_cap", 1.5), ("rho_max", 4), ("seed", None),
+    ("d", 1.5), ("gamma", 2.0), ("gamma", True),
 ])
 def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
                                                          monkeypatch):
@@ -295,6 +360,20 @@ def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, 
     cfg_file.write_text(json.dumps({"family": "sobolev", "d": 1, "gamma": 2, field: value}))
     assert main(["rates", "--config", str(cfg_file)]) == 2
     assert "rates: bad configuration:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("d", 1.5), ("k", 1.5), ("k", True)])
+def test_cli_rates_refuses_non_integer_wendland_order(field, value, tmp_path, capsys,
+                                                      monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built for a refused config")
+
+    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "wendland", "d": 1, "k": 1, field: value}))
+    assert main(["rates", "--config", str(cfg_file)]) == 2
+    assert (capsys.readouterr().err ==
+            f"rates: bad configuration: {field} must be an integer, got {value!r}\n")
 
 
 def test_cli_byte_identical_across_processes(tmp_path):

@@ -1,10 +1,13 @@
 """Point-set generation, density functionals, and the cube partition."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
+from rbfbench import geometry
 from rbfbench.geometry import (
     Box,
     PointSet,
@@ -126,6 +129,27 @@ def test_cube_assignment_half_open():
     assert cube_index(np.array([boundary - 1e-12]), side) == (0,)
 
 
+
+
+def test_tensor_grid_rows_follow_product_order():
+    for d in range(1, 5):
+        rows = [list(corner) for corner in product((-1.0, 1.0), repeat=d)]
+        assert tensor_grid([(-1.0, 1.0)] * d).tolist() == rows
+
+
+@pytest.mark.parametrize("cap,message", [
+    (5, "point lattice would need 9 nodes"),
+    (100, "candidate grid would need 257 nodes"),
+], ids=["lattice", "candidate_grid"])
+def test_oversize_grids_refused_before_any_array(cap, message, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built for a refused point set")
+
+    monkeypatch.setattr(geometry, "MAX_CANDIDATES", cap)
+    monkeypatch.setattr(geometry, "tensor_grid", no_grid)
+    # h = 1/8 on [0, 1]: 9 lattice nodes, and 257 candidates at resolution h/32.
+    with pytest.raises(ValueError, match=f"{message}, above the cap of {cap}"):
+        make_quasi_uniform(UNIT_1D, 1 / 8, jitter=0.25, seed=1)
 
 
 def test_generator_guards():

@@ -35,6 +35,7 @@ COMMANDS = (
     ("measure check --k 3", None),
     ("measure check --k 5", None),
     ("ratio-diag --d 3 --k 2", None),
+    ("ratio-diag --d 5 --k 1", None),
     ("property2 --kernel wendland --d 2 --k 1 --h 0.125 --csv w.csv", "w.csv"),
     ("property2 --kernel sobolev --d 1 --gamma 4 --h 0.0625 --csv s.csv", "s.csv"),
     ("property2 --kernel sobolev --d 2 --gamma 4 --h 0.125 --csv s2.csv", "s2.csv"),
@@ -44,9 +45,11 @@ COMMANDS = (
     ("rates --kernel sobolev --gamma 4 --d 1 --witness quasi --p 1 2 inf --levels 5 --seed 7",
      None),
     ("rates --kernel wendland --k 1 --d 2 --p 2 inf --levels 2 --h0 0.25 --seed 0", None),
-    # Refused with exit 2: a cross-family order parameter, a sample budget
-    # below 8 per stratum, and a frequency grid of fewer than 2 points.
+    # Refused with exit 2: a cross-family order parameter (rates and
+    # property2), a sample budget below 8 per stratum, and a frequency grid
+    # of fewer than 2 points.
     ("rates --kernel wendland --d 1 --k 1 --gamma 4 --levels 2 --h0 0.25", None),
+    ("property2 --kernel wendland --d 1 --k 1 --gamma 4", None),
     ("property2 --kernel wendland --d 1 --k 1 --budget 0", None),
     ("measure check --k 2 --grid 1", None),
 )
