@@ -2,7 +2,7 @@
 
 Polynomials are tuples of ``fractions.Fraction`` coefficients in ascending
 powers.  Everything here is exact; floating point only enters when a caller
-converts coefficients at the end.  ``GaussianRational`` only holds the exact
+converts coefficients at the end and hands them to poly_eval.  ``GaussianRational`` only holds the exact
 real and imaginary parts of a partial-fraction coefficient; it does no
 arithmetic.
 """
@@ -48,7 +48,11 @@ def poly_mul(p: RatPoly, q: RatPoly) -> RatPoly:
 
 
 def poly_eval(p: RatPoly, x):
-    """Horner evaluation; exact if x is a Fraction."""
+    """Horner evaluation, exact for Fraction p and x.
+
+    Also the float evaluator: p a tuple of floats and x an array.  A
+    one-coefficient p returns that coefficient, for the caller to broadcast.
+    """
     acc = p[-1]
     for c in reversed(p[:-1]):
         acc = acc * x + c

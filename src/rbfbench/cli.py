@@ -82,19 +82,16 @@ def _cmd_measure_check(args) -> int:
 
 
 def _cmd_property2(args) -> int:
-    from .experiments import DEFAULT_PAD, family_kernel, reproduction_defaults
+    from .experiments import DEFAULT_JITTER, DEFAULT_PAD, family_kernel
     from .geometry import Box, make_quasi_uniform
     from .polyrep import property2_scan
 
     d = args.d
-    Phi, order = family_kernel(args.kernel, d, args.k, args.gamma)
-    # Envelope h^(kappa - d) (1 + |x - t|/h)^(-l), kappa = 2k or gamma - d, l = d + 1.
-    kappa = 2.0 * order if args.kernel == "wendland" else float(order - d)
-    degree, c3 = reproduction_defaults(args.kernel, order)
-    X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), args.h, jitter=args.jitter,
+    fam = family_kernel(args.kernel, d, args.k, args.gamma)
+    X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), args.h, jitter=DEFAULT_JITTER,
                            seed=args.seed, pad=DEFAULT_PAD)
-    scan = property2_scan(Phi, X, kappa, d + 1, args.budget, degree=degree,
-                          c3=c3, seed=args.seed)
+    scan = property2_scan(fam.kernel, X, fam.kappa, fam.ell, args.budget,
+                          degree=fam.degree, c3=fam.c3, seed=args.seed)
     if args.csv:
         import csv as _csv
         with open(args.csv, "w", newline="") as fh:
@@ -114,22 +111,19 @@ def _cmd_rates(args) -> int:
     from .experiments import (ExperimentConfig, report_to_csv, report_to_json,
                               run_rate_experiment)
 
-    base = {}
-    if args.config:
-        base = json.loads(Path(args.config).read_text())
     overrides = {
         "family": args.kernel, "d": args.d, "k": args.k, "gamma": args.gamma,
-        "levels": args.levels, "h0": args.h0, "jitter": args.jitter,
-        "seed": args.seed, "witness": args.witness,
+        "levels": args.levels, "h0": args.h0, "seed": args.seed,
+        "witness": args.witness, "p_list": args.p,
     }
-    if args.p:
-        overrides["p_list"] = args.p
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
     try:
+        base = json.loads(Path(args.config).read_text()) if args.config else {}
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config} must hold a JSON object, "
+                             f"got {type(base).__name__}")
+        base.update((key, val) for key, val in overrides.items() if val is not None)
         cfg = ExperimentConfig.from_dict(base)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"rates: bad configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     reports = run_rate_experiment(cfg)
@@ -193,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     prop2.add_argument("--gamma", type=int, default=None)
     prop2.add_argument("--h", type=float, default=1.0 / 32.0,
                        help="lattice spacing of the sampled point set")
-    prop2.add_argument("--jitter", type=float, default=0.25)
     prop2.add_argument("--seed", type=int, default=7)
     prop2.add_argument("--budget", type=int, default=1200)
     prop2.add_argument("--csv", default=None)
@@ -209,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one or more of: 1 2 inf ...")
     rates.add_argument("--levels", type=int, default=None)
     rates.add_argument("--h0", type=float, default=None)
-    rates.add_argument("--jitter", type=float, default=None)
     rates.add_argument("--seed", type=int, default=None)
     rates.add_argument("--witness", choices=["ls", "quasi"], default=None)
     rates.add_argument("--config", default=None, help="JSON config file; flags override")

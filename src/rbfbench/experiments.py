@@ -6,7 +6,7 @@ boundary effects stay out of the interior error norms), fits a
 least-squares witness in the kernel translate space, measures L^p errors
 on the interior region, and fits the log-log slope against the measured
 fill distance.  Star parameters are derived, not configured
-(reproduction_defaults, polyrep.C2_CAP, RHO_MAX).  Each level holds one
+(family_kernel, polyrep.C2_CAP, RHO_MAX).  Each level holds one
 dense collocation matrix at a time, about 8 rows cols bytes: the
 least-squares solve overwrites it in place, and either witness is
 evaluated on the grid by evaluate_combination once it is released.  A
@@ -43,8 +43,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_rate_experiment",
+    "FamilyKernel",
     "family_kernel",
-    "reproduction_defaults",
     "config_hash",
     "report_to_json",
     "report_to_csv",
@@ -53,6 +53,7 @@ __all__ = [
 RATE_TOLERANCE = 0.4   # fitted slope must reach theory_rate - RATE_TOLERANCE
 RHO_MAX = 4.0          # bound on the mesh ratio of each level's point set
 DEFAULT_PAD = 2.0      # point-set padding beyond the evaluation region
+DEFAULT_JITTER = 0.25  # lattice jitter of rate runs and Property-2 scans
 
 
 @dataclass
@@ -67,7 +68,7 @@ class ExperimentConfig:
     levels: int = 5
     h0: float = 1.0 / 8.0            # coarsest lattice spacing
     ratio: float = 0.5               # geometric schedule factor (< 1)
-    jitter: float = 0.25
+    jitter: float = DEFAULT_JITTER
     seed: int = 7
     pad: float | None = None         # point-set padding (None: DEFAULT_PAD)
     bump_center: float = 0.5
@@ -106,12 +107,6 @@ class ExperimentConfig:
             raise ValueError("sobolev experiments synthesize their test function "
                              f"in d = 1 only, got d={self.d}")
 
-    @property
-    def theory_rate(self) -> float:
-        if self.family == "wendland":
-            return 2.0 * self.k
-        return float(self.gamma if self.d % 2 == 1 else self.gamma - 1)
-
     def spacings(self) -> list[float]:
         return [self.h0 * self.ratio ** i for i in range(self.levels)]
 
@@ -124,6 +119,8 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         data = dict(data)
         if "p_list" in data:
+            if not isinstance(data["p_list"], (list, tuple)):
+                raise ValueError(f"p_list must be a list, got {data['p_list']!r}")
             data["p_list"] = tuple(float(p) for p in data["p_list"])
         return ExperimentConfig(**data)
 
@@ -164,11 +161,26 @@ class ExperimentReport:
         }
 
 
-def family_kernel(family: str, d: int, k: int | None, gamma: int | None):
-    """(kernel, order) of a run, order k for Wendland and gamma for Sobolev splines.
+@dataclass(frozen=True)
+class FamilyKernel:
+    """The kernel of a run and every value its family and order fix."""
 
-    Refuses an unknown family, a missing or cross-family order, and a d or
-    order that is not an integer (bool included) before building anything.
+    kernel: object
+    order: int           # k for Wendland, gamma for Sobolev splines
+    theory_rate: float   # 2k; gamma in odd d, gamma - 1 in even d
+    kappa: float         # Property-2 envelope h^(kappa - d) (1 + |x - t|/h)^(-ell):
+    ell: int             # kappa = 2k or gamma - d, ell = d + 1
+    degree: int          # local reproduction degree: max(1, 2k - 1) or gamma
+    c3: float            # star radius factor 2 (degree + 1) RHO_MAX
+
+
+def family_kernel(family: str, d: int, k: int | None, gamma: int | None) -> FamilyKernel:
+    """The FamilyKernel of a family and its order (k or gamma) in dimension d.
+
+    The Wendland reproduction degree max(1, 2k - 1) comes from the
+    comparison order 2k of the local Taylor argument.  Refuses an unknown
+    family, a missing or cross-family order, and a d or order that is not
+    an integer (bool included) before building anything.
     """
     if family not in ("wendland", "sobolev"):
         raise ValueError(f"unknown kernel family {family!r}")
@@ -182,31 +194,25 @@ def family_kernel(family: str, d: int, k: int | None, gamma: int | None):
     for name, val in (("d", d), (own, order)):
         if not isinstance(val, Integral) or isinstance(val, bool):
             raise ValueError(f"{name} must be an integer, got {val!r}")
-    kernel = wendland_construct(d, k) if wendland else sobolev_spline_construct(gamma, d)
-    return kernel, order
-
-
-def reproduction_defaults(family: str, order: int) -> tuple[int, float]:
-    """Local reproduction degree and star radius factor c3.
-
-    order is k for the Wendland family and gamma for Sobolev splines.  The
-    degree is max(1, 2k - 1) for Wendland, from the comparison order 2k of
-    the local Taylor argument, and gamma for Sobolev splines; the star
-    radius factor is c3 = 2 (degree + 1) RHO_MAX.
-    """
-    degree = max(1, 2 * order - 1) if family == "wendland" else order
-    return degree, 2.0 * (degree + 1) * RHO_MAX
+    if wendland:
+        kernel, degree = wendland_construct(d, k), max(1, 2 * k - 1)
+        rate = kappa = 2.0 * k
+    else:
+        kernel, degree = sobolev_spline_construct(gamma, d), gamma
+        rate, kappa = float(gamma if d % 2 == 1 else gamma - 1), float(gamma - d)
+    return FamilyKernel(kernel, order, rate, kappa, d + 1, degree,
+                        2.0 * (degree + 1) * RHO_MAX)
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
     """Run the level schedule and return one report per requested p."""
-    kernel, order = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
+    fam = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
+    kernel = fam.kernel
     domain = Box((0.0,) * cfg.d, (1.0,) * cfg.d)
     pad = cfg.pad if cfg.pad is not None else DEFAULT_PAD
     bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
     f = synth_test_function(kernel, bump).f if cfg.family == "sobolev" else bump
 
-    degree, c3 = reproduction_defaults(cfg.family, order)
     level_rows: list[dict] = []
     errors: dict[float, list[tuple[float, float]]] = {p: [] for p in cfg.p_list}
     f_scale = 0.0
@@ -224,7 +230,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
         f_scale = max(f_scale, float(np.abs(f_vals).max()))
         if cfg.witness == "quasi":
-            coeffs = quasi_interpolant(bump, X, degree, c3)
+            coeffs = quasi_interpolant(bump, X, fam.degree, fam.c3)
         else:
             coeffs, _ = ls_witness(f_vals, grid, kernel, X)
         s_vals = evaluate_combination(coeffs, X, kernel, grid)
@@ -237,7 +243,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
         level_rows.append(row)
 
     chash = config_hash(cfg)
-    label = {"family": cfg.family, "d": cfg.d, "k_or_gamma": order}
+    label = {"family": cfg.family, "d": cfg.d, "k_or_gamma": fam.order}
     reports = {}
     for p in cfg.p_list:
         fitted = residual = None
@@ -247,7 +253,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
                  "n_points": r["n_points"], "error": r[_p_key(p)],
                  "witness": r["witness"]} for r in level_rows]
         reports[_p_key(p)] = ExperimentReport(
-            label, p, rows, fitted, residual, cfg.theory_rate,
+            label, p, rows, fitted, residual, fam.theory_rate,
             cfg.seed, chash)
     return reports
 

@@ -60,13 +60,6 @@ class SmoothnessError(ValueError):
     """Requested derivative order exceeds the kernel's smoothness."""
 
 
-def _float_horner(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    acc = np.full_like(r, coeffs[-1], dtype=float)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * r + c
-    return acc
-
-
 @dataclass(frozen=True)
 class PiecewisePolyRadial:
     """Compactly supported radial kernel, polynomial in r on [0, 1].
@@ -96,7 +89,7 @@ class PiecewisePolyRadial:
     def profile(self, r) -> np.ndarray:
         """Kernel value at radius r (vectorized); zero for r >= 1."""
         r = np.asarray(r, dtype=float)
-        vals = _float_horner(self._fcoeffs, r)
+        vals = poly_eval(self._fcoeffs, r)
         return np.where(r < 1.0, vals, 0.0)
 
     def radial_series(self, order: int) -> RatPoly:
@@ -195,7 +188,7 @@ class SobolevSpline:
     def profile(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.poly is not None:
-            return self.prefactor * np.exp(-r) * _float_horner(self._fpoly, r)
+            return self.prefactor * np.exp(-r) * poly_eval(self._fpoly, r)
         return self.profile_bessel(r)
 
     def profile_bessel(self, r) -> np.ndarray:

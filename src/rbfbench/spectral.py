@@ -46,7 +46,7 @@ from ._exact import (
     poly_trim,
 )
 from ._quad import gl_panel_quad, panel_nodes
-from .kernels import PiecewisePolyRadial, _float_horner, wendland_construct
+from .kernels import PiecewisePolyRadial, wendland_construct
 
 __all__ = [
     "PartialFractionTable",
@@ -166,9 +166,9 @@ def f_m_eval(m: int, r) -> np.ndarray | float:
     """Evaluate f_m at r >= 0 (vectorized).  Always real."""
     P, Q, S = _trig_form(m)
     r_arr = np.asarray(r, dtype=float)
-    out = (_float_horner(P, r_arr)
-           + _float_horner(Q, r_arr) * np.cos(r_arr)
-           + _float_horner(S, r_arr) * np.sin(r_arr))
+    out = (poly_eval(P, r_arr)
+           + poly_eval(Q, r_arr) * np.cos(r_arr)
+           + poly_eval(S, r_arr) * np.sin(r_arr))
     return out if isinstance(r, np.ndarray) else float(out)
 
 
@@ -209,7 +209,7 @@ class _WendlandTransform:
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr < 0):
             raise ValueError("radius must be non-negative")
-        small = _float_horner(self.series, r_arr)
+        small = poly_eval(self.series, r_arr)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             direct = f_m_eval(self.m, r_arr) * np.power(
                 np.maximum(r_arr, 1e-300), -(3 * self.m + 2))
@@ -233,7 +233,7 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     # Direct evaluation of f_m cancels down to scale r^(3m+2); hand radii to
     # the series path until direct evaluation agrees with it to 1e-10.
     for switch in SWITCH_CANDIDATES:
-        s_val = float(_float_horner(reduced, np.asarray(switch)))
+        s_val = float(poly_eval(reduced, np.asarray(switch)))
         d_val = float(f_m_eval(m, switch)) * switch ** (-lead)
         if abs(d_val - s_val) <= 1e-10 * abs(s_val):
             break
@@ -400,7 +400,7 @@ class FiniteMeasure:
     def density(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
-        vals = _float_horner(tuple(float(c) for c in self.density_poly), a)
+        vals = poly_eval(tuple(float(c) for c in self.density_poly), a)
         return np.where(a <= self.support_radius, vals, 0.0)
 
     def discrete_ft(self, omega) -> np.ndarray | float:

@@ -115,8 +115,14 @@ def test_config_validation():
 
 def test_family_kernel_builds_and_refuses():
     family_kernel = experiments.family_kernel
-    assert family_kernel("wendland", 3, 2, None) == (wendland_construct(3, 2), 2)
-    assert family_kernel("sobolev", 1, None, 4) == (sobolev_spline_construct(4, 1), 4)
+    assert family_kernel("wendland", 3, 2, None) == experiments.FamilyKernel(
+        wendland_construct(3, 2), order=2, theory_rate=4.0, kappa=4.0, ell=4, degree=3,
+        c3=32.0)
+    assert family_kernel("sobolev", 1, None, 4) == experiments.FamilyKernel(
+        sobolev_spline_construct(4, 1), order=4, theory_rate=4.0, kappa=3.0, ell=2,
+        degree=4, c3=40.0)
+    assert family_kernel("sobolev", 2, None, 4).theory_rate == 3.0
+    assert family_kernel("wendland", 1, 1, None).degree == 1
     for args, message in [
         (("gauss", 1, None, 2), "unknown kernel family 'gauss'"),
         (("wendland", 1, None, None), "wendland kernels need k"),
@@ -133,7 +139,7 @@ def test_family_kernel_builds_and_refuses():
         with pytest.raises(ValueError) as exc:
             family_kernel(*args)
         assert str(exc.value) == message
-    assert family_kernel("wendland", np.int64(1), np.int64(1), None)[1] == 1
+    assert family_kernel("wendland", np.int64(1), np.int64(1), None).order == 1
 
 
 def test_quasi_witness_is_evaluated_with_the_runs_own_kernel(monkeypatch):
@@ -283,7 +289,10 @@ def test_cli_refuses_oversize_point_set_before_building_it(argv, capsys, monkeyp
     ["property2", "--kernel", "wendland", "--d", "1", "--k", "1", "--kappa", "2"],
     ["property2", "--kernel", "wendland", "--d", "1", "--k", "1", "--l", "2"],
     ["ratio-diag", "--d", "3", "--k", "1", "--gamma-target", "6"],
-], ids=["property2_kappa", "property2_l", "ratio_diag_gamma_target"])
+    ["property2", "--kernel", "wendland", "--d", "1", "--k", "1", "--jitter", "0.1"],
+    ["rates", "--kernel", "wendland", "--d", "1", "--k", "1", "--jitter", "0.1"],
+], ids=["property2_kappa", "property2_l", "ratio_diag_gamma_target", "property2_jitter",
+        "rates_jitter"])
 def test_cli_has_no_envelope_or_target_overrides(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -348,7 +357,7 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
     ("bump_width", -0.2), ("bump_width", 0), ("grid_factor", 0), ("levels", 2.5),
     ("pad", -1), ("bump_center", 5), ("bump_center", -0.5), ("k", 3),
     ("c3", 16), ("c2_cap", 1.5), ("rho_max", 4), ("seed", None),
-    ("d", 1.5), ("gamma", 2.0), ("gamma", True),
+    ("d", 1.5), ("gamma", 2.0), ("gamma", True), ("p_list", "12"), ("p_list", "inf"),
 ])
 def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
                                                          monkeypatch):
@@ -360,6 +369,23 @@ def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, 
     cfg_file.write_text(json.dumps({"family": "sobolev", "d": 1, "gamma": 2, field: value}))
     assert main(["rates", "--config", str(cfg_file)]) == 2
     assert "rates: bad configuration:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("missing.json", None, "No such file or directory"),
+    ("a_directory", None, "Is a directory"),
+    ("list.json", "[1, 2]", "must hold a JSON object, got list"),
+    ("broken.json", "{", "Expecting property name"),
+])
+def test_cli_rates_unreadable_config_exits_2(name, text, message, tmp_path, capsys):
+    path = tmp_path / name
+    if name == "a_directory":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    assert main(["rates", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rates: bad configuration: ") and message in err
 
 
 @pytest.mark.parametrize("field,value", [("d", 1.5), ("k", 1.5), ("k", True)])

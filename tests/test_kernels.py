@@ -86,6 +86,8 @@ def test_sobolev_proportional_to_exponential():
     xs = np.array([0.5, 1.0, 2.0])
     ratio = G2.profile(xs) / np.exp(-xs)
     assert np.allclose(ratio, np.sqrt(np.pi / 2.0), rtol=1e-14)
+    # Its polynomial is the one coefficient (1.0,); values keep the radii's shape.
+    assert G2.profile(xs.reshape(3, 1)).shape == (3, 1)
 
 
 def test_sobolev_nu_half_closed_form():

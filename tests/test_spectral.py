@@ -117,6 +117,11 @@ def test_f_m_known_closed_form():
     rs = np.linspace(0.0, 20.0, 41)
     expected = rs + rs / 2 * np.cos(rs) - 1.5 * np.sin(rs)
     assert np.allclose(f_m_eval(1, rs), expected, atol=1e-14)
+    # m = 0: every polynomial of the trigonometric form is one coefficient,
+    # f(r) = 1 - cos r, and the value still takes the shape of the radii.
+    grid = rs.reshape(1, 41)
+    assert f_m_eval(0, grid).shape == (1, 41)
+    assert np.allclose(f_m_eval(0, grid), 1.0 - np.cos(grid), atol=1e-15)
 
 
 # ----------------------------------------------------------------------------
