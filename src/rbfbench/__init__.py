@@ -23,7 +23,13 @@ _EXPORTS = {
         "quasi_interpolant",
         "synth_test_function",
     ),
-    "experiments": ("ExperimentConfig", "ExperimentReport", "run_rate_experiment"),
+    "experiments": (
+        "ExperimentConfig",
+        "ExperimentReport",
+        "Level",
+        "rate_levels",
+        "run_rate_experiment",
+    ),
     "geometry": (
         "Box",
         "PointSet",

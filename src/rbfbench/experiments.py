@@ -1,18 +1,21 @@
 """Configuration-driven convergence-rate experiments with JSON/CSV reports.
 
-A rate experiment runs a geometric schedule of lattice spacings, builds a
-quasi-uniform set per level (padded beyond the evaluation region so
-boundary effects stay out of the interior error norms), fits a
-least-squares witness in the kernel translate space, measures L^p errors
-on the interior region, and fits the log-log slope against the measured
-fill distance.  Star parameters are derived, not configured
-(family_kernel, polyrep.C2_CAP, RHO_MAX).  Each level holds one
-dense collocation matrix at a time, about 8 rows cols bytes: the
-least-squares solve overwrites it in place, and either witness is
-evaluated on the grid by evaluate_combination once it is released.  A
-level whose matrix does not fit in the available memory is refused with
-a ValueError before it is allocated.  Reports are deterministic for a
-fixed config: the config hash is embedded and no timestamps are written.
+A rate experiment runs a geometric schedule of lattice spacings.
+rate_levels yields one frozen Level per spacing, coarsest first: a
+quasi-uniform set (padded beyond the evaluation region so boundary
+effects stay out of the interior error norms), the evaluation grid and
+its weights, the test function there, and the witness coefficients in
+the kernel translate space.  run_rate_experiment folds the levels: it
+measures L^p errors on the interior region and fits the log-log slope
+against the measured fill distance.  Star parameters are derived, not
+configured (family_kernel, polyrep.C2_CAP, RHO_MAX).  Each level holds
+one dense collocation matrix at a time, about 8 rows cols bytes, and a
+Level holds none: the least-squares solve overwrites it in place, and
+either witness is evaluated on the grid by evaluate_combination once it
+is released.  A level whose matrix does not fit in the available memory
+is refused with a ValueError before it is allocated.  Reports are
+deterministic for a fixed config, BLAS build and thread count: the
+config hash is embedded and no timestamps are written.
 """
 
 from __future__ import annotations
@@ -36,12 +39,14 @@ from .approx import (
     quasi_interpolant,
     synth_test_function,
 )
-from .geometry import Box, make_quasi_uniform, tensor_grid
+from .geometry import MAX_JITTER, Box, PointSet, make_quasi_uniform, tensor_grid
 from .kernels import sobolev_spline_construct, wendland_construct
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
+    "Level",
+    "rate_levels",
     "run_rate_experiment",
     "FamilyKernel",
     "family_kernel",
@@ -92,6 +97,8 @@ class ExperimentConfig:
                                  f"got {getattr(self, name)}")
         if self.pad is not None and not 0 <= self.pad < np.inf:
             raise ValueError(f"pad must be non-negative and finite, got {self.pad}")
+        if not 0 <= self.jitter <= MAX_JITTER:
+            raise ValueError(f"jitter must lie in [0, {MAX_JITTER}], got {self.jitter}")
         if not 0 <= self.bump_center <= 1:
             raise ValueError("bump_center must lie in the evaluation region [0, 1], "
                              f"got {self.bump_center}")
@@ -106,9 +113,6 @@ class ExperimentConfig:
         if self.family == "sobolev" and self.d != 1:
             raise ValueError("sobolev experiments synthesize their test function "
                              f"in d = 1 only, got d={self.d}")
-
-    def spacings(self) -> list[float]:
-        return [self.h0 * self.ratio ** i for i in range(self.levels)]
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -149,16 +153,9 @@ class ExperimentReport:
         return self.fitted_rate >= self.theory_rate - RATE_TOLERANCE
 
     def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "p": "inf" if np.isinf(self.p) else self.p,
-            "levels": self.levels,
-            "fitted_rate": self.fitted_rate,
-            "fit_residual": self.fit_residual,
-            "theory_rate": self.theory_rate,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
+        out = asdict(self)
+        out["p"] = "inf" if np.isinf(self.p) else self.p
+        return out
 
 
 @dataclass(frozen=True)
@@ -204,21 +201,27 @@ def family_kernel(family: str, d: int, k: int | None, gamma: int | None) -> Fami
                         2.0 * (degree + 1) * RHO_MAX)
 
 
-def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
-    """Run the level schedule and return one report per requested p."""
-    fam = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
-    kernel = fam.kernel
+@dataclass(frozen=True, eq=False)
+class Level:
+    """One level of a rate run: every input of its errors, no matrix."""
+
+    X: PointSet
+    grid: np.ndarray       # evaluation points, shape (n, d)
+    weights: np.ndarray    # trapezoid weights of the grid
+    f_vals: np.ndarray     # test function on the grid
+    coeffs: np.ndarray     # witness coefficients over the translates of X
+    rank: int | None       # rank of the ls_witness solve; None for quasi
+
+
+def rate_levels(cfg: ExperimentConfig, fam: FamilyKernel):
+    """Yield one Level per spacing h0 ratio^i of cfg, coarsest first."""
     domain = Box((0.0,) * cfg.d, (1.0,) * cfg.d)
     pad = cfg.pad if cfg.pad is not None else DEFAULT_PAD
     bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
-    f = synth_test_function(kernel, bump).f if cfg.family == "sobolev" else bump
-
-    level_rows: list[dict] = []
-    errors: dict[float, list[tuple[float, float]]] = {p: [] for p in cfg.p_list}
-    f_scale = 0.0
-    for spacing in cfg.spacings():
-        X = make_quasi_uniform(domain, spacing, jitter=cfg.jitter, seed=cfg.seed,
-                               pad=pad)
+    f = synth_test_function(fam.kernel, bump).f if cfg.family == "sobolev" else bump
+    for i in range(cfg.levels):
+        X = make_quasi_uniform(domain, cfg.h0 * cfg.ratio ** i, jitter=cfg.jitter,
+                               seed=cfg.seed, pad=pad)
         if X.rho > RHO_MAX:
             raise RuntimeError(f"mesh ratio {X.rho:.3f} exceeds RHO_MAX={RHO_MAX}")
         grid_spacing = X.q / cfg.grid_factor
@@ -228,38 +231,38 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
         weights = tensor_grid([trapezoid_weights(n, ax[1] - ax[0])
                                for n, ax in zip(counts, axes)]).prod(axis=1)
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
-        f_scale = max(f_scale, float(np.abs(f_vals).max()))
         if cfg.witness == "quasi":
-            coeffs = quasi_interpolant(bump, X, fam.degree, fam.c3)
+            coeffs, rank = quasi_interpolant(bump, X, fam.degree, fam.c3), None
         else:
-            coeffs, _ = ls_witness(f_vals, grid, kernel, X)
-        s_vals = evaluate_combination(coeffs, X, kernel, grid)
-        row = {"h": X.h, "q": X.q, "rho": X.rho, "n_points": X.n,
-               "witness": cfg.witness}
-        for p in cfg.p_list:
-            err = lp_error(f_vals, s_vals, p, None if np.isinf(p) else weights)
-            errors[p].append((X.h, err))
-            row[_p_key(p)] = err
-        level_rows.append(row)
+            coeffs, rank = ls_witness(f_vals, grid, fam.kernel, X)
+        yield Level(X, grid, weights, f_vals, coeffs, rank)
+
+
+def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
+    """Fold the levels of rate_levels into one report per requested p."""
+    fam = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
+    rows, errors, f_scale = [], [], 0.0
+    for lv in rate_levels(cfg, fam):
+        f_scale = max(f_scale, float(np.abs(lv.f_vals).max()))
+        s_vals = evaluate_combination(lv.coeffs, lv.X, fam.kernel, lv.grid)
+        rows.append({"h": lv.X.h, "q": lv.X.q, "rho": lv.X.rho, "n_points": lv.X.n})
+        errors.append({p: lp_error(lv.f_vals, s_vals, p,
+                                   None if np.isinf(p) else lv.weights)
+                       for p in cfg.p_list})
 
     chash = config_hash(cfg)
     label = {"family": cfg.family, "d": cfg.d, "k_or_gamma": fam.order}
     reports = {}
     for p in cfg.p_list:
+        levels = [{**row, "error": err[p], "witness": cfg.witness}
+                  for row, err in zip(rows, errors)]
         fitted = residual = None
-        if len(errors[p]) >= 4:
-            fitted, residual = fit_rate(errors[p], f_scale=f_scale)
-        rows = [{"h": r["h"], "q": r["q"], "rho": r["rho"],
-                 "n_points": r["n_points"], "error": r[_p_key(p)],
-                 "witness": r["witness"]} for r in level_rows]
-        reports[_p_key(p)] = ExperimentReport(
-            label, p, rows, fitted, residual, fam.theory_rate,
-            cfg.seed, chash)
+        if len(levels) >= 4:
+            fitted, residual = fit_rate([(lv["h"], lv["error"]) for lv in levels],
+                                        f_scale=f_scale)
+        reports[f"error_p{p:g}"] = ExperimentReport(
+            label, p, levels, fitted, residual, fam.theory_rate, cfg.seed, chash)
     return reports
-
-
-def _p_key(p: float) -> str:
-    return "error_pinf" if np.isinf(p) else f"error_p{p:g}"
 
 
 def report_to_json(reports: dict[str, ExperimentReport], path: str | Path | None):
@@ -267,9 +270,8 @@ def report_to_json(reports: dict[str, ExperimentReport], path: str | Path | None
     if len(payload) == 1:
         payload = payload[0]
     text = json.dumps(payload, indent=2)
-    if path is None:
-        return text
-    Path(path).write_text(text + "\n")
+    if path is not None:
+        Path(path).write_text(text + "\n")
     return text
 
 
@@ -280,9 +282,8 @@ def report_to_csv(reports: dict[str, ExperimentReport], path: str | Path) -> Non
         writer.writerow(["p", "h", "q", "rho", "n_points", "error", "witness",
                          "fitted_rate", "theory_rate", "config_hash"])
         for rep in reports.values():
-            p_str = "inf" if np.isinf(rep.p) else f"{rep.p:g}"
             for lv in rep.levels:
-                writer.writerow([p_str, lv["h"], lv["q"], lv["rho"],
+                writer.writerow([f"{rep.p:g}", lv["h"], lv["q"], lv["rho"],
                                  lv["n_points"], lv["error"], lv["witness"],
                                  rep.fitted_rate, rep.theory_rate,
                                  rep.config_hash])

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 MAX_CANDIDATES = 4_000_000   # largest point lattice or candidate grid a point set may build
+MAX_JITTER = 0.4             # largest lattice jitter, in units of the spacing
 
 
 def tensor_grid(axes) -> np.ndarray:
@@ -160,15 +161,15 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     Each lattice point moves by a uniform offset in
     [-jitter*h_target, jitter*h_target] per coordinate, drawn from a
     counter-based generator keyed by the seed (an integer >= 0), so the set
-    is reproducible independent of evaluation order.  jitter < 0.5
-    guarantees no collisions.
+    is reproducible independent of evaluation order.  jitter must lie in
+    [0, MAX_JITTER]; any jitter < 0.5 guarantees no collisions.
 
     h_target must be positive and smaller than the domain's shortest side;
     the returned PointSet caches the measured fill distance (w.r.t. the
     unpadded domain) with its slack bound, separation radius, and mesh ratio.
     """
-    if not 0.0 <= jitter <= 0.4:
-        raise ValueError("jitter must lie in [0, 0.4]")
+    if not 0.0 <= jitter <= MAX_JITTER:
+        raise ValueError(f"jitter must lie in [0, {MAX_JITTER}]")
     if not h_target > 0:
         raise ValueError(f"h_target must be positive, got {h_target}")
     if h_target >= min(domain.sides):

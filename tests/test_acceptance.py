@@ -6,12 +6,14 @@ lines and timings.  Tolerances are fixed here, not configurable.
 
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
+import pytest
 
 from rbfbench._exact import GaussianRational
-from rbfbench.experiments import ExperimentConfig, run_rate_experiment
+from rbfbench.experiments import RATE_TOLERANCE, ExperimentConfig, run_rate_experiment
 from rbfbench.geometry import Box, make_quasi_uniform
 from rbfbench.kernels import wendland_construct
 from rbfbench.polyrep import LocalPolyBuilder, monomial_exponents, property2_scan
@@ -195,6 +197,50 @@ def test_criterion_08_wendland_rates():
     assert elapsed < 300.0
     _report(8, elapsed, f"k=1: L2 slope {s2:.3f}, Linf slope {sinf:.3f} "
                         f"(floor 1.6); k=2: L2 slope {s4:.3f} (floor 3.4)")
+
+
+# The paper's L^p claim for 1 <= p <= inf, over one d = 1 matrix of
+# (family, order, witness).  Cells that miss the gate today are strict
+# xfails, so a mend turns them red until the mark goes.
+_FLOAT64_FLOOR = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 7: the k = 3 ls witness stalls at the float64 floor")
+_QUASI_PAD = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: gamma = 4 quasi stars reach past the pad of 2")
+
+
+def _rate_matrix_cells():
+    for family, order, witness in [("wendland", 1, "ls"), ("wendland", 2, "ls"),
+                                   ("wendland", 3, "ls"), ("sobolev", 2, "ls"),
+                                   ("sobolev", 4, "ls"), ("sobolev", 2, "quasi"),
+                                   ("sobolev", 4, "quasi")]:
+        for p in (1.0, 2.0, np.inf):
+            marks = ()
+            if family == "wendland" and order == 3:
+                marks = _FLOAT64_FLOOR
+            elif witness == "quasi" and order == 4 and p > 1:
+                marks = _QUASI_PAD
+            yield pytest.param(family, order, witness, p, marks=marks,
+                               id=f"{family}{order}-{witness}-p{p:g}")
+
+
+@lru_cache(maxsize=None)
+def _matrix_reports(family, order, witness):
+    orders = {"k": order} if family == "wendland" else {"gamma": order}
+    return run_rate_experiment(ExperimentConfig(
+        family=family, d=1, **orders, witness=witness, p_list=(1.0, 2.0, np.inf),
+        levels=5, h0=1 / 8, seed=7))
+
+
+@pytest.mark.parametrize("family,order,witness,p", _rate_matrix_cells())
+def test_lp_rate_matrix_d1(family, order, witness, p):
+    # Only the lower side is gated: Wendland k = 1 runs at 3.2-3.8
+    # against its theory rate of 2.
+    rep = _matrix_reports(family, order, witness)[f"error_p{p:g}"]
+    assert rep.fitted_rate is not None
+    assert rep.fitted_rate >= rep.theory_rate - RATE_TOLERANCE, (
+        f"slope {rep.fitted_rate:.3f} against theory {rep.theory_rate}")
+    print(f"\n[L^p matrix   ] PASS  {family} order {order} {witness}, p={p:g}: "
+          f"slope {rep.fitted_rate:.3f} (theory {rep.theory_rate})")
 
 
 def test_criterion_09_error_kernel_scaling():

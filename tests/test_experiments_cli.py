@@ -1,6 +1,7 @@
 """Experiment runner determinism, report formats, and the CLI surface."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -57,6 +58,9 @@ def test_fitted_rate_needs_four_levels():
     rep = run_rate_experiment(cfg)["error_p2"]
     assert rep.fitted_rate is None
     assert rep.passed == (rep.levels[-1]["error"] < rep.levels[0]["error"])
+    # A repeated p counts each level once.
+    cfg = ExperimentConfig(**{**SMALL, "levels": 3, "p_list": (2.0, 2.0)})
+    assert run_rate_experiment(cfg)["error_p2"].fitted_rate is None
 
 
 def test_csv_mirror(tmp_path, small_reports):
@@ -108,9 +112,43 @@ def test_config_validation():
     for center in (5.0, -0.1, 1.5, np.nan):
         with pytest.raises(ValueError, match=r"bump_center must lie in .*\[0, 1\]"):
             ExperimentConfig(family="sobolev", d=1, gamma=2, bump_center=center)
+    for jitter in (0.6, -1.0, 0.4 + 1e-12, np.nan):
+        with pytest.raises(ValueError, match=r"jitter must lie in \[0, 0.4\]"):
+            ExperimentConfig(family="sobolev", d=1, gamma=2, jitter=jitter)
     ExperimentConfig(family="sobolev", d=1, gamma=2, p_list=(1.0, np.inf))
     for pad, center in ((None, 0.0), (0.0, 1.0), (1.5, 0.5)):
         ExperimentConfig(family="wendland", d=1, k=1, pad=pad, bump_center=center)
+    for jitter in (0.0, geometry.MAX_JITTER):
+        ExperimentConfig(family="wendland", d=1, k=1, jitter=jitter)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(family="wendland", d=1, k=2),
+    dict(family="sobolev", d=1, gamma=2, witness="quasi"),
+], ids=["wendland_ls", "sobolev_quasi"])
+def test_folding_the_levels_by_hand_reproduces_every_error(fields):
+    # The levels carry every input of a report's errors: evaluating each
+    # witness and taking its L^p norms again gives the same bits.
+    cfg = ExperimentConfig(**fields, p_list=(1.0, 2.0, np.inf), levels=4, h0=1 / 8,
+                           seed=7)
+    reports = run_rate_experiment(cfg)
+    fam = experiments.family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
+    levels = list(experiments.rate_levels(cfg, fam))
+    assert len(levels) == cfg.levels
+    for i, lv in enumerate(levels):
+        s_vals = approx.evaluate_combination(lv.coeffs, lv.X, fam.kernel, lv.grid)
+        for p in cfg.p_list:
+            row = reports[f"error_p{p:g}"].levels[i]
+            assert (row["h"], row["n_points"]) == (lv.X.h, lv.X.n)
+            weights = None if np.isinf(p) else lv.weights
+            assert approx.lp_error(lv.f_vals, s_vals, p, weights) == row["error"]
+        if cfg.witness == "ls":
+            assert type(lv.rank) is int
+            assert 1 <= lv.rank <= min(len(lv.grid), lv.X.n)
+        else:
+            assert lv.rank is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        levels[0].coeffs = None
 
 
 def test_family_kernel_builds_and_refuses():
@@ -358,6 +396,7 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
     ("pad", -1), ("bump_center", 5), ("bump_center", -0.5), ("k", 3),
     ("c3", 16), ("c2_cap", 1.5), ("rho_max", 4), ("seed", None),
     ("d", 1.5), ("gamma", 2.0), ("gamma", True), ("p_list", "12"), ("p_list", "inf"),
+    ("jitter", 0.6), ("jitter", -1), ("jitter", float("nan")),
 ])
 def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
                                                          monkeypatch):

@@ -1,8 +1,10 @@
 """Print the exit code and output digests of a fixed list of CLI commands.
 
 Each command runs as ``python -m rbfbench.cli ...`` against the ``src``
-tree of the checkout this script sits in, in a fresh temporary directory.
-One line is printed per command:
+tree of the checkout this script sits in, in a fresh temporary directory,
+with one OpenBLAS thread: the least-squares solves, and so the ``rates``
+reports, depend on the BLAS thread count.  A header line names that
+setting; then one line is printed per command:
 
     <exit code>  <sha256 of stdout>  <sha256 of the csv, or ->  <command>
 
@@ -21,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_THREADS = "1"   # OPENBLAS_NUM_THREADS of every command
 
 # (arguments, csv file the command writes or None)
 COMMANDS = (
@@ -63,6 +66,8 @@ def _sha256(data: bytes) -> str:
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = BLAS_THREADS
+    print(f"OPENBLAS_NUM_THREADS={BLAS_THREADS}", flush=True)
     for args, csv_name in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             proc = subprocess.run([sys.executable, "-m", "rbfbench.cli", *args.split()],
