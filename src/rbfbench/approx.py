@@ -31,7 +31,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 from ._quad import panel_nodes
-from .geometry import PointSet, cube_center, tensor_grid
+from .geometry import PointSet, cube_center, cube_index, tensor_grid
 from .polyrep import LocalPolyBuilder
 
 __all__ = [
@@ -155,8 +155,8 @@ def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float) -> np.
     offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
     w_quad = (side / m) ** d
     builder = LocalPolyBuilder(X, degree, c3)
-    lo = np.floor((np.asarray(g.center) - g.width) / side + 0.5).astype(int)
-    hi = np.floor((np.asarray(g.center) + g.width) / side + 0.5).astype(int)
+    lo = np.asarray(cube_index(np.asarray(g.center) - g.width, side))
+    hi = np.asarray(cube_index(np.asarray(g.center) + g.width, side))
     coeffs = np.zeros(X.n)
     for rel in np.ndindex(*(hi - lo + 1)):
         idx = tuple(lo + np.asarray(rel))

@@ -3,9 +3,9 @@
 Subcommands are thin wrappers over the library: `kernels table`,
 `spectral check`, `measure check`, `property2`, `rates`, `ratio-diag`.
 Exit codes: 0 all asserted invariants pass, 1 invariant failure,
-2 configuration error.  Physical parameters (d, k, gamma) are always
-explicit; reports carry the config hash and no timestamps, so identical
-invocations produce byte-identical files.  Each handler imports the library
+2 configuration error or an unwritable output.  Physical parameters (d, k,
+gamma) are always explicit; reports carry the config hash and no
+timestamps, so identical invocations produce byte-identical files.  Each handler imports the library
 modules it calls, so a command loads only what it runs: `kernels table`,
 `spectral check`, `measure check` and `ratio-diag` need only numpy, except
 that the transform validation of `spectral check` and `ratio-diag` in odd
@@ -101,9 +101,10 @@ def _cmd_property2(args) -> int:
             for row in zip(scan.x, scan.t, scan.dist_over_h, scan.abs_e,
                            scan.bound, scan.ratio):
                 writer.writerow([*row[0], *row[1], row[2], row[3], row[4], row[5]])
-    _emit({"kernel": scan.kernel_id, "h": scan.h, "kappa": scan.kappa,
-           "l": scan.ell, "C_emp": scan.c_emp, "samples": int(len(scan.ratio))},
-          args.out)
+    kernel = (f"wendland_d{d}_k{fam.order}" if args.kernel == "wendland"
+              else f"sobolev_gamma{fam.order}_d{d}")
+    _emit({"kernel": kernel, "h": X.h, "kappa": fam.kappa, "l": fam.ell,
+           "C_emp": scan.c_emp, "samples": len(scan.abs_e)}, args.out)
     return EXIT_OK
 
 
@@ -223,7 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"rbfbench: {exc}", file=sys.stderr)
         return EXIT_INVARIANT if isinstance(exc, RuntimeError) else EXIT_CONFIG
 

@@ -59,11 +59,12 @@ RATE_TOLERANCE = 0.4   # fitted slope must reach theory_rate - RATE_TOLERANCE
 RHO_MAX = 4.0          # bound on the mesh ratio of each level's point set
 DEFAULT_PAD = 2.0      # point-set padding beyond the evaluation region
 DEFAULT_JITTER = 0.25  # lattice jitter of rate runs and Property-2 scans
+_NUMBER_FIELDS = ("h0", "ratio", "jitter", "pad", "bump_center", "bump_width", "grid_factor")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of one rate experiment.  Physical parameters are explicit."""
+    """Checked, frozen parameters of one rate experiment; physical ones are explicit."""
 
     family: str                      # "wendland" | "sobolev"
     d: int
@@ -83,6 +84,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         family_kernel(self.family, self.d, self.k, self.gamma)   # refuses bad orders
+        numbers = [(name, getattr(self, name)) for name in _NUMBER_FIELDS]
+        for name, val in numbers + [("p_list", p) for p in self.p_list]:
+            if isinstance(val, bool):
+                raise ValueError(f"{name} must hold numbers, got {val!r}")
         if not 0 < self.ratio < 1:
             raise ValueError("schedule ratio must lie in (0, 1)")
         for name, low in (("levels", 1), ("seed", 0)):
@@ -125,7 +130,8 @@ class ExperimentConfig:
         if "p_list" in data:
             if not isinstance(data["p_list"], (list, tuple)):
                 raise ValueError(f"p_list must be a list, got {data['p_list']!r}")
-            data["p_list"] = tuple(float(p) for p in data["p_list"])
+            # A bool stays a bool, for __post_init__ to refuse.
+            data["p_list"] = tuple(p if isinstance(p, bool) else float(p) for p in data["p_list"])
         return ExperimentConfig(**data)
 
 
@@ -224,12 +230,10 @@ def rate_levels(cfg: ExperimentConfig, fam: FamilyKernel):
                                seed=cfg.seed, pad=pad)
         if X.rho > RHO_MAX:
             raise RuntimeError(f"mesh ratio {X.rho:.3f} exceeds RHO_MAX={RHO_MAX}")
-        grid_spacing = X.q / cfg.grid_factor
-        counts = [int(np.ceil(1.0 / grid_spacing)) + 1] * cfg.d
-        axes = [np.linspace(0.0, 1.0, n) for n in counts]
+        axes = domain.candidate_axes(X.q / cfg.grid_factor)
         grid = tensor_grid(axes)
-        weights = tensor_grid([trapezoid_weights(n, ax[1] - ax[0])
-                               for n, ax in zip(counts, axes)]).prod(axis=1)
+        weights = tensor_grid([trapezoid_weights(ax.size, ax[1] - ax[0])
+                               for ax in axes]).prod(axis=1)
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
         if cfg.witness == "quasi":
             coeffs, rank = quasi_interpolant(bump, X, fam.degree, fam.c3), None

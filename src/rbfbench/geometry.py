@@ -66,13 +66,14 @@ class Box:
     def pad(self, amount: float) -> "Box":
         return Box(tuple(a - amount for a in self.lo), tuple(b + amount for b in self.hi))
 
+    def candidate_axes(self, resolution: float) -> list[np.ndarray]:
+        """The axes of candidate_grid, refused by their node count before any is built."""
+        counts = _capped("candidate grid", [int(np.ceil(s / resolution)) + 1 for s in self.sides])
+        return [np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)]
+
     def candidate_grid(self, resolution: float) -> np.ndarray:
         """Uniform grid of spacing <= resolution covering the box."""
-        counts = self._candidate_counts(resolution)
-        return tensor_grid([np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)])
-
-    def _candidate_counts(self, resolution: float) -> list[int]:
-        return _capped("candidate grid", [int(np.ceil(s / resolution)) + 1 for s in self.sides])
+        return tensor_grid(self.candidate_axes(resolution))
 
 
 def _capped(what: str, counts: list[int]) -> list[int]:
@@ -180,7 +181,7 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     counts = _capped("point lattice", [max(1, round((b - a) / h_target)) + 1
                                        for a, b in zip(box.lo, box.hi)])
     resolution = h_target / 32.0 if domain.dim < 3 else h_target / 8.0
-    domain._candidate_counts(resolution)        # refused before any array exists
+    domain.candidate_axes(resolution)           # refused before any grid exists
     pts = tensor_grid([np.linspace(a, b, n) for a, b, n in zip(box.lo, box.hi, counts)])
     if jitter > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))

@@ -25,7 +25,6 @@ from itertools import product
 import numpy as np
 
 from .geometry import PointSet, cube_center, cube_index, tensor_grid
-from .kernels import PiecewisePolyRadial
 
 __all__ = [
     "ReproFunctional",
@@ -177,18 +176,17 @@ def kernel_K(x, Phi, F: ReproFunctional) -> np.ndarray | float:
 
 @dataclass(frozen=True, eq=False)
 class ErrorKernelScan:
-    """Stratified record of |E(x,t)| against the claimed envelope."""
+    """Stratified samples of |E(x,t)| against the claimed envelope, one per row."""
 
-    kernel_id: str
-    h: float
-    kappa: float
-    ell: float
     x: np.ndarray
     t: np.ndarray
     dist_over_h: np.ndarray
     abs_e: np.ndarray
     bound: np.ndarray
-    ratio: np.ndarray
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return self.abs_e / self.bound
 
     @property
     def c_emp(self) -> float:
@@ -226,7 +224,7 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     lo = np.asarray(X.domain.lo)
     hi = np.asarray(X.domain.hi)
     n_per = sample_budget // strata
-    xs, ts, ss, es = [], [], [], []
+    samples = []
     for a, b in zip(edges[:-1], edges[1:]):
         for _ in range(n_per):
             t = rng.uniform(lo, hi)
@@ -236,16 +234,6 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
             x = t + s * h * u
             F = builder.functional_at(t)
             e = float(Phi.profile(np.linalg.norm(x - t)) - kernel_K(x, Phi, F))
-            xs.append(x)
-            ts.append(t)
-            ss.append(s)
-            es.append(abs(e))
-    xs = np.asarray(xs)
-    ts = np.asarray(ts)
-    ss = np.asarray(ss)
-    es = np.asarray(es)
-    bound = h ** (kappa - d) * (1.0 + ss) ** (-ell)
-    kernel_id = (f"wendland_d{Phi.dim}_k{Phi.smoothness}"
-                 if isinstance(Phi, PiecewisePolyRadial)
-                 else f"sobolev_gamma{Phi.gamma}_d{Phi.dim}")
-    return ErrorKernelScan(kernel_id, h, kappa, ell, xs, ts, ss, es, bound, es / bound)
+            samples.append((x, t, s, abs(e)))
+    xs, ts, ss, es = (np.asarray(column) for column in zip(*samples))
+    return ErrorKernelScan(xs, ts, ss, es, h ** (kappa - d) * (1.0 + ss) ** (-ell))

@@ -359,7 +359,8 @@ def wend1d_decompose(k: int) -> Wend1DDecomposition:
     Requires k >= 1 (for k = 0 the remainder term is not integrable).
     All three coefficients are read from the exact table of m = k; its top
     coefficients alpha_k = 1 and beta_k = (-1)^(k+1)/2^(k+1) give the
-    closed forms 1/k! and (-1)^(k+1)/(k! 2^k) by construction.
+    closed forms 1/k! and (-1)^(k+1)/(k! 2^k) by construction.  B_k is the
+    transform's amplitude, amplitude_from_moments(1, k), with no calibration.
     """
     if k < 1:
         raise ValueError("decomposition requires k >= 1")
@@ -368,7 +369,7 @@ def wend1d_decompose(k: int) -> Wend1DDecomposition:
     cos_coeff = 2 * table.beta[k].re / factorial(k)
     sinc_coeff = 2 * table.beta[k - 1].im / factorial(k - 1)
     return Wend1DDecomposition(k, const_term, cos_coeff, sinc_coeff,
-                               wendland_transform(1, k).amplitude)
+                               amplitude_from_moments(1, k))
 
 
 # ----------------------------------------------------------------------------

@@ -275,24 +275,28 @@ def test_evaluate_combination_refuses_a_matrix_that_does_not_fit(monkeypatch):
         evaluate_combination(np.ones(ps.n), ps, Phi, np.linspace(0, 1, 5))
 
 
-def test_rate_report_equals_two_build_reference(monkeypatch):
-    # The in-place solve and the rebuilt matrix give the same report as
-    # scipy's lstsq on a full-profile matrix, built again to evaluate the
-    # witness.
+def test_rate_report_equals_two_build_reference():
+    # The in-place solve gives the same report errors as scipy's lstsq on a
+    # full-profile matrix built from each level's record, and built again
+    # to evaluate the witness.
     cfg = experiments.ExperimentConfig(family="wendland", d=2, k=1, levels=2,
                                        h0=1 / 4, p_list=(2.0, np.inf), seed=0)
-    fast = {key: rep.to_dict() for key, rep in
-            experiments.run_rate_experiment(cfg).items()}
-
-    def two_builds(f_vals, grid, Phi, X):
-        coeffs, _, rank, _ = lstsq(_full_profile_matrix(grid, X, Phi), f_vals,
-                                   lapack_driver="gelsd")
-        return coeffs, rank
-
-    monkeypatch.setattr(experiments, "ls_witness", two_builds)
-    reference = {key: rep.to_dict() for key, rep in
-                 experiments.run_rate_experiment(cfg).items()}
-    assert fast == reference
+    reports = experiments.run_rate_experiment(cfg)
+    fam = experiments.family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
+    levels = list(experiments.rate_levels(cfg, fam))
+    assert len(levels) == cfg.levels
+    for i, lv in enumerate(levels):
+        assert lv.grid.tobytes() == lv.X.domain.candidate_grid(
+            lv.X.q / cfg.grid_factor).tobytes()
+        coeffs, _, rank, _ = lstsq(_full_profile_matrix(lv.grid, lv.X, fam.kernel),
+                                   lv.f_vals, lapack_driver="gelsd")
+        assert rank == lv.rank
+        s_vals = _full_profile_matrix(lv.grid, lv.X, fam.kernel) @ coeffs
+        for p in cfg.p_list:
+            row = reports[f"error_p{p:g}"].levels[i]
+            assert (row["h"], row["n_points"]) == (lv.X.h, lv.X.n)
+            weights = None if np.isinf(p) else lv.weights
+            assert lp_error(lv.f_vals, s_vals, p, weights) == row["error"]
 
 
 def test_lp_error_basics():

@@ -120,6 +120,14 @@ def test_config_validation():
         ExperimentConfig(family="wendland", d=1, k=1, pad=pad, bump_center=center)
     for jitter in (0.0, geometry.MAX_JITTER):
         ExperimentConfig(family="wendland", d=1, k=1, jitter=jitter)
+    for name in ("h0", "ratio", "jitter", "pad", "bump_center", "bump_width",
+                 "grid_factor"):
+        for flag in (False, True):
+            with pytest.raises(ValueError, match=f"{name} must hold numbers, got {flag}"):
+                ExperimentConfig(family="sobolev", d=1, gamma=2, **{name: flag})
+    for p_list in ((True,), (2.0, False)):
+        with pytest.raises(ValueError, match="p_list must hold numbers, got "):
+            ExperimentConfig(family="sobolev", d=1, gamma=2, p_list=p_list)
 
 
 @pytest.mark.parametrize("fields", [
@@ -147,8 +155,19 @@ def test_folding_the_levels_by_hand_reproduces_every_error(fields):
             assert 1 <= lv.rank <= min(len(lv.grid), lv.X.n)
         else:
             assert lv.rank is None
+        assert lv.grid.tobytes() == lv.X.domain.candidate_grid(
+            lv.X.q / cfg.grid_factor).tobytes()
     with pytest.raises(dataclasses.FrozenInstanceError):
         levels[0].coeffs = None
+
+
+def test_config_is_frozen():
+    # A field set after __post_init__ would skip every refusal and change
+    # what config_hash describes.
+    cfg = ExperimentConfig(**SMALL)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.jitter = 0.9
+    assert cfg.jitter == 0.25
 
 
 def test_family_kernel_builds_and_refuses():
@@ -286,6 +305,27 @@ def test_cli_property2(tmp_path):
     assert header == ["x0", "t0", "dist_over_h", "abs_E", "bound", "ratio"]
 
 
+@pytest.mark.parametrize("argv,kernel,kappa,ell", [
+    (["--kernel", "wendland", "--d", "2", "--k", "1", "--h", "0.125"],
+     "wendland_d2_k1", 2.0, 3),
+    (["--kernel", "sobolev", "--d", "1", "--gamma", "4", "--h", "0.0625"],
+     "sobolev_gamma4_d1", 3.0, 2),
+], ids=["wendland_d2_k1", "sobolev_gamma4_d1"])
+def test_cli_property2_names_the_scanned_kernel_and_envelope(argv, kernel, kappa, ell,
+                                                             tmp_path):
+    # The command writes the kernel, the measured fill distance of the
+    # scanned set and the envelope of the family's record.
+    out = tmp_path / "p2.json"
+    assert main(["property2", *argv, "--budget", "200", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    d, h = int(argv[3]), float(argv[-1])
+    X = geometry.make_quasi_uniform(geometry.Box((0.0,) * d, (1.0,) * d), h,
+                                    jitter=experiments.DEFAULT_JITTER, seed=7,
+                                    pad=experiments.DEFAULT_PAD)
+    assert [data[key] for key in ("kernel", "h", "kappa", "l")] == [kernel, X.h, kappa, ell]
+    assert type(data["kappa"]) is float and type(data["l"]) is int
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_cli_property2_refuses_budget_below_8_per_stratum(budget, capsys):
     assert main(["property2", "--kernel", "wendland", "--d", "1", "--k", "1",
@@ -397,6 +437,8 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
     ("c3", 16), ("c2_cap", 1.5), ("rho_max", 4), ("seed", None),
     ("d", 1.5), ("gamma", 2.0), ("gamma", True), ("p_list", "12"), ("p_list", "inf"),
     ("jitter", 0.6), ("jitter", -1), ("jitter", float("nan")),
+    ("jitter", False), ("bump_width", True), ("pad", True), ("grid_factor", True),
+    ("bump_center", True), ("p_list", [True]), ("h0", True),
 ])
 def test_cli_rates_config_file_refused_before_any_level(field, value, tmp_path, capsys,
                                                          monkeypatch):
@@ -425,6 +467,18 @@ def test_cli_rates_unreadable_config_exits_2(name, text, message, tmp_path, caps
     assert main(["rates", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("rates: bad configuration: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernels", "table", "--d", "3", "--k", "1", "--out"],
+    ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--levels", "1",
+     "--csv"],
+], ids=["kernels_table_out", "rates_csv"])
+def test_cli_unwritable_output_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "report"
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rbfbench: ") and str(path) in err
 
 
 @pytest.mark.parametrize("field,value", [("d", 1.5), ("k", 1.5), ("k", True)])

@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from rbfbench import spectral
 from rbfbench._quad import panel_nodes
 from rbfbench.spectral import (
     CONV_BLOCK,
@@ -44,6 +45,14 @@ def test_atom_weights_match_closed_forms(mu1, mu2):
         assert mu.atoms[0][1] == pytest.approx(root * B / factorial(k), rel=1e-9, abs=0)
         assert mu.atoms[1][1] == pytest.approx(
             root * B * (-1) ** (k + 1) / (factorial(k) * 2 ** (k + 1)), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_building_the_measure_calibrates_no_transform(k):
+    # B_k comes in closed form; the oracle-checked transform is not built.
+    spectral.wendland_transform.cache_clear()
+    build_measure_1d(k)
+    assert spectral.wendland_transform.cache_info().currsize == 0
 
 
 def test_density_is_kernel_plus_plateau_for_k1(mu1):

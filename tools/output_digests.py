@@ -50,12 +50,14 @@ COMMANDS = (
     ("rates --kernel wendland --k 1 --d 2 --p 2 inf --levels 2 --h0 0.25 --seed 0", None),
     # Refused with exit 2: a cross-family order parameter (rates and
     # property2), a sample budget below 8 per stratum, a frequency grid
-    # of fewer than 2 points, and a config file that cannot be read.
+    # of fewer than 2 points, a config file that cannot be read, and an
+    # output file that cannot be written.
     ("rates --kernel wendland --d 1 --k 1 --gamma 4 --levels 2 --h0 0.25", None),
     ("property2 --kernel wendland --d 1 --k 1 --gamma 4", None),
     ("property2 --kernel wendland --d 1 --k 1 --budget 0", None),
     ("measure check --k 2 --grid 1", None),
     ("rates --config missing.json", None),
+    ("kernels table --d 1 --k 1 --out missing/k.json", None),
 )
 
 
