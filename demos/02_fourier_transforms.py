@@ -35,7 +35,7 @@ for d, k in [(1, 1), (3, 2)]:
     K = wendland_construct(d, k)
     for rr in (0.5, 5.0, 20.0):
         explicit = float(wendland_hat(d, k, rr))
-        oracle = hankel_oracle(K, d, rr)
+        oracle = hankel_oracle(K, rr)
         print(f"({d},{k})  {rr:5.1f}  {explicit:.10e}  {oracle:.10e}  "
               f"{abs(explicit - oracle) / oracle:.1e}")
 

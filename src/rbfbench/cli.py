@@ -3,9 +3,10 @@
 Subcommands are thin wrappers over the library: `kernels table`,
 `spectral check`, `measure check`, `property2`, `rates`, `ratio-diag`.
 Exit codes: 0 all asserted invariants pass, 1 invariant failure,
-2 configuration error or an unwritable output.  Physical parameters (d, k,
-gamma) are always explicit; reports carry the config hash and no
-timestamps, so identical invocations produce byte-identical files.  Each handler imports the library
+2 configuration error or an unwritable output; every --out and --csv is
+checked before any work.  Physical parameters (d, k, gamma) are always
+explicit; reports carry the config hash and no timestamps, so identical
+invocations produce byte-identical files.  Each handler imports the library
 modules it calls, so a command loads only what it runs: `kernels table`,
 `spectral check`, `measure check` and `ratio-diag` need only numpy, except
 that the transform validation of `spectral check` and `ratio-diag` in odd
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import factorial
 from pathlib import Path
@@ -52,20 +54,19 @@ def _cmd_spectral_check(args) -> int:
 
 
 def _cmd_measure_check(args) -> int:
-    from .spectral import build_measure_1d, measure_ft, wend1d_decompose, wendland_hat
+    from .spectral import amplitude_from_moments, build_measure_1d, measure_ft, wendland_hat
 
     if args.grid < 2:
         print(f"measure check: --grid must be at least 2, got {args.grid}", file=sys.stderr)
         return EXIT_CONFIG
     k = args.k
-    decomp = wend1d_decompose(k)
     mu = build_measure_1d(k)
     omegas = np.linspace(0.0, 50.0, args.grid)
     muhat = np.asarray(measure_ft(mu, omegas))
     target = np.asarray(wendland_hat(1, k, omegas))
     residual = np.abs(muhat / (1.0 + np.abs(omegas) ** (2 * k + 2)) - target)
     disc = np.abs(np.asarray(mu.discrete_ft(omegas)))
-    disc_bound = decomp.amplitude / (2.0 * factorial(k))
+    disc_bound = amplitude_from_moments(1, k) / (2.0 * factorial(k))
     payload = {
         "k": k,
         "tv_norm": mu.tv_norm,
@@ -156,32 +157,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wendland/Sobolev-spline kernels, explicit transforms, "
                     "and convergence-rate experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    d_k = argparse.ArgumentParser(add_help=False)
+    d_k.add_argument("--d", type=int, required=True)
+    d_k.add_argument("--k", type=int, required=True)
 
     kernels = sub.add_parser("kernels", help="kernel construction utilities")
     ksub = kernels.add_subparsers(dest="subcommand", required=True)
-    ktable = ksub.add_parser("table", help="emit exact Wendland coefficients as JSON")
-    ktable.add_argument("--d", type=int, required=True)
-    ktable.add_argument("--k", type=int, required=True)
-    ktable.add_argument("--out", default=None)
+    ktable = ksub.add_parser("table", parents=[d_k, out],
+                             help="emit exact Wendland coefficients as JSON")
     ktable.set_defaults(func=_cmd_kernels_table)
 
     spectral = sub.add_parser("spectral", help="transform machinery checks")
     ssub = spectral.add_subparsers(dest="subcommand", required=True)
-    scheck = ssub.add_parser("check", help="coefficients, amplitude, residuals, decay")
-    scheck.add_argument("--d", type=int, required=True)
-    scheck.add_argument("--k", type=int, required=True)
-    scheck.add_argument("--out", default=None)
+    scheck = ssub.add_parser("check", parents=[d_k, out],
+                             help="coefficients, amplitude, residuals, decay")
     scheck.set_defaults(func=_cmd_spectral_check)
 
     measure = sub.add_parser("measure", help="finite Borel measure checks")
     msub = measure.add_subparsers(dest="subcommand", required=True)
-    mcheck = msub.add_parser("check", help="transform factorization residuals")
+    mcheck = msub.add_parser("check", parents=[out], help="transform factorization residuals")
     mcheck.add_argument("--k", type=int, required=True)
     mcheck.add_argument("--grid", type=int, default=101)
-    mcheck.add_argument("--out", default=None)
     mcheck.set_defaults(func=_cmd_measure_check)
 
-    prop2 = sub.add_parser("property2", help="error-kernel envelope scan")
+    prop2 = sub.add_parser("property2", parents=[out], help="error-kernel envelope scan")
     prop2.add_argument("--kernel", choices=["wendland", "sobolev"], required=True)
     prop2.add_argument("--d", type=int, required=True)
     prop2.add_argument("--k", type=int, default=None)
@@ -191,10 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     prop2.add_argument("--seed", type=int, default=7)
     prop2.add_argument("--budget", type=int, default=1200)
     prop2.add_argument("--csv", default=None)
-    prop2.add_argument("--out", default=None)
     prop2.set_defaults(func=_cmd_property2)
 
-    rates = sub.add_parser("rates", help="convergence-rate experiment")
+    rates = sub.add_parser("rates", parents=[out], help="convergence-rate experiment")
     rates.add_argument("--kernel", choices=["wendland", "sobolev"], default=None)
     rates.add_argument("--d", type=int, default=None)
     rates.add_argument("--k", type=int, default=None)
@@ -207,21 +207,23 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--witness", choices=["ls", "quasi"], default=None)
     rates.add_argument("--config", default=None, help="JSON config file; flags override")
     rates.add_argument("--csv", default=None)
-    rates.add_argument("--out", default=None)
     rates.set_defaults(func=_cmd_rates)
 
-    rdiag = sub.add_parser("ratio-diag", help="transform ratio diagnostic table")
-    rdiag.add_argument("--d", type=int, required=True)
-    rdiag.add_argument("--k", type=int, required=True)
-    rdiag.add_argument("--out", default=None)
+    rdiag = sub.add_parser("ratio-diag", parents=[d_k, out],
+                           help="transform ratio diagnostic table")
     rdiag.set_defaults(func=_cmd_ratio_diag)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for path in filter(None, (args.out, vars(args).get("csv"))):
+        target, where = Path(path), Path(path).parent
+        if target.is_dir() or not (where.is_dir() and os.access(where, os.W_OK)):
+            why = "it is a directory" if target.is_dir() else f"{where} is not a writable directory"
+            print(f"rbfbench: cannot write {path}: {why}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:

@@ -219,8 +219,9 @@ class Level:
     rank: int | None       # rank of the ls_witness solve; None for quasi
 
 
-def rate_levels(cfg: ExperimentConfig, fam: FamilyKernel):
+def rate_levels(cfg: ExperimentConfig):
     """Yield one Level per spacing h0 ratio^i of cfg, coarsest first."""
+    fam = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
     domain = Box((0.0,) * cfg.d, (1.0,) * cfg.d)
     pad = cfg.pad if cfg.pad is not None else DEFAULT_PAD
     bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
@@ -246,13 +247,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
     """Fold the levels of rate_levels into one report per requested p."""
     fam = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
     rows, errors, f_scale = [], [], 0.0
-    for lv in rate_levels(cfg, fam):
+    for lv in rate_levels(cfg):
         f_scale = max(f_scale, float(np.abs(lv.f_vals).max()))
         s_vals = evaluate_combination(lv.coeffs, lv.X, fam.kernel, lv.grid)
         rows.append({"h": lv.X.h, "q": lv.X.q, "rho": lv.X.rho, "n_points": lv.X.n})
-        errors.append({p: lp_error(lv.f_vals, s_vals, p,
-                                   None if np.isinf(p) else lv.weights)
-                       for p in cfg.p_list})
+        errors.append({p: lp_error(lv.f_vals, s_vals, p, lv.weights) for p in cfg.p_list})
 
     chash = config_hash(cfg)
     label = {"family": cfg.family, "d": cfg.d, "k_or_gamma": fam.order}

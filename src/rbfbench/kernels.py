@@ -92,10 +92,6 @@ class PiecewisePolyRadial:
         vals = poly_eval(self._fcoeffs, r)
         return np.where(r < 1.0, vals, 0.0)
 
-    def radial_series(self, order: int) -> RatPoly:
-        """Taylor coefficients of the profile at r = 0 through r^order."""
-        return poly_trim(list(self.coeffs[: order + 1]) + [ZERO] * max(0, order + 1 - len(self.coeffs)))
-
 
 @lru_cache(maxsize=None)
 def wendland_construct(d: int, k: int) -> PiecewisePolyRadial:
@@ -330,7 +326,7 @@ def kernel_derivative(K, x, alpha) -> float:
         if r >= 1.0:
             return 0.0
         if r == 0.0:
-            return _origin_derivative(K.radial_series(n), alpha, 1.0)
+            return _origin_derivative(K.coeffs, alpha, 1.0)
     else:
         if r == 0.0:
             if n >= K.gamma - K.dim:

@@ -249,7 +249,7 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     tf = _WendlandTransform(m, amplitude, reduced, switch)
     residuals = tf.validation_residuals
     for r in np.geomspace(0.3, 5.0, 10):
-        ref = hankel_oracle(kernel, d, float(r))
+        ref = hankel_oracle(kernel, float(r))
         residuals.append(abs(float(tf.hat(float(r))) - ref) / abs(ref))
     if max(residuals) > ORACLE_GATE:
         raise CalibrationError(
@@ -287,19 +287,19 @@ def amplitude_from_moments(d: int, k: int) -> float:
 # Quadrature oracle for radial Fourier transforms
 # ----------------------------------------------------------------------------
 
-def hankel_oracle(kernel: PiecewisePolyRadial, d: int, r: float) -> float:
+def hankel_oracle(kernel: PiecewisePolyRadial, r: float) -> float:
     """Radial Fourier transform of a Wendland kernel at radius r by panel quadrature.
 
-    Evaluates (2 pi)^(-d/2) times the integral of the kernel (supported on
-    the unit ball) against e^(-i x.w) through the standard one-dimensional
-    radial (Hankel-type) reduction, with Gauss-Legendre panels no wider
-    than a quarter oscillation period.  For odd d in {1, 3} the Bessel
-    factor is elementary (cos, sin); other dimensions use the Bessel
-    function of the first kind.
+    Evaluates (2 pi)^(-d/2), d = kernel.dim, times the integral of the
+    kernel (supported on the unit ball) against e^(-i x.w) through the
+    standard one-dimensional radial (Hankel-type) reduction, with
+    Gauss-Legendre panels no wider than a quarter oscillation period.  For
+    odd d in {1, 3} the Bessel factor is elementary (cos, sin); other
+    dimensions use the Bessel function of the first kind.
     """
     if r <= 0:
         raise ValueError("oracle radius must be positive")
-    return _hankel_float(kernel.profile, d, r, 1.0, ORACLE_NODES)
+    return _hankel_float(kernel.profile, kernel.dim, r, 1.0, ORACLE_NODES)
 
 
 def _hankel_float(profile, d: int, r: float, upper: float, nodes: int) -> float:
@@ -443,7 +443,7 @@ def build_measure_1d(k: int) -> FiniteMeasure:
     distributional derivative Phi^(2k+2): point atoms at 0 and +-1 from the
     jumps of Phi^(2k+1), plus a piecewise polynomial density.  The atom
     weights are validated against the closed forms sqrt(2 pi) B_k / k! and
-    sqrt(2 pi) B_k (-1)^(k+1)/(k! 2^(k+1)), with B_k from wend1d_decompose(k).
+    sqrt(2 pi) B_k (-1)^(k+1)/(k! 2^(k+1)), with B_k = amplitude_from_moments(1, k).
     """
     if k < 1:
         raise ValueError("measure construction requires k >= 1")
@@ -455,7 +455,7 @@ def build_measure_1d(k: int) -> FiniteMeasure:
     # jump -value at the support boundary where the kernel stops.
     w0 = float(sign * 2 * poly_eval(d_hi, ZERO))
     w1 = float(sign * (-poly_eval(d_hi, Fraction(1))))
-    B = wend1d_decompose(k).amplitude
+    B = amplitude_from_moments(1, k)
     root = float(np.sqrt(2.0 * pi))
     expect0 = root * B / factorial(k)
     expect1 = root * B * (-1) ** (k + 1) / (factorial(k) * 2 ** (k + 1))

@@ -283,7 +283,7 @@ def test_rate_report_equals_two_build_reference():
                                        h0=1 / 4, p_list=(2.0, np.inf), seed=0)
     reports = experiments.run_rate_experiment(cfg)
     fam = experiments.family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
-    levels = list(experiments.rate_levels(cfg, fam))
+    levels = list(experiments.rate_levels(cfg))
     assert len(levels) == cfg.levels
     for i, lv in enumerate(levels):
         assert lv.grid.tobytes() == lv.X.domain.candidate_grid(

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -141,7 +142,7 @@ def test_folding_the_levels_by_hand_reproduces_every_error(fields):
                            seed=7)
     reports = run_rate_experiment(cfg)
     fam = experiments.family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
-    levels = list(experiments.rate_levels(cfg, fam))
+    levels = list(experiments.rate_levels(cfg))
     assert len(levels) == cfg.levels
     for i, lv in enumerate(levels):
         s_vals = approx.evaluate_combination(lv.coeffs, lv.X, fam.kernel, lv.grid)
@@ -267,7 +268,7 @@ def test_cli_spectral_check_odd_d5(tmp_path):
 
 def test_cli_spectral_check_exits_1_on_failed_validation(capsys, monkeypatch):
     oracle = spectral.hankel_oracle
-    monkeypatch.setattr(spectral, "hankel_oracle", lambda K, d, r: 2.0 * oracle(K, d, r))
+    monkeypatch.setattr(spectral, "hankel_oracle", lambda K, r: 2.0 * oracle(K, r))
     spectral.wendland_transform.cache_clear()
     try:
         assert main(["spectral", "check", "--d", "3", "--k", "1"]) == 1
@@ -469,16 +470,56 @@ def test_cli_rates_unreadable_config_exits_2(name, text, message, tmp_path, caps
     assert err.startswith("rates: bad configuration: ") and message in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["kernels", "table", "--d", "3", "--k", "1", "--out"],
-    ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--levels", "1",
-     "--csv"],
-], ids=["kernels_table_out", "rates_csv"])
-def test_cli_unwritable_output_exits_2(argv, tmp_path, capsys):
-    path = tmp_path / "missing" / "report"
+@pytest.mark.parametrize("argv,target", [
+    (["kernels", "table", "--d", "3", "--k", "1", "--out"], "missing"),
+    (["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--levels", "1",
+      "--csv"], "missing"),
+    (["rates", "--kernel", "wendland", "--k", "1", "--d", "1", "--levels", "1",
+      "--out"], "missing"),
+    (["property2", "--kernel", "wendland", "--d", "1", "--k", "1", "--csv"], "missing"),
+    (["measure", "check", "--k", "1", "--out"], "directory"),
+    (["rates", "--kernel", "wendland", "--k", "1", "--d", "1", "--levels", "1",
+      "--out"], "directory"),
+], ids=["kernels_table_out", "rates_csv", "rates_out", "property2_csv",
+        "measure_check_out_is_a_directory", "rates_out_is_a_directory"])
+def test_cli_unwritable_output_exits_2(argv, target, tmp_path, capsys, monkeypatch):
+    # Every output path is checked before any work: no point set is built.
+    # A read-only directory is not covered: a superuser may write to it.
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built before the output was checked")
+
+    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    monkeypatch.setattr(geometry, "make_quasi_uniform", no_points)
+    path = tmp_path / "missing" / "report" if target == "missing" else tmp_path
     assert main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("rbfbench: ") and str(path) in err
+    assert err.startswith(f"rbfbench: cannot write {path}: ")
+
+
+def test_cli_measure_check_exits_1_on_a_failed_factorization(tmp_path, monkeypatch):
+    measure_ft = spectral.measure_ft
+    monkeypatch.setattr(spectral, "measure_ft", lambda mu, w: 2.0 * measure_ft(mu, w))
+    out = tmp_path / "measure.json"
+    assert main(["measure", "check", "--k", "1", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["max_factorization_residual"] >= 1e-4
+
+
+@pytest.mark.parametrize("command,flags", [
+    (["kernels", "table"], "--d --k --out"),
+    (["spectral", "check"], "--d --k --out"),
+    (["measure", "check"], "--k --grid --out"),
+    (["property2"], "--kernel --d --k --gamma --h --seed --budget --csv --out"),
+    (["rates"], "--kernel --d --k --gamma --p --levels --h0 --seed --witness --config "
+                "--csv --out"),
+    (["ratio-diag"], "--d --k --out"),
+], ids=["kernels_table", "spectral_check", "measure_check", "property2", "rates",
+        "ratio_diag"])
+def test_cli_subcommand_flags(command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert listed - {"--help"} == set(flags.split())
 
 
 @pytest.mark.parametrize("field,value", [("d", 1.5), ("k", 1.5), ("k", True)])

@@ -178,7 +178,7 @@ def test_amplitude_frozen_values():
 def test_transform_agrees_with_float_oracle(d, k):
     K = wendland_construct(d, k)
     for r in (0.5, 1.0, 5.0):
-        oracle = hankel_oracle(K, d, r)
+        oracle = hankel_oracle(K, r)
         err = abs(oracle - spectral._hankel_float(K.profile, d, r, 1.0, 32))
         assert float(wendland_hat(d, k, r)) == pytest.approx(
             oracle, rel=1e-6, abs=10 * abs(err))
@@ -251,7 +251,7 @@ def test_oracle_hat_closed_form():
     K = wendland_construct(1, 0)
     for r in (0.3, 2.0, 17.0):
         expected = np.sqrt(2 / np.pi) * (1 - np.cos(r)) / r ** 2
-        assert hankel_oracle(K, 1, r) == pytest.approx(expected, rel=1e-10, abs=0)
+        assert hankel_oracle(K, r) == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 def test_oracle_gaussian_self_transform():
@@ -263,14 +263,14 @@ def test_oracle_gaussian_self_transform():
 
 def test_oracle_cross_checks_transform_in_3d():
     K = wendland_construct(3, 1)
-    assert hankel_oracle(K, 3, 1.0) == pytest.approx(
+    assert hankel_oracle(K, 1.0) == pytest.approx(
         float(wendland_hat(3, 1, 1.0)), rel=1e-9, abs=0)
 
 
 def test_oracle_guards():
     K = wendland_construct(1, 1)
     with pytest.raises(ValueError):
-        hankel_oracle(K, 1, 0.0)
+        hankel_oracle(K, 0.0)
 
 
 # ----------------------------------------------------------------------------

@@ -58,6 +58,8 @@ COMMANDS = (
     ("measure check --k 2 --grid 1", None),
     ("rates --config missing.json", None),
     ("kernels table --d 1 --k 1 --out missing/k.json", None),
+    ("rates --kernel wendland --k 1 --d 1 --levels 4 --out missing/r.json", None),
+    ("property2 --kernel wendland --d 1 --k 1 --csv missing/p.csv", None),
 )
 
 
