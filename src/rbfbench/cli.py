@@ -3,10 +3,9 @@
 Subcommands are thin wrappers over the library: `kernels table`,
 `spectral check`, `measure check`, `property2`, `rates`, `ratio-diag`.
 Exit codes: 0 all asserted invariants pass, 1 invariant failure,
-2 configuration error or an unwritable output; every --out and --csv is
-checked before any work.  Physical parameters (d, k, gamma) are always
-explicit; reports carry the config hash and no timestamps, so identical
-invocations produce byte-identical files.  Each handler imports the library
+2 configuration error or an unwritable output.  Physical parameters (d, k,
+gamma) are always explicit; reports carry the config hash and no
+timestamps, so identical invocations produce byte-identical files.  Each handler imports the library
 modules it calls, so a command loads only what it runs: `kernels table`,
 `spectral check`, `measure check` and `ratio-diag` need only numpy, except
 that the transform validation of `spectral check` and `ratio-diag` in odd
@@ -218,11 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for path in filter(None, (args.out, vars(args).get("csv"))):
-        target, where = Path(path), Path(path).parent
-        if target.is_dir() or not (where.is_dir() and os.access(where, os.W_OK)):
-            why = "it is a directory" if target.is_dir() else f"{where} is not a writable directory"
-            print(f"rbfbench: cannot write {path}: {why}", file=sys.stderr)
+    for target in map(Path, filter(None, (args.out, vars(args).get("csv")))):
+        if target.is_dir() or not os.access(target if target.exists() else target.parent, os.W_OK):
+            print(f"rbfbench: cannot write {target}: not a writable file", file=sys.stderr)
             return EXIT_CONFIG
     try:
         return args.func(args)

@@ -83,7 +83,8 @@ class ExperimentConfig:
     grid_factor: float = 2.5         # evaluation grid spacing = q / grid_factor
 
     def __post_init__(self):
-        family_kernel(self.family, self.d, self.k, self.gamma)   # refuses bad orders
+        # The run's FamilyKernel, built once (not a field); refuses bad orders.
+        object.__setattr__(self, "fam", family_kernel(self.family, self.d, self.k, self.gamma))
         numbers = [(name, getattr(self, name)) for name in _NUMBER_FIELDS]
         for name, val in numbers + [("p_list", p) for p in self.p_list]:
             if isinstance(val, bool):
@@ -221,11 +222,10 @@ class Level:
 
 def rate_levels(cfg: ExperimentConfig):
     """Yield one Level per spacing h0 ratio^i of cfg, coarsest first."""
-    fam = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
     domain = Box((0.0,) * cfg.d, (1.0,) * cfg.d)
     pad = cfg.pad if cfg.pad is not None else DEFAULT_PAD
     bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
-    f = synth_test_function(fam.kernel, bump).f if cfg.family == "sobolev" else bump
+    f = synth_test_function(cfg.fam.kernel, bump).f if cfg.family == "sobolev" else bump
     for i in range(cfg.levels):
         X = make_quasi_uniform(domain, cfg.h0 * cfg.ratio ** i, jitter=cfg.jitter,
                                seed=cfg.seed, pad=pad)
@@ -237,24 +237,23 @@ def rate_levels(cfg: ExperimentConfig):
                                for ax in axes]).prod(axis=1)
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
         if cfg.witness == "quasi":
-            coeffs, rank = quasi_interpolant(bump, X, fam.degree, fam.c3), None
+            coeffs, rank = quasi_interpolant(bump, X, cfg.fam.degree, cfg.fam.c3), None
         else:
-            coeffs, rank = ls_witness(f_vals, grid, fam.kernel, X)
+            coeffs, rank = ls_witness(f_vals, grid, cfg.fam.kernel, X)
         yield Level(X, grid, weights, f_vals, coeffs, rank)
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
     """Fold the levels of rate_levels into one report per requested p."""
-    fam = family_kernel(cfg.family, cfg.d, cfg.k, cfg.gamma)
     rows, errors, f_scale = [], [], 0.0
     for lv in rate_levels(cfg):
         f_scale = max(f_scale, float(np.abs(lv.f_vals).max()))
-        s_vals = evaluate_combination(lv.coeffs, lv.X, fam.kernel, lv.grid)
+        s_vals = evaluate_combination(lv.coeffs, lv.X, cfg.fam.kernel, lv.grid)
         rows.append({"h": lv.X.h, "q": lv.X.q, "rho": lv.X.rho, "n_points": lv.X.n})
         errors.append({p: lp_error(lv.f_vals, s_vals, p, lv.weights) for p in cfg.p_list})
 
     chash = config_hash(cfg)
-    label = {"family": cfg.family, "d": cfg.d, "k_or_gamma": fam.order}
+    label = {"family": cfg.family, "d": cfg.d, "k_or_gamma": cfg.fam.order}
     reports = {}
     for p in cfg.p_list:
         levels = [{**row, "error": err[p], "witness": cfg.witness}
@@ -264,7 +263,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> dict[str, ExperimentReport]:
             fitted, residual = fit_rate([(lv["h"], lv["error"]) for lv in levels],
                                         f_scale=f_scale)
         reports[f"error_p{p:g}"] = ExperimentReport(
-            label, p, levels, fitted, residual, fam.theory_rate, cfg.seed, chash)
+            label, p, levels, fitted, residual, cfg.fam.theory_rate, cfg.seed, chash)
     return reports
 
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from rbfbench import approx, experiments, geometry, spectral
+from rbfbench import approx, cli, experiments, geometry, spectral
 from rbfbench.cli import main
 from rbfbench.experiments import (
     ExperimentConfig,
@@ -494,6 +494,34 @@ def test_cli_unwritable_output_exits_2(argv, target, tmp_path, capsys, monkeypat
     assert main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"rbfbench: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("exists,code", [(True, 0), (False, 2)],
+                         ids=["existing_writable_file", "new_file"])
+def test_cli_output_in_a_read_only_directory(exists, code, tmp_path, capsys, monkeypatch):
+    # A superuser may write anywhere, so the read-only directory is simulated:
+    # an existing writable file in it can be written, a new file cannot.
+    access = cli.os.access
+    monkeypatch.setattr(cli.os, "access",
+                        lambda p, mode, **kw: p != tmp_path and access(p, mode, **kw))
+    path = tmp_path / "k.json"
+    if exists:
+        path.write_text("")
+    assert main(["kernels", "table", "--d", "3", "--k", "1", "--out", str(path)]) == code
+    if exists:
+        assert json.loads(path.read_text())["d"] == 3
+    else:
+        assert capsys.readouterr().err.startswith(f"rbfbench: cannot write {path}: ")
+        assert not path.exists()
+
+
+def test_one_rate_run_builds_its_family_kernel_once(monkeypatch):
+    calls = []
+    family_kernel = experiments.family_kernel
+    monkeypatch.setattr(experiments, "family_kernel",
+                        lambda *args: calls.append(args) or family_kernel(*args))
+    run_rate_experiment(ExperimentConfig(**{**SMALL, "levels": 2}))
+    assert calls == [("sobolev", 1, None, 2)]
 
 
 def test_cli_measure_check_exits_1_on_a_failed_factorization(tmp_path, monkeypatch):
