@@ -4,8 +4,8 @@ polynomial reproduction, and empirical L^p convergence-rate experiments.
 Names load on first use: ``import rbfbench`` binds only the table below,
 and the first lookup of an exported name (or of a submodule such as
 ``rbfbench.spectral``) imports the submodule that defines it (PEP 562).
-So ``rbfbench.wendland_construct`` never loads scipy, while
-``rbfbench.ls_witness`` loads scipy with ``approx``.
+So ``rbfbench.wendland_construct`` never loads scipy, and
+``rbfbench.ls_witness`` loads ``scipy.linalg`` only when it solves.
 """
 
 from importlib import import_module

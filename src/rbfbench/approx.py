@@ -27,11 +27,10 @@ from math import pi
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
-from scipy.spatial.distance import cdist
+from numpy.linalg import LinAlgError
 
 from ._quad import panel_nodes
-from .geometry import PointSet, cube_center, cube_index, tensor_grid
+from .geometry import PointSet, _squared_distances, cube_center, cube_index, tensor_grid
 from .polyrep import LocalPolyBuilder
 
 __all__ = [
@@ -49,8 +48,8 @@ _GL_NODES = 48         # Gauss-Legendre nodes per panel of the f = (2 pi)^(-d/2)
 _PANELS_PER_SIDE = 4   # panels on each side of the kink at t = x
 _BLOCK = 128           # evaluation points per block of that quadrature
 _MIDPOINTS = 4         # midpoints per axis of each cube in the quasi-interpolant rule
-_BUILD_BLOCK = 1 << 17  # cdist entries per block of a kernel matrix build
-_BLOCK_BYTES = 17 * _BUILD_BLOCK  # one block's distances, support mask and profile values
+_BUILD_BLOCK = 1 << 17  # entries per block of a kernel matrix build
+_BLOCK_BYTES = 17 * _BUILD_BLOCK  # one block's axis squares, or its support mask and profile values
 
 
 @dataclass(frozen=True)
@@ -197,11 +196,12 @@ def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
                    workspace_bytes: int = 0) -> np.ndarray:
     """C-order matrix of Phi(|row - col|), built _BUILD_BLOCK entries at a time.
 
-    Each block of rows gets its distances from cdist; for a compactly
-    supported kernel the profile is evaluated only on pairs inside the
-    support radius, and pairs at or beyond it are exactly 0.  Blocks are
-    cut along rows and the profile is elementwise, so every entry is the
-    one a single full-size build would give.  Before the matrix is
+    Each block of rows gets its distances in place, as cdist forms them:
+    the per-axis squares added in axis order, then the square root.  For a
+    compactly supported kernel the profile is evaluated only on pairs
+    inside the support radius, and pairs at or beyond it are exactly 0.
+    Blocks are cut along rows and the profile is elementwise, so every
+    entry is the one a single full-size build would give.  Before the matrix is
     allocated, its 8 rows cols bytes plus workspace_bytes plus one block
     are compared with _available_bytes(), and a matrix that does not fit
     is refused with a ValueError; a non-finite entry is refused as well.
@@ -215,18 +215,30 @@ def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
     out = np.empty((n_rows, n_cols))
     step = max(1, _BUILD_BLOCK // max(n_cols, 1))
     radius = Phi.support_radius
+    rows_t = rows.T[:, :, None]
+    cols_t = np.ascontiguousarray(cols.T)[:, None, :]
     for start in range(0, n_rows, step):
-        D = cdist(rows[start:start + step], cols)
+        D = out[start:start + step]
+        with np.errstate():
+            # numpy buffers a broadcast whose rows are shorter than its
+            # buffer, copying both operands; a 16-entry buffer never does.
+            np.setbufsize(16)
+            _squared_distances(rows_t[:, start:start + step], cols_t, out=D)
         if np.isfinite(radius):
-            inside = D < radius
-            vals = Phi.profile(D[inside])
+            # Only squares up to the squared radius can have a root below
+            # it, so the root is taken on those alone.
+            near = D <= radius * radius
+            r = np.sqrt(D[near])
+            inside = r < radius
+            vals = np.zeros(r.size)
+            vals[inside] = Phi.profile(r[inside])
             D.fill(0.0)
-            D[inside] = vals
+            D[near] = vals
         else:
-            D = Phi.profile(D)
-        if not np.isfinite(D).all():
+            vals = Phi.profile(np.sqrt(D, out=D))
+            D[...] = vals
+        if not np.isfinite(vals).all():
             raise ValueError("kernel matrix has non-finite entries")
-        out[start:start + step] = D
     return out
 
 
@@ -243,6 +255,8 @@ def collocation_matrix(pts: np.ndarray, X: PointSet, Phi) -> np.ndarray:
 
 def _gelsd_workspace(m: int, n: int) -> tuple[int, int]:
     """(lwork, liwork) of a one-column gelsd solve with an m x n matrix."""
+    from scipy.linalg import get_lapack_funcs
+
     work, iwork, info = get_lapack_funcs(("gelsd_lwork",))[0](m, n, 1)
     if info != 0:
         raise ValueError(f"gelsd workspace query failed: {info}")
@@ -255,9 +269,12 @@ def lstsq(A: np.ndarray, b: np.ndarray, cond: float) -> tuple[np.ndarray, int]:
     A is a Fortran-order float64 matrix and is overwritten, so no copy of
     it is made.  Singular values below cond times the largest are treated
     as zero.  The arithmetic is that of scipy.linalg.lstsq with
-    lapack_driver="gelsd"; the solve keeps this module-level name so that
-    it can be timed from outside.
+    lapack_driver="gelsd", and scipy.linalg is imported by the first
+    solve; the solve keeps this module-level name so that it can be timed
+    from outside.
     """
+    from scipy.linalg import get_lapack_funcs
+
     m, n = A.shape
     gelsd, = get_lapack_funcs(("gelsd",))
     # gelsd writes the n-entry solution into b, so b is padded to

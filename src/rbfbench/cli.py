@@ -9,8 +9,11 @@ timestamps, so identical invocations produce byte-identical files.  Each handler
 modules it calls, so a command loads only what it runs: `kernels table`,
 `spectral check`, `measure check` and `ratio-diag` need only numpy, except
 that the transform validation of `spectral check` and `ratio-diag` in odd
-d >= 5 loads scipy.special for the Bessel oracle.  The library itself
-depends on numpy and scipy only.
+d >= 5 loads scipy.special for the Bessel oracle.  `property2` and
+`rates --witness quasi` need only numpy as well, except for the Bessel
+profile of Sobolev splines in even d, and `rates --witness ls` adds
+scipy.linalg for its solves.  The library itself depends on numpy and
+scipy only.
 """
 
 from __future__ import annotations

@@ -10,18 +10,23 @@ padding or the box moves every point, not only the added ones.
 
 The cube partition splits R^d into half-open cubes [c - s/2, c + s/2)
 centered at the lattice s*Z^d; local stars are anchored at cube centers so
-that every t in a given cube sees the same star.  Every neighbour search
-(fill distance, separation radius, stars) goes through a KD-tree.
+that every t in a given cube sees the same star.
+
+Distances are numpy's: one helper adds the per-axis squares in axis
+order, so every distance is the float a KD-tree or cdist would give.  The
+fill distance and the separation radius share one exact nearest-point
+search on a fixed grid of cells (Wendland, Scattered Data Approximation,
+2005, section 14.1); a star is every point whose squared distance is at
+most the squared radius.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from numbers import Integral
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Box",
@@ -36,6 +41,9 @@ __all__ = [
 
 MAX_CANDIDATES = 4_000_000   # largest point lattice or candidate grid a point set may build
 MAX_JITTER = 0.4             # largest lattice jitter, in units of the spacing
+_MARGIN = 1e-6               # share of a cell side given up to the rounding of cell indices
+_QUERY_BLOCK = 1 << 15       # query-cell pairs per block of a nearest-point search
+_BRUTE_BLOCK = 1 << 17       # distances per block of the brute-force search
 
 
 def tensor_grid(axes) -> np.ndarray:
@@ -94,19 +102,159 @@ def cube_center(idx: tuple[int, ...], side: float) -> np.ndarray:
     return np.asarray(idx, dtype=float) * side
 
 
+def _squared_distances(a, b, out=None) -> np.ndarray:
+    """The sum over k of (a[k] - b[k])**2, added in axis order.
+
+    a and b hold one coordinate array per axis along their first index, and
+    those arrays broadcast against each other.  The sum is the squared
+    distance a KD-tree or cdist forms, bit for bit, so its square root is
+    their distance.  out, when given, receives the result.
+    """
+    out = np.subtract(a[0], b[0], out=out)
+    np.square(out, out=out)
+    if len(a) > 1:
+        tmp = np.empty_like(out)
+        for ak, bk in zip(a[1:], b[1:]):
+            np.subtract(ak, bk, out=tmp)
+            np.square(tmp, out=tmp)
+            out += tmp
+    return out
+
+
+def _as_points(points) -> np.ndarray:
+    """points as an (n, d) float array; a scalar or flat array is n points of R^1."""
+    points = np.asarray(points, dtype=float)
+    return points.reshape(-1, 1) if points.ndim < 2 else points
+
+
+def _cell_side(extent: list[float], n: int) -> float:
+    """The side of cubes holding about one of n points each over the given box.
+
+    Axes too short to hold one cube are left out of the count, so a flat or
+    degenerate box gets no more cubes than points along any axis.
+    """
+    wide = [e for e in extent if e > 0]
+    while wide:
+        side = (prod(wide) / n) ** (1.0 / len(wide))
+        if min(wide) >= side:
+            return side
+        wide = [e for e in wide if e >= side]
+    return 1.0
+
+
+class _Cells:
+    """Points sorted into a grid of cubic cells, for an exact nearest-point search.
+
+    The cells cover the points' bounding box with about one point each, and
+    the grid has one empty cell more on every side, so the 3^d cells
+    around any cell exist.  Points outside the 3^d cells around a query's
+    cell are at least one side from the query, so the nearest point among
+    those cells is the nearest point of all once its squared distance is
+    below bound.  A rounded cell index is off by one only within a few
+    units in the last place of a cell face, so bound is the squared side
+    less _MARGIN, far more than that rounding.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n, d = points.shape
+        self.lo = points.min(axis=0)
+        extent = (points.max(axis=0) - self.lo).tolist()
+        self.side = _cell_side(extent, n)
+        self.last = np.array([int(e // self.side) for e in extent])   # last cell per axis
+        shape = (self.last + 3).tolist()
+        self.strides = np.array([prod(shape[k + 1:]) for k in range(d)])
+        cell = self._cell(points)
+        order = np.argsort(cell, kind="stable")
+        self.sorted_cell = cell[order]
+        # Coordinates by axis, in cell order, with one point at infinity
+        # (index n) that stands for an empty cell.
+        self.coords = np.full((d, n + 1), np.inf)
+        self.coords[:, :n] = points[order].T
+        self.size = np.bincount(cell, minlength=prod(shape))
+        self.first = np.cumsum(self.size) - self.size
+        self.head = np.where(self.size > 0, self.first, n)
+        self.deepest = int(self.size.max())
+        offsets = [0]                       # flat steps to the 3^d cells around a cell
+        for s in self.strides.tolist():
+            offsets = [o + t for o in offsets for t in (-s, 0, s)]
+        self.offsets = np.array(offsets)[:, None]
+        self.bound = (self.side * (1.0 - _MARGIN)) ** 2
+
+    def _cell(self, pts: np.ndarray) -> np.ndarray:
+        """The flat index of each point's cell; points beyond the box go to its edge cells."""
+        idx = np.floor((pts - self.lo) / self.side)
+        np.minimum(np.maximum(idx, 0.0, out=idx), self.last, out=idx)
+        return (idx.astype(np.intp) + 1) @ self.strides
+
+    @property
+    def sorted_points(self) -> np.ndarray:
+        """The points in cell order, one per row."""
+        return self.coords[:, :-1].T
+
+    def nearest(self, queries: np.ndarray, own: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(squared distance to the nearest point in the 3^d cells around each query,
+        indices of the queries for which that is not below bound).
+
+        With own, the queries are sorted_points and each skips itself.
+        """
+        best = np.empty(len(queries))
+        step = max(1, _QUERY_BLOCK // len(self.offsets))
+        for start in range(0, len(queries), step):
+            block = slice(start, min(start + step, len(queries)))
+            if own:
+                cell, skip = self.sorted_cell[block], np.arange(block.start, block.stop)
+            else:
+                cell, skip = self._cell(queries[block]), None
+            best[block] = self._block_nearest(queries[block], cell, skip)
+        return best, np.flatnonzero(~(best < self.bound))
+
+    def _block_nearest(self, queries: np.ndarray, cell: np.ndarray, skip) -> np.ndarray:
+        qt = np.ascontiguousarray(queries.T)
+        near = cell + self.offsets                          # (3^d, queries)
+        idx = self.head.take(near)
+        d2 = _squared_distances(qt[:, None, :], self.coords.take(idx, axis=1))
+        if skip is not None:
+            d2[idx == skip] = np.inf
+        best = d2.min(axis=0)
+        for j in range(1, self.deepest):
+            k, q = np.nonzero(self.size.take(near) > j)
+            if not q.size:
+                break
+            idx = self.first.take(near[k, q]) + j
+            d2 = _squared_distances(qt[:, q], self.coords.take(idx, axis=1))
+            if skip is not None:
+                d2[idx == skip[q]] = np.inf
+            np.minimum.at(best, q, d2)
+        return best
+
+    def brute_nearest(self, queries: np.ndarray, skip=None) -> np.ndarray:
+        """Squared distance from each query to the nearest point of all.
+
+        skip, when given, names for each query a point (in cell order) it
+        skips.  Queries go _BRUTE_BLOCK distances at a time.
+        """
+        n = self.coords.shape[1] - 1
+        pts = self.coords[:, None, :n]
+        out = np.empty(len(queries))
+        step = max(1, _BRUTE_BLOCK // n)
+        for start in range(0, len(queries), step):
+            block = queries[start:start + step].T[:, :, None]
+            d2 = _squared_distances(block, pts)
+            if skip is not None:
+                d2[np.arange(len(d2)), skip[start:start + step]] = np.inf
+            out[start:start + step] = d2.min(axis=1)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Scattered points with cached density functionals and a KD-tree built once."""
+    """Scattered points with their cached density functionals."""
 
     points: np.ndarray            # (n, d)
     domain: Box
     h: float                      # fill distance w.r.t. domain
     h_slack: float                # upper error bound of the h estimate
     q: float                      # separation radius (exact)
-    _tree: cKDTree = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_tree", cKDTree(self.points))
 
     @property
     def n(self) -> int:
@@ -121,9 +269,15 @@ class PointSet:
         return self.h / self.q
 
     def within_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of points with |p - center| <= radius, in ascending order."""
-        return np.asarray(self._tree.query_ball_point(center, radius, return_sorted=True),
-                          dtype=int)
+        """Indices of the points in the closed ball, in ascending order.
+
+        A point is in the ball when its squared distance is at most
+        radius**2, as in a KD-tree's ball query, so a point whose rounded
+        distance equals radius can still fall outside.
+        """
+        center = np.asarray(center, dtype=float).reshape(self.dim)
+        d2 = _squared_distances(self.points.T, center)
+        return np.flatnonzero(d2 <= radius * radius)
 
 
 def fill_distance(points: np.ndarray, domain: Box, resolution: float) -> float:
@@ -131,25 +285,38 @@ def fill_distance(points: np.ndarray, domain: Box, resolution: float) -> float:
 
     The supremum is taken over a candidate grid of spacing <= resolution;
     the true fill distance exceeds the estimate by at most
-    resolution * sqrt(d).
+    resolution * sqrt(d).  points holds one point of R^d per row, d the
+    domain's dimension; a flat array is read as points of R^1.
     """
-    points = np.atleast_2d(points)
+    points = _as_points(points)
     if points.shape[0] == 0:
         raise ValueError("empty point set")
-    tree = cKDTree(points)
+    if points.shape[1] != domain.dim:
+        raise ValueError(f"points of dimension {points.shape[1]} in a domain of "
+                         f"dimension {domain.dim}")
     grid = domain.candidate_grid(resolution)
-    dist, _ = tree.query(grid, k=1)
-    return float(dist.max())
+    cells = _Cells(points)
+    d2, rest = cells.nearest(grid)
+    d2[rest] = cells.brute_nearest(grid[rest])
+    return float(np.sqrt(d2.max()))
 
 
 def separation_radius(points: np.ndarray) -> float:
-    """Half the minimum pairwise distance (exact, by KD-tree)."""
-    points = np.atleast_2d(points)
+    """Half the minimum pairwise distance (exact).
+
+    points holds one point per row; a flat array is read as points of R^1.
+    """
+    points = _as_points(points)
     if points.shape[0] < 2:
         raise ValueError("separation radius needs at least two points")
-    tree = cKDTree(points)
-    dist, _ = tree.query(points, k=2)
-    qmin = float(dist[:, 1].min()) / 2.0
+    cells = _Cells(points)
+    pts = cells.sorted_points
+    d2, rest = cells.nearest(pts, own=True)
+    # A point whose minimum is not below the bound has no other point
+    # nearer than that; it can hold the minimum only if every point does.
+    if rest.size == len(pts):
+        d2 = cells.brute_nearest(pts, skip=np.arange(len(pts)))
+    qmin = float(np.sqrt(d2.min())) / 2.0
     if qmin == 0.0:
         raise ValueError("duplicate points: separation radius is zero")
     return qmin

@@ -9,6 +9,7 @@ from scipy.spatial.distance import pdist
 
 from rbfbench import geometry
 from rbfbench.geometry import (
+    MAX_JITTER,
     Box,
     PointSet,
     cube_index,
@@ -89,10 +90,95 @@ def test_separation_radius_examples_and_oracle():
     assert separation_radius(pts) == pytest.approx(pdist(pts).min() / 2.0, rel=1e-14, abs=0)
 
 
+def _kdtree_h_q(points, domain, resolution):
+    """The fill distance and separation radius by cKDTree, the oracle of the cell search."""
+    tree = cKDTree(points)
+    h = float(tree.query(domain.candidate_grid(resolution))[0].max())
+    return h, float(tree.query(points, k=2)[0][:, 1].min()) / 2.0
 
 
+@pytest.mark.parametrize("pad", [0.0, 2.0])
+@pytest.mark.parametrize("jitter", [0.0, MAX_JITTER])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_density_functionals_equal_kdtree(d, jitter, pad):
+    # Jitter 0 puts every point on the lattice, where distances tie.
+    box = Box((0.0,) * d, (1.0,) * d)
+    h_target = {1: 1 / 64, 2: 1 / 8, 3: 1 / 4}[d]
+    resolution = h_target / 32.0 if d < 3 else h_target / 8.0
+    for seed in (0, 5):
+        X = make_quasi_uniform(box, h_target, jitter=jitter, seed=seed, pad=pad)
+        assert (X.h, X.q) == _kdtree_h_q(X.points, box, resolution)
+        if X.n <= 2000:
+            assert X.q == pdist(X.points).min() / 2.0
 
 
+def test_density_functionals_of_scattered_and_single_points():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        box = Box((0.0,) * d, (1.0,) * d)
+        pts = rng.uniform(0, 1, size=(300, d))
+        h, q = _kdtree_h_q(pts, box, 0.02)
+        assert fill_distance(pts, box, 0.02) == h
+        assert separation_radius(pts) == q == pdist(pts).min() / 2.0
+        one = pts[:1]
+        assert fill_distance(one, box, 0.02) == cKDTree(one).query(box.candidate_grid(0.02))[0].max()
+
+
+def test_duplicate_points_still_refused():
+    X = make_quasi_uniform(UNIT_2D, 1 / 8, jitter=0.25, seed=3)
+    for pts in (np.vstack([X.points, X.points[40]]), np.zeros((5, 2))):
+        with pytest.raises(ValueError, match="duplicate points"):
+            separation_radius(pts)
+
+
+def test_domain_wider_than_the_cloud_is_searched_by_brute_force(monkeypatch):
+    searched = []
+    brute = geometry._Cells.brute_nearest
+
+    def spy(self, queries, skip=None):
+        searched.append(len(queries))
+        return brute(self, queries, skip)
+
+    monkeypatch.setattr(geometry._Cells, "brute_nearest", spy)
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(0.45, 0.55, size=(400, 2))
+    want = cKDTree(pts).query(UNIT_2D.candidate_grid(1e-2))[0].max()
+    assert fill_distance(pts, UNIT_2D, 1e-2) == want
+    assert searched and searched[0] > 0
+
+
+def test_flat_arrays_are_points_of_the_line():
+    flat = np.array([0.0, 0.5, 1.0])
+    assert separation_radius(flat) == separation_radius(flat[:, None]) == 0.25
+    assert fill_distance(flat, UNIT_1D, 1e-4) == fill_distance(flat[:, None], UNIT_1D, 1e-4)
+
+
+def test_fill_distance_refuses_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="points of dimension 3 in a domain of dimension 2"):
+        fill_distance(np.zeros((4, 3)), UNIT_2D, 0.1)
+    with pytest.raises(ValueError, match="points of dimension 1 in a domain of dimension 2"):
+        fill_distance(np.array([0.1, 0.2, 0.7]), UNIT_2D, 0.1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_within_ball_at_a_point_s_exact_distance(d):
+    # A lattice without jitter: many points sit exactly at a lattice
+    # distance from a lattice center, and the ball keeps them.
+    box = Box((0.0,) * d, (1.0,) * d)
+    X = make_quasi_uniform(box, 1 / 4, pad=0.5)
+    tree = cKDTree(X.points)
+    center = np.full(d, 0.5)
+    for r in (0.25, 0.5, float(np.sqrt(d * 0.0625))):
+        got = X.within_ball(center, r)
+        assert np.array_equal(got, tree.query_ball_point(center, r, return_sorted=True))
+        if r in (0.25, 0.5):
+            assert np.any(np.linalg.norm(X.points[got] - center, axis=1) == r)
+    jittered = make_quasi_uniform(box, 1 / 4, jitter=MAX_JITTER, seed=2, pad=0.5)
+    tree = cKDTree(jittered.points)
+    for p in jittered.points[::7]:
+        r = float(np.sqrt(np.sum((p - center) ** 2)))
+        want = tree.query_ball_point(center, r, return_sorted=True)
+        assert np.array_equal(jittered.within_ball(center, r), want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -91,6 +91,33 @@ def test_transform_commands_load_no_scipy_or_sympy(argv, tmp_path):
     assert "mpmath" not in loaded
 
 
+def _loaded_scipy(code: str, tmp_path) -> list[str]:
+    """The scipy subpackages in sys.modules after running code afresh."""
+    return _run_fresh(f"{code}\nprint(json.dumps(sorted("
+                      "{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))",
+                      tmp_path)
+
+
+def test_ls_rate_run_loads_scipy_linalg_and_no_neighbour_search(tmp_path):
+    code = ("from rbfbench.experiments import ExperimentConfig, run_rate_experiment\n"
+            "run_rate_experiment(ExperimentConfig(family='wendland', d=1, k=1, levels=4, "
+            "h0=0.25))")
+    loaded = _loaded_scipy(code, tmp_path)
+    assert "linalg" in loaded and "spatial" not in loaded
+
+
+@pytest.mark.parametrize("code", [
+    "from rbfbench.cli import main\n"
+    "assert main(['property2', '--kernel', 'wendland', '--d', '2', '--k', '1', '--h', '0.25',"
+    " '--budget', '64', '--out', 'p.json']) == 0",
+    "from rbfbench.experiments import ExperimentConfig, run_rate_experiment\n"
+    "run_rate_experiment(ExperimentConfig(family='sobolev', d=1, gamma=2, levels=4, "
+    "h0=0.25, witness='quasi'))",
+], ids=["property2_wendland", "rates_quasi"])
+def test_scan_and_quasi_runs_load_no_scipy(code, tmp_path):
+    assert "scipy" not in _loaded_roots(code, tmp_path)
+
+
 def test_kernel_derivative_loads_no_sympy(tmp_path):
     code = ("from rbfbench.kernels import (kernel_derivative, "
             "sobolev_spline_construct, wendland_construct)\n"

@@ -42,6 +42,7 @@ COMMANDS = (
     ("property2 --kernel wendland --d 2 --k 1 --h 0.125 --csv w.csv", "w.csv"),
     ("property2 --kernel sobolev --d 1 --gamma 4 --h 0.0625 --csv s.csv", "s.csv"),
     ("property2 --kernel sobolev --d 2 --gamma 4 --h 0.125 --csv s2.csv", "s2.csv"),
+    ("property2 --kernel wendland --d 3 --k 1 --h 0.25 --budget 240", None),
     ("rates --kernel sobolev --gamma 2 --d 1 --p 2 --levels 4 --seed 7", None),
     ("rates --kernel wendland --k 2 --d 1 --p 2 inf --levels 5 --seed 7", None),
     ("rates --kernel sobolev --gamma 2 --d 1 --witness quasi --levels 5 --seed 7", None),
