@@ -5,7 +5,8 @@ Names load on first use: ``import rbfbench`` binds only the table below,
 and the first lookup of an exported name (or of a submodule such as
 ``rbfbench.spectral``) imports the submodule that defines it (PEP 562).
 So ``rbfbench.wendland_construct`` never loads scipy, and
-``rbfbench.ls_witness`` loads ``scipy.linalg`` only when it solves.
+``rbfbench.ls_witness`` loads only scipy's LAPACK extension module,
+``scipy.linalg._flapack``, and only when it solves.
 """
 
 from importlib import import_module

@@ -12,8 +12,9 @@ that the transform validation of `spectral check` and `ratio-diag` in odd
 d >= 5 loads scipy.special for the Bessel oracle.  `property2` and
 `rates --witness quasi` need only numpy as well, except for the Bessel
 profile of Sobolev splines in even d, and `rates --witness ls` adds
-scipy.linalg for its solves.  The library itself depends on numpy and
-scipy only.
+scipy's LAPACK extension module, scipy.linalg._flapack, for its solves,
+without the scipy.linalg package.  The library itself depends on numpy
+and scipy only.
 """
 
 from __future__ import annotations

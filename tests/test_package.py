@@ -92,18 +92,119 @@ def test_transform_commands_load_no_scipy_or_sympy(argv, tmp_path):
 
 
 def _loaded_scipy(code: str, tmp_path) -> list[str]:
-    """The scipy subpackages in sys.modules after running code afresh."""
+    """The scipy modules in sys.modules after running code afresh."""
     return _run_fresh(f"{code}\nprint(json.dumps(sorted("
-                      "{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))",
+                      "m for m in sys.modules if m.split('.')[0] == 'scipy')))",
                       tmp_path)
 
 
-def test_ls_rate_run_loads_scipy_linalg_and_no_neighbour_search(tmp_path):
+def test_ls_rate_run_loads_only_scipy_lapack_module(tmp_path):
     code = ("from rbfbench.experiments import ExperimentConfig, run_rate_experiment\n"
             "run_rate_experiment(ExperimentConfig(family='wendland', d=1, k=1, levels=4, "
             "h0=0.25))")
-    loaded = _loaded_scipy(code, tmp_path)
-    assert "linalg" in loaded and "spatial" not in loaded
+    assert _loaded_scipy(code, tmp_path) == ["scipy.linalg._flapack"]
+
+
+# Solves an overdetermined rank-deficient system (60 x 20 of rank 12) and
+# an underdetermined one (15 x 40) with approx.lstsq, then compares each
+# with scipy.linalg.lstsq by gelsd: x bit for bit, and the rank.
+_SOLVES = """
+import numpy as np
+from rbfbench import approx
+
+EPS = float(np.finfo(float).eps)
+rng = np.random.default_rng(5)
+systems = [rng.standard_normal((60, 12)) @ rng.standard_normal((12, 20)),
+           rng.standard_normal((15, 40))]
+systems = [(A, rng.standard_normal(len(A))) for A in systems]
+
+def solve_all():
+    return [approx.lstsq(np.array(A, order="F"), b, cond=EPS) for A, b in systems]
+
+def same_as_scipy(solved):
+    import scipy.linalg
+    expected = [scipy.linalg.lstsq(A, b, cond=EPS, lapack_driver="gelsd")
+                for A, b in systems]
+    return [x.tobytes() == xs.tobytes() and rank == rs and rank == rank_wanted
+            for (x, rank), (xs, _, rs, _), rank_wanted in zip(solved, expected, (12, 15))]
+"""
+
+
+def test_lapack_module_is_shared_with_a_later_scipy_linalg(tmp_path):
+    code = (_SOLVES +
+            "solved = solve_all()\n"
+            "direct = 'scipy' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "A = systems[0][0]\n"
+            "shared = (scipy.linalg.get_lapack_funcs(('gelsd',), (A,))[0]\n"
+            "          is sys.modules['scipy.linalg._flapack'].dgelsd)\n"
+            "print(json.dumps([direct, shared, same_as_scipy(solved)]))")
+    assert _run_fresh(code, tmp_path) == [True, True, [True, True]]
+
+
+def test_lapack_module_is_scipy_linalgs_when_imported_first(tmp_path):
+    code = ("import scipy.linalg\n" + _SOLVES +
+            "shared = approx._flapack() is sys.modules['scipy.linalg._flapack']\n"
+            "print(json.dumps([shared, same_as_scipy(solve_all())]))")
+    assert _run_fresh(code, tmp_path) == [True, [True, True]]
+
+
+def _fail_exec_once(error: str) -> str:
+    """Code that makes the first run of the LAPACK module raise error."""
+    return ("exec_module = importlib.machinery.ExtensionFileLoader.exec_module\n"
+            "failed = []\n"
+            "def fail_once(self, module):\n"
+            "    if module.__name__ == 'scipy.linalg._flapack' and not failed:\n"
+            "        failed.append(module)\n"
+            f"        raise {error}('refused')\n"
+            "    return exec_module(self, module)\n"
+            "importlib.machinery.ExtensionFileLoader.exec_module = fail_once\n")
+
+
+@pytest.mark.parametrize("miss", [
+    # No extension suffix to look for: the file lookup finds nothing.
+    "importlib.machinery.EXTENSION_SUFFIXES = []\n",
+    # scipy's folder holds an empty file in place of the extension, so
+    # creating the module raises ImportError.
+    "import importlib.util, pathlib\n"
+    "fake = pathlib.Path('fake', 'linalg').resolve()\n"
+    "fake.mkdir(parents=True)\n"
+    "fake.joinpath('_flapack' + importlib.machinery.EXTENSION_SUFFIXES[0]).touch()\n"
+    "find_spec = importlib.util.find_spec\n"
+    "def fake_spec(name, package=None):\n"
+    "    if name != 'scipy':\n"
+    "        return find_spec(name, package)\n"
+    "    spec = importlib.machinery.ModuleSpec('scipy', None, is_package=True)\n"
+    "    spec.submodule_search_locations = [str(fake.parent)]\n"
+    "    return spec\n"
+    "importlib.util.find_spec = fake_spec\n",
+    # The module is created and registered, and then running it raises
+    # ImportError, once.
+    _fail_exec_once("ImportError"),
+], ids=["no_file", "unloadable_file", "exec_fails"])
+def test_lapack_module_falls_back_to_the_ordinary_import(miss, tmp_path):
+    code = ("import importlib.machinery\n" + miss + _SOLVES +
+            "solved = solve_all()\n"
+            "ordinary = 'scipy.linalg' in sys.modules\n"
+            "module = sys.modules['scipy.linalg._flapack']\n"
+            "import scipy.linalg.lapack\n"
+            "lost = globals().get('failed', [])\n"
+            "print(json.dumps([ordinary, scipy.linalg.lapack._flapack is module,\n"
+            "                  all(m is not module for m in lost), approx._flapack() is module,\n"
+            "                  same_as_scipy(solved)]))")
+    assert _run_fresh(code, tmp_path) == [True, True, True, True, [True, True]]
+
+
+def test_lapack_module_load_that_fails_otherwise_leaves_no_entry(tmp_path):
+    code = ("import importlib.machinery\n" + _fail_exec_once("RuntimeError") + _SOLVES +
+            "try:\n"
+            "    approx._flapack()\n"
+            "except RuntimeError:\n"
+            "    left = 'scipy.linalg._flapack' in sys.modules\n"
+            "solved = solve_all()\n"
+            "print(json.dumps([left, 'scipy' in sys.modules, failed[0] is approx._flapack(),\n"
+            "                  same_as_scipy(solved)]))")
+    assert _run_fresh(code, tmp_path) == [False, False, False, [True, True]]
 
 
 @pytest.mark.parametrize("code", [

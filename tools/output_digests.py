@@ -45,6 +45,7 @@ COMMANDS = (
     ("property2 --kernel wendland --d 3 --k 1 --h 0.25 --budget 240", None),
     ("rates --kernel sobolev --gamma 2 --d 1 --p 2 --levels 4 --seed 7", None),
     ("rates --kernel wendland --k 2 --d 1 --p 2 inf --levels 5 --seed 7", None),
+    ("rates --kernel sobolev --gamma 4 --d 1 --levels 5 --seed 7", None),
     ("rates --kernel sobolev --gamma 2 --d 1 --witness quasi --levels 5 --seed 7", None),
     ("rates --kernel sobolev --gamma 4 --d 1 --witness quasi --p 1 2 inf --levels 5 --seed 7",
      None),
