@@ -14,9 +14,11 @@ Two routes into the translate space S_X(G) are provided:
 Kernel matrices are built in row blocks into one preallocated array, and
 the least-squares solve overwrites its matrix in place, so a witness holds
 one dense matrix at a time; a matrix that does not fit in the available
-memory is refused before it is allocated.  Errors are composite-quadrature
-L^p norms on an interior region; fitted log-log slopes against the fill
-distance are the empirical convergence rates.
+memory is refused before it is allocated.  A witness is evaluated one row
+block at a time and summed without BLAS, so no dense evaluation matrix is
+made and the values do not depend on the BLAS thread count.  Errors are
+composite-quadrature L^p norms on an interior region; fitted log-log
+slopes against the fill distance are the empirical convergence rates.
 """
 
 from __future__ import annotations
@@ -338,10 +340,10 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
     translates with no support on the grid) stays well posed; the returned
     effective rank shows the deficiency.  The solve overwrites the
     collocation matrix, about 8 rows cols bytes, in place and releases it
-    before returning, so evaluate_combination can build the fitted values
-    without a second matrix alive.  A level whose matrix and solver
-    workspace do not fit in the available memory is refused with a
-    ValueError before the matrix is allocated.
+    before returning; evaluate_combination then forms the fitted values
+    one row block at a time, never holding a second full matrix.  A level
+    whose matrix and solver workspace do not fit in the available memory
+    is refused with a ValueError before the matrix is allocated.
     """
     if not np.isfinite(f_vals).all():
         raise ValueError("function values must be finite")
@@ -360,8 +362,23 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
 
 
 def evaluate_combination(coeffs: np.ndarray, X: PointSet, Phi, pts: np.ndarray) -> np.ndarray:
-    """Evaluate sum_xi c_xi Phi(. - xi) at the given points."""
-    return collocation_matrix(pts, X, Phi) @ coeffs
+    """Evaluate sum_xi c_xi Phi(. - xi) at the given points.
+
+    The points are taken _BUILD_BLOCK // X.n at a time (at least one), so
+    only one block's matrix is alive.  Each block comes from
+    collocation_matrix, so its memory refusal and non-finite check apply
+    per block.  The rows are reduced against coeffs by einsum, which calls
+    no BLAS: every value is the same sum in the same order whatever the
+    block size or the BLAS thread count, and numpy's BLAS threads stay
+    idle.
+    """
+    pts = np.reshape(pts, (-1, X.dim))
+    out = np.empty(len(pts))
+    step = max(1, _BUILD_BLOCK // max(X.n, 1))
+    for start in range(0, len(pts), step):
+        np.einsum("ij,j->i", collocation_matrix(pts[start:start + step], X, Phi), coeffs,
+                  out=out[start:start + step])
+    return out
 
 
 def lp_error(f_vals: np.ndarray, s_vals: np.ndarray, p: float,

@@ -8,14 +8,17 @@ its weights, the test function there, and the witness coefficients in
 the kernel translate space.  run_rate_experiment folds the levels: it
 measures L^p errors on the interior region and fits the log-log slope
 against the measured fill distance.  Star parameters are derived, not
-configured (family_kernel, polyrep.C2_CAP, RHO_MAX).  Each level holds
-one dense collocation matrix at a time, about 8 rows cols bytes, and a
-Level holds none: the least-squares solve overwrites it in place, and
-either witness is evaluated on the grid by evaluate_combination once it
-is released.  A level whose matrix does not fit in the available memory
-is refused with a ValueError before it is allocated.  Reports are
-deterministic for a fixed config, BLAS build and thread count: the
-config hash is embedded and no timestamps are written.
+configured (family_kernel, polyrep.C2_CAP, RHO_MAX).  A least-squares
+level holds one dense collocation matrix at a time, about 8 rows cols
+bytes, and a Level holds none: the solve overwrites it in place and
+releases it.  evaluate_combination then evaluates either witness on the
+grid one row block at a time, so no level holds a dense evaluation
+matrix and a quasi level holds no dense matrix at all.  A level whose
+matrix does not fit in the available memory is refused with a
+ValueError before it is allocated.  Reports are deterministic for a
+fixed config, BLAS build and thread count: the config hash is embedded
+and no timestamps are written.  The witness evaluation calls no BLAS
+and does not depend on the thread count; the least-squares solve does.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Test-function synthesis, witnesses, error norms, and rate fitting."""
 
+import math
 import re
 import resource
 import subprocess
@@ -233,6 +234,68 @@ def test_ls_witness_holds_one_matrix_at_a_time():
     assert peak <= 1.25 * matrix_bytes + 4e6
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_combination_holds_one_block_at_a_time():
+    # The grid x centres matrix is 25 MB; the evaluation holds one row
+    # block of it, so its peak is the costliest single-block build plus
+    # the output vector and at most one more vector of rows.
+    Phi = wendland_construct(2, 1)
+    X = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 8, seed=0, pad=1.0)
+    axis = np.linspace(0, 1, 71)
+    grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], -1)
+    coeffs = np.random.default_rng(1).normal(size=X.n)
+    matrix_bytes = 8 * len(grid) * X.n
+    assert matrix_bytes > 20e6
+    step = approx._BUILD_BLOCK // X.n
+    block_peak = max(_traced_peak(lambda: collocation_matrix(grid[s:s + step], X, Phi))
+                     for s in range(0, len(grid), step))
+    assert block_peak < matrix_bytes / 4
+    peak = _traced_peak(lambda: evaluate_combination(coeffs, X, Phi, grid))
+    assert peak <= block_peak + 16 * len(grid)
+
+
+@pytest.fixture(scope="module")
+def finest_wendland_k2_level():
+    cfg = experiments.ExperimentConfig(family="wendland", d=1, k=2, levels=5)
+    *_, finest = experiments.rate_levels(cfg)
+    return cfg.fam.kernel, finest
+
+
+def test_evaluate_combination_rows_do_not_depend_on_the_block_size(
+        finest_wendland_k2_level, monkeypatch):
+    Phi, lv = finest_wendland_k2_level
+    whole = evaluate_combination(lv.coeffs, lv.X, Phi, lv.grid)
+    n = lv.X.n
+    # 1-row blocks, odd-sized blocks (3 rows, and 7 rows with a short
+    # last block) and a single block.
+    assert len(lv.grid) % 7
+    for build_block in (1, 3 * n, 7 * n, len(lv.grid) * n):
+        monkeypatch.setattr(approx, "_BUILD_BLOCK", build_block)
+        assert evaluate_combination(lv.coeffs, lv.X, Phi, lv.grid).tobytes() == whole.tobytes()
+
+
+def test_evaluate_combination_is_within_its_rounding_bound(finest_wendland_k2_level):
+    # A sum of n products computed in any order lies within
+    # gamma_n = n u / (1 - n u) of the exact sum of |terms|, u = eps / 2;
+    # math.fsum of the rounded products lies within 2u of it.  Both fit
+    # in 2 n eps sum_i |c_i| |Phi(x - xi_i)|.
+    Phi, lv = finest_wendland_k2_level
+    A = collocation_matrix(lv.grid, lv.X, Phi)
+    ref = np.array([math.fsum(row * lv.coeffs) for row in A])
+    bound = 2 * lv.X.n * np.finfo(float).eps * (np.abs(A) @ np.abs(lv.coeffs))
+    s_vals = evaluate_combination(lv.coeffs, lv.X, Phi, lv.grid)
+    assert np.all(np.abs(s_vals - ref) <= bound)
+    assert np.any(s_vals != ref)
+
+
 def test_oversize_level_is_refused_before_allocation(monkeypatch, capsys):
     # The first level's collocation matrix is 5929 x 1681 (80 MB); with
     # 50 MB available the run stops with exit 2 before building it.
@@ -278,7 +341,7 @@ def test_evaluate_combination_refuses_a_matrix_that_does_not_fit(monkeypatch):
 def test_rate_report_equals_two_build_reference():
     # The in-place solve gives the same report errors as scipy's lstsq on a
     # full-profile matrix built from each level's record, and built again
-    # to evaluate the witness.
+    # to evaluate the witness with the same BLAS-free row reduction.
     cfg = experiments.ExperimentConfig(family="wendland", d=2, k=1, levels=2,
                                        h0=1 / 4, p_list=(2.0, np.inf), seed=0)
     reports = experiments.run_rate_experiment(cfg)
@@ -291,7 +354,7 @@ def test_rate_report_equals_two_build_reference():
         coeffs, _, rank, _ = lstsq(_full_profile_matrix(lv.grid, lv.X, fam.kernel),
                                    lv.f_vals, lapack_driver="gelsd")
         assert rank == lv.rank
-        s_vals = _full_profile_matrix(lv.grid, lv.X, fam.kernel) @ coeffs
+        s_vals = np.einsum("ij,j->i", _full_profile_matrix(lv.grid, lv.X, fam.kernel), coeffs)
         for p in cfg.p_list:
             row = reports[f"error_p{p:g}"].levels[i]
             assert (row["h"], row["n_points"]) == (lv.X.h, lv.X.n)

@@ -105,6 +105,48 @@ def test_ls_rate_run_loads_only_scipy_lapack_module(tmp_path):
     assert _loaded_scipy(code, tmp_path) == ["scipy.linalg._flapack"]
 
 
+# Records the threads that import numpy starts (its BLAS workers), runs a
+# warm-up ls rate run and a second one, and prints how many workers there
+# are and the CPU ticks (utime + stime) they gained during the second run.
+_NUMPY_WORKER_TICKS = """
+import os
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        out[tid] = int(fields[11]) + int(fields[12])
+    return out
+
+before = set(os.listdir("/proc/self/task"))
+import numpy
+workers = set(os.listdir("/proc/self/task")) - before
+from rbfbench.experiments import ExperimentConfig, run_rate_experiment
+
+def run(seed):
+    run_rate_experiment(ExperimentConfig(family="wendland", d=1, k=2, levels=5, seed=seed))
+
+run(3)
+start = ticks()
+run(7)
+end = ticks()
+print(json.dumps([len(workers), sum(end[w] - start[w] for w in workers)]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_ls_rate_run_leaves_numpy_blas_workers_idle(tmp_path):
+    # numpy and scipy each load their own OpenBLAS.  The witness is
+    # evaluated without BLAS, so during an ls run only scipy's solve
+    # threads work, and numpy's idle workers do not spin against them.
+    # The first run in a process may wake them, hence the warm-up run.
+    n_workers, gained = _run_fresh(_NUMPY_WORKER_TICKS, tmp_path)
+    if n_workers == 0:
+        pytest.skip("import numpy started no BLAS worker threads")
+    assert gained == 0
+
+
 # Solves an overdetermined rank-deficient system (60 x 20 of rank 12) and
 # an underdetermined one (15 x 40) with approx.lstsq, then compares each
 # with scipy.linalg.lstsq by gelsd: x bit for bit, and the rank.

@@ -50,6 +50,9 @@ COMMANDS = (
     ("rates --kernel sobolev --gamma 4 --d 1 --witness quasi --p 1 2 inf --levels 5 --seed 7",
      None),
     ("rates --kernel wendland --k 1 --d 2 --p 2 inf --levels 2 --h0 0.25 --seed 0", None),
+    # The float64-floor report (exit 1), the one most sensitive to the
+    # rounding of the witness evaluation.
+    ("rates --kernel wendland --k 3 --d 1 --p 1 2 inf --levels 5 --seed 7", None),
     # Refused with exit 2: a cross-family order parameter (rates and
     # property2), a sample budget below 8 per stratum, a frequency grid
     # of fewer than 2 points, a config file that cannot be read, and an
