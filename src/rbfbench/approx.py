@@ -11,12 +11,14 @@ Two routes into the translate space S_X(G) are provided:
   evaluation grid, giving an upper bound on the best-approximation error
   (the same coefficient vector witnesses the L^1 and L^inf errors).
 
-Kernel matrices are built in row blocks into one preallocated array, and
-the least-squares solve overwrites its matrix in place, so a witness holds
-one dense matrix at a time; a matrix that does not fit in the available
-memory is refused before it is allocated.  A witness is evaluated one row
-block at a time and summed without BLAS, so no dense evaluation matrix is
-made and the values do not depend on the BLAS thread count.  Errors are
+Kernel matrices are built in row blocks into one preallocated array, each
+block written by kernels._kernel_block, the one owner of kernel values at
+point pairs.  The least-squares solve overwrites its matrix in place, so
+a witness holds one dense matrix at a time; a matrix that does not fit in
+the available memory, with the workspace of one block, is refused before
+it is allocated.  A witness is evaluated one row block at a time and
+summed without BLAS, so no dense evaluation matrix is made and the values
+do not depend on the BLAS thread count.  Errors are
 composite-quadrature L^p norms on an interior region; fitted log-log
 slopes against the fill distance are the empirical convergence rates.
 """
@@ -37,6 +39,7 @@ from numpy.linalg import LinAlgError
 
 from ._quad import panel_nodes
 from .geometry import PointSet, _squared_distances, cube_center, cube_index, tensor_grid
+from .kernels import _BLOCK_ENTRY_BYTES, _kernel_block
 from .polyrep import LocalPolyBuilder
 
 __all__ = [
@@ -55,7 +58,6 @@ _PANELS_PER_SIDE = 4   # panels on each side of the kink at t = x
 _BLOCK = 128           # evaluation points per block of that quadrature
 _MIDPOINTS = 4         # midpoints per axis of each cube in the quasi-interpolant rule
 _BUILD_BLOCK = 1 << 17  # entries per block of a kernel matrix build
-_BLOCK_BYTES = 17 * _BUILD_BLOCK  # one block's axis squares, or its support mask and profile values
 
 
 @dataclass(frozen=True)
@@ -76,14 +78,14 @@ class SmoothBump:
         vals = np.exp(1.0 - 1.0 / (1.0 - safe))
         return np.where(u2 < 1.0, vals, 0.0)
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1 and self.dim == 1:
-            r = np.abs(x - self.center[0])
-        else:
-            r = np.linalg.norm(np.atleast_2d(x) - np.asarray(self.center), axis=-1)
-        out = self.radial(r)
-        return out if out.ndim else float(out)
+    def __call__(self, x) -> np.ndarray | float:
+        """The bump at x, read as points of R^d as collocation_matrix reads them.
+
+        A single point gives a float, any other input one value per point.
+        """
+        pts = np.reshape(np.asarray(x, dtype=float), (-1, self.dim))
+        out = self.radial(np.sqrt(_squared_distances(pts.T, np.asarray(self.center))))
+        return float(out[0]) if np.ndim(x) <= 1 and len(pts) == 1 else out
 
     @property
     def support(self) -> tuple[float, float]:
@@ -118,7 +120,8 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     t = x, so the bump support [a, b] is cut at c = clip(x, a, b), and
     the same _PANELS_PER_SIDE panels of _GL_NODES Gauss-Legendre nodes are
     mapped onto [a, c] and onto [c, b]; the bump vanishes to all orders at
-    a and b, so this reaches near machine precision.  f(x) is then one
+    a and b, so this reaches near machine precision.  The kernel values at
+    the pairs (x, t) come from kernels._kernel_block.  f(x) is then one
     weighted row sum, formed for _BLOCK points at a time so the
     temporaries stay _BLOCK x 384 floats however many points are asked for.
     """
@@ -138,7 +141,7 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
             c = np.clip(x, a, b)
             t = np.hstack([a + (c - a) * u, c + (b - c) * u])
             w = np.hstack([(c - a) * wu, (b - c) * wu])
-            vals = factor * G.profile(np.abs(x - t)) * bump.radial(np.abs(t - center))
+            vals = factor * _kernel_block(G, x[None], t[None]) * bump.radial(np.abs(t - center))
             out[start:start + _BLOCK] = np.sum(w * vals, axis=1)
         return out.reshape(xs_arr.shape) if xs_arr.ndim else float(out[0])
 
@@ -202,49 +205,24 @@ def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
                    workspace_bytes: int = 0) -> np.ndarray:
     """C-order matrix of Phi(|row - col|), built _BUILD_BLOCK entries at a time.
 
-    Each block of rows gets its distances in place, as cdist forms them:
-    the per-axis squares added in axis order, then the square root.  For a
-    compactly supported kernel the profile is evaluated only on pairs
-    inside the support radius, and pairs at or beyond it are exactly 0.
-    Blocks are cut along rows and the profile is elementwise, so every
-    entry is the one a single full-size build would give.  Before the matrix is
-    allocated, its 8 rows cols bytes plus workspace_bytes plus one block
-    are compared with _available_bytes(), and a matrix that does not fit
-    is refused with a ValueError; a non-finite entry is refused as well.
+    Each block of rows is written in place by kernels._kernel_block, so
+    every entry is the one a single full-size build would give.  Before
+    the matrix is allocated, its 8 rows cols bytes plus workspace_bytes
+    plus the _BLOCK_ENTRY_BYTES a pair that one block allocates are
+    compared with _available_bytes(), and a matrix that does not fit is
+    refused with a ValueError; a non-finite entry is refused as well.
     """
     n_rows, n_cols = len(rows), len(cols)
-    need = 8.0 * n_rows * n_cols + workspace_bytes + _BLOCK_BYTES
+    step = max(1, _BUILD_BLOCK // max(n_cols, 1))
+    need = 8.0 * n_rows * n_cols + workspace_bytes + _BLOCK_ENTRY_BYTES * min(step, n_rows) * n_cols
     available, limit = _available_bytes()
     if need > available:
         raise ValueError(f"a {n_rows} x {n_cols} kernel matrix needs {need / 1e9:.3g} GB, "
                          f"but only {available / 1e9:.3g} GB is available ({limit})")
     out = np.empty((n_rows, n_cols))
-    step = max(1, _BUILD_BLOCK // max(n_cols, 1))
-    radius = Phi.support_radius
-    rows_t = rows.T[:, :, None]
     cols_t = np.ascontiguousarray(cols.T)[:, None, :]
     for start in range(0, n_rows, step):
-        D = out[start:start + step]
-        with np.errstate():
-            # numpy buffers a broadcast whose rows are shorter than its
-            # buffer, copying both operands; a 16-entry buffer never does.
-            np.setbufsize(16)
-            _squared_distances(rows_t[:, start:start + step], cols_t, out=D)
-        if np.isfinite(radius):
-            # Only squares up to the squared radius can have a root below
-            # it, so the root is taken on those alone.
-            near = D <= radius * radius
-            r = np.sqrt(D[near])
-            inside = r < radius
-            vals = np.zeros(r.size)
-            vals[inside] = Phi.profile(r[inside])
-            D.fill(0.0)
-            D[near] = vals
-        else:
-            vals = Phi.profile(np.sqrt(D, out=D))
-            D[...] = vals
-        if not np.isfinite(vals).all():
-            raise ValueError("kernel matrix has non-finite entries")
+        _kernel_block(Phi, rows.T[:, start:start + step, None], cols_t, out=out[start:start + step])
     return out
 
 

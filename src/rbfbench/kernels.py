@@ -17,6 +17,13 @@ symmetric (2pi)^{-d/2} convention used throughout this package) equals
 which for odd d (half-integer nu) reduces to the elementary Matern form
 exp(-r) times a polynomial of degree (gamma - d - 1)/2.  For even d the
 modified-Bessel form is evaluated numerically.
+
+Every kernel value at a pair of points comes from one block function,
+_kernel_block: squared distances from geometry's one distance helper, the
+root and the profile only on squares up to the squared support radius,
+exact zeros beyond, and a refusal of non-finite values.  Collocation
+matrices, witness evaluation, test-function synthesis, kernel_eval, the
+local surrogate and the error-kernel scan all call it.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from ._exact import (
     poly_mul,
     poly_trim,
 )
+from .geometry import _squared_distances
 
 __all__ = [
     "PiecewisePolyRadial",
@@ -54,6 +62,14 @@ __all__ = [
 # Big-integer guard for exact construction.
 MAX_DIM = 9
 MAX_SMOOTHNESS = 5
+
+# Bytes per pair that _kernel_block allocates beyond its output, counted
+# without numpy's temporary elision at each branch's peak.  Compact
+# (Wendland): the support mask and the roots (9) while Horner holds acc,
+# acc * r and acc * r + c (24).  Unbounded, evaluated in place: odd-d
+# Sobolev prefactor * exp(-r) beside that Horner peak (32), or the Bessel
+# form's r > 0 mask, scale * r^nu, kv and their product (25).
+_BLOCK_ENTRY_BYTES = max(9 + 24, 32, 25)
 
 
 class SmoothnessError(ValueError):
@@ -246,13 +262,44 @@ def sobolev_spline_construct(gamma: int, d: int) -> SobolevSpline:
     return SobolevSpline(gamma, d, nu, poly, prefactor)
 
 
+def _kernel_block(Phi, a, b, out=None) -> np.ndarray:
+    """Phi(|a - b|) for every pair, a and b holding one coordinate array per axis.
+
+    The axes of a and b broadcast against each other as in
+    geometry._squared_distances, which forms the squared distances, into
+    out when it is given.  Only squares up to the squared support radius
+    can have a root inside the support, so for a compactly supported
+    kernel the root and the profile are taken on those alone, and every
+    other entry is exactly 0; a compact profile is 0 at and beyond its
+    radius, so no entry depends on which pairs were evaluated.  The
+    profile is elementwise, so every value is the same however the pairs
+    are cut into blocks.  At most _BLOCK_ENTRY_BYTES a pair is allocated
+    beyond the output, and a non-finite value is refused with a ValueError.
+    """
+    with np.errstate():
+        # numpy buffers a broadcast whose rows are shorter than its
+        # buffer, copying both operands; a 16-entry buffer never does.
+        np.setbufsize(16)
+        D = _squared_distances(a, b, out=out)
+    radius = Phi.support_radius
+    if np.isfinite(radius):
+        near = D <= radius * radius
+        vals = Phi.profile(np.sqrt(D[near]))
+        D.fill(0.0)
+        D[near] = vals
+    else:
+        D[...] = vals = Phi.profile(np.sqrt(D, out=D))
+    if not np.isfinite(vals).all():
+        raise ValueError("kernel values are not finite")
+    return D
+
+
 def kernel_eval(K, x) -> float:
-    """Evaluate the kernel at a point x in R^dim."""
+    """Evaluate the kernel at a point x in R^dim, as the pair (x, 0) of _kernel_block."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (K.dim,):
         raise ValueError(f"expected a point in R^{K.dim}, got shape {x.shape}")
-    r = float(np.linalg.norm(x))
-    return float(K.profile(r))
+    return float(_kernel_block(K, x[:, None], np.zeros(K.dim))[0])
 
 
 def _origin_derivative(series: RatPoly, alpha: tuple[int, ...], scale: float) -> float:
@@ -318,7 +365,7 @@ def kernel_derivative(K, x, alpha) -> float:
         raise ValueError(f"alpha must be a multi-index of length {K.dim}")
     n = sum(alpha)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.linalg.norm(x))
+    r = float(np.sqrt(_squared_distances(x[:, None], np.zeros(len(x)))[0]))
     if isinstance(K, PiecewisePolyRadial):
         if n > 2 * K.smoothness:
             raise SmoothnessError(

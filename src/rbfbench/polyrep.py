@@ -15,6 +15,10 @@ functional norm small.
 Substituting kernel translates for point evaluations gives the surrogate
 K(x, t) = sum A(t, xi) Phi(x - xi); the scan records how the error kernel
 E(x, t) = Phi(x - t) - K(x, t) compares to h^(kappa - d) (1 + |x-t|/h)^(-l).
+Every Phi value comes from kernels._kernel_block and every sum over the
+star is an einsum, which calls no BLAS.  E is evaluated one cube of t at
+a time: one weights product for all the t of a cube and one kernel block
+for their x against its star.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from itertools import product
 import numpy as np
 
 from .geometry import PointSet, cube_center, cube_index, tensor_grid
+from .kernels import _kernel_block
 
 __all__ = [
     "ReproFunctional",
@@ -162,16 +167,35 @@ class LocalPolyBuilder:
 def kernel_K(x, Phi, F: ReproFunctional) -> np.ndarray | float:
     """Local surrogate K(x, t) = sum_xi A(t, xi) Phi(x - xi).
 
-    x may be a single point or an (n, d) array of points.
+    x holds points of R^d, one per row; a flat array or a scalar is read
+    as consecutive points, as approx.collocation_matrix reads them.  A
+    single point gives a float, any other input one value per point.  The
+    kernel values come from kernels._kernel_block, and each row is reduced
+    against A(t, .) by einsum, which calls no BLAS.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != F.points.shape[1]:
-        pts = pts.reshape(-1, F.points.shape[1])
-    dist = np.linalg.norm(pts[:, None, :] - F.points[None, :, :], axis=-1)
-    vals = Phi.profile(dist) @ F.weights
-    return float(vals[0]) if single else vals
+    pts = np.reshape(np.asarray(x, dtype=float), (-1, F.points.shape[1]))
+    block = _kernel_block(Phi, pts.T[:, :, None], F.points.T[:, None, :])
+    vals = np.einsum("ij,j->i", block, F.weights)
+    return float(vals[0]) if np.ndim(x) <= 1 and len(pts) == 1 else vals
+
+
+def _error_kernel(Phi, builder: LocalPolyBuilder, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """E(x, t) = Phi(x - t) - K(x, t) for each row pair (x, t) of xs and ts.
+
+    The pairs are grouped by the cube of t, and each cube makes one
+    builder.weights call for all its t and one kernels._kernel_block call
+    for its x against its star; each row is reduced against its own
+    column A(t, .) by einsum, which calls no BLAS.
+    """
+    e = _kernel_block(Phi, xs.T, ts.T)
+    cubes: dict[tuple[int, ...], list[int]] = {}
+    for i, t in enumerate(ts):
+        cubes.setdefault(cube_index(t, builder.side), []).append(i)
+    for idx, rows in cubes.items():
+        star, A = builder.weights(idx, ts[rows])
+        block = _kernel_block(Phi, xs[rows].T[:, :, None], builder.X.points[star].T[:, None, :])
+        e[rows] -= np.einsum("ij,ji->i", block, A)
+    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +227,8 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     unbounded support count as supported on FAR_LIMIT.  t is drawn
     uniformly in the domain.  The sample budget is split evenly over the
     strata; a budget below 8 samples per stratum is refused with a
-    ValueError.
+    ValueError.  The samples are drawn first, t, s and the direction of
+    x - t in turn for each, and E is then evaluated by cube of t.
     """
     d = X.dim
     h = X.h
@@ -231,9 +256,7 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
             s = rng.uniform(a, b)
             u = rng.normal(size=d)
             u /= np.linalg.norm(u)
-            x = t + s * h * u
-            F = builder.functional_at(t)
-            e = float(Phi.profile(np.linalg.norm(x - t)) - kernel_K(x, Phi, F))
-            samples.append((x, t, s, abs(e)))
-    xs, ts, ss, es = (np.asarray(column) for column in zip(*samples))
+            samples.append((t + s * h * u, t, s))
+    xs, ts, ss = (np.asarray(column) for column in zip(*samples))
+    es = np.abs(_error_kernel(Phi, builder, xs, ts))
     return ErrorKernelScan(xs, ts, ss, es, h ** (kappa - d) * (1.0 + ss) ** (-ell))

@@ -1,11 +1,11 @@
 """Shared test utilities: reference polynomials, exact oracles for the
 partial fraction table and the f_m series, Fourier quadrature oracles, a
-high-precision derivative reference, a per-point convolution oracle and
-convolution trials."""
+high-precision derivative reference, a per-point convolution oracle,
+convolution trials and the per-sample error-kernel scan."""
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, fsum
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from rbfbench._exact import GaussianRational, binomial_one_minus_r, poly_mul, poly_trim
 from rbfbench._quad import panel_edges
 from rbfbench.kernels import PiecewisePolyRadial
+from rbfbench.polyrep import FAR_LIMIT, LocalPolyBuilder
 from rbfbench.spectral import (
     SERIES_EXTRA,
     FiniteMeasure,
@@ -326,3 +327,38 @@ def young_trials(mu: FiniteMeasure, n_trials: int, seed: int = 0,
         rhs = f.norm(x, w, p) * mu.tv_norm
         margins.append((lhs - rhs, rhs, p))
     return margins
+
+
+def property2_scan_per_sample(Phi, X, ell, sample_budget, *, degree, c3, seed=0):
+    """The error-kernel scan one sample at a time, with an fsum reference.
+
+    The draws are property2_scan's, in its order.  Each sample gets its own
+    reproduction functional; Phi(x - t) and the surrogate come from
+    np.linalg.norm distances and the profile on every pair, reduced by a
+    matrix-vector product.  Returns (x, t, s, |E|, E by math.fsum of the
+    same terms, 2 n_star eps sum |A| |Phi(x - xi)|), one row per sample.
+    """
+    d, h = X.dim, X.h
+    support = Phi.support_radius if np.isfinite(Phi.support_radius) else FAR_LIMIT
+    s_max = (support + (c3 + np.sqrt(d) / 2.0) * h) / h
+    edges = [0.0, 0.5, 1.0]
+    while edges[-1] < s_max:
+        edges.append(min(edges[-1] * 2.0, s_max))
+    builder = LocalPolyBuilder(X, degree, c3)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    lo, hi = np.asarray(X.domain.lo), np.asarray(X.domain.hi)
+    rows = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        for _ in range(sample_budget // (len(edges) - 1)):
+            t = rng.uniform(lo, hi)
+            s = rng.uniform(a, b)
+            u = rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            x = t + s * h * u
+            F = builder.functional_at(t)
+            at_t = float(Phi.profile(np.linalg.norm(x - t)))
+            star = Phi.profile(np.linalg.norm(x - F.points, axis=-1))
+            e = at_t - float(star @ F.weights)
+            rows.append((x, t, s, abs(e), fsum([at_t, *(-star * F.weights)]),
+                         2 * len(star) * np.finfo(float).eps * fsum(np.abs(star * F.weights))))
+    return tuple(np.asarray(column) for column in zip(*rows))

@@ -296,6 +296,38 @@ def test_evaluate_combination_is_within_its_rounding_bound(finest_wendland_k2_le
     assert np.any(s_vals != ref)
 
 
+@pytest.mark.parametrize("Phi", [wendland_construct(2, 1), sobolev_spline_construct(4, 3),
+                                 sobolev_spline_construct(4, 2)],
+                         ids=["wendland_d2_k1", "sobolev_d3_closed_form", "sobolev_d2_bessel"])
+def test_kernel_matrix_refusal_covers_its_traced_peak(Phi, monkeypatch):
+    # One 209 x 625 block with every pair inside the support (the cube
+    # [0, 0.55]^d has diameter below 1): the refusal's estimate is at least
+    # the traced peak, so a limit one byte below that peak refuses the
+    # build.  The warm-up keeps scipy.special's first import out of it.
+    d = Phi.dim
+    rng = np.random.default_rng(0)
+    rows, cols = rng.uniform(0, 0.55, size=(209, d)), rng.uniform(0, 0.55, size=(625, d))
+    assert cdist(rows, cols).max() < 1.0
+    build = lambda: approx._kernel_matrix(rows, cols, Phi)
+    build()
+    peak = _traced_peak(build)
+    monkeypatch.setattr(approx, "_available_bytes", lambda: (peak - 1.0, "MemAvailable"))
+    with pytest.raises(ValueError, match="209 x 625 kernel matrix needs"):
+        build()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_smooth_bump_gives_a_float_only_for_a_single_point(d):
+    bump = SmoothBump((0.5,) * d, 0.3)
+    pts = np.linspace(0.3, 0.7, 3 * d).reshape(3, d)
+    vals = bump(pts)
+    assert vals.shape == (3,)
+    assert np.array_equal(bump(pts.ravel()), vals)
+    one = bump(np.full(d, 0.5))
+    assert isinstance(one, float) and one == 1.0
+    assert bump(pts[:1]).shape == (1,)
+
+
 def test_oversize_level_is_refused_before_allocation(monkeypatch, capsys):
     # The first level's collocation matrix is 5929 x 1681 (80 MB); with
     # 50 MB available the run stops with exit 2 before building it.

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from helpers import property2_scan_per_sample
 from rbfbench import polyrep
+from rbfbench.approx import collocation_matrix
 from rbfbench.geometry import Box, PointSet, cube_index, make_quasi_uniform
 from rbfbench.kernels import sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import (
@@ -199,3 +201,59 @@ def test_sobolev_far_field_decay():
     slope = np.polyfit(np.log1p(scan.dist_over_h[far]),
                        np.log(scan.abs_e[far] + 1e-300), 1)[0]
     assert slope <= -2.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_K_reads_points_like_collocation_matrix(d):
+    # A flat array is read as consecutive points of R^d; only a single
+    # point gives a float.
+    Phi = wendland_construct(d, 1)
+    ps = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), 1 / 8, seed=1)
+    F = LocalPolyBuilder(ps, degree=1, c3=4.0).functional_at(np.full(d, 0.5))
+    star = PointSet(F.points, ps.domain, ps.h, ps.h_slack, ps.q)
+    pts = np.linspace(0.4, 0.6, 3 * d).reshape(3, d)
+    want = np.einsum("ij,j->i", collocation_matrix(pts, star, Phi), F.weights)
+    assert np.array_equal(kernel_K(pts.ravel(), Phi, F), want)
+    assert np.array_equal(kernel_K(pts, Phi, F), want)
+    one = kernel_K(pts[0], Phi, F)
+    assert isinstance(one, float) and one == want[0]
+    assert kernel_K(pts[:1], Phi, F).shape == (1,)
+
+
+@pytest.mark.parametrize("Phi, h, degree, c3", [
+    (wendland_construct(1, 2), 1 / 64, 3, 32.0),
+    (sobolev_spline_construct(4, 1), 1 / 16, 4, 40.0),
+    (wendland_construct(2, 1), 1 / 8, 1, 16.0),
+], ids=["wendland_d1_k2", "sobolev_d1_g4", "wendland_d2_k1"])
+def test_scan_equals_the_per_sample_scan(Phi, h, degree, c3):
+    # The samples are the per-sample scan's bit for bit.  |E| is a sum of
+    # n_star + 1 products computed in another order, from reproduction
+    # weights of another matrix product: it lies within
+    # 2 n_star eps sum |A| |Phi(x - xi)| of the fsum of the same terms.
+    d = Phi.dim
+    ps = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), h, seed=7, pad=2.0)
+    scan = property2_scan(Phi, ps, 2.0, d + 1.0, 600, degree=degree, c3=c3, seed=7)
+    x, t, s, abs_e, e_fsum, bound = property2_scan_per_sample(
+        Phi, ps, d + 1.0, 600, degree=degree, c3=c3, seed=7)
+    assert np.array_equal(scan.x, x) and np.array_equal(scan.t, t)
+    assert np.array_equal(scan.dist_over_h, s)
+    assert np.all(np.abs(scan.abs_e - np.abs(e_fsum)) <= bound)
+    assert np.all(np.abs(abs_e - np.abs(e_fsum)) <= bound)
+    assert (bound > 0).any() and (bound == 0).any() == np.isfinite(Phi.support_radius)
+
+
+def test_scan_builds_weights_once_per_cube(monkeypatch):
+    calls = []
+    weights = LocalPolyBuilder.weights
+
+    def counted(self, idx, ts):
+        calls.append(idx)
+        return weights(self, idx, ts)
+
+    monkeypatch.setattr(LocalPolyBuilder, "weights", counted)
+    ps = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 8, seed=7, pad=2.0)
+    scan = property2_scan(wendland_construct(2, 1), ps, kappa=2.0, ell=3.0,
+                          sample_budget=400, degree=1, c3=16.0, seed=7)
+    cubes = {cube_index(t, ps.h) for t in scan.t}
+    assert len(calls) == len(set(calls)) == len(cubes) < len(scan.t)
+    assert set(calls) == cubes

@@ -40,6 +40,8 @@ COMMANDS = (
     ("ratio-diag --d 3 --k 2", None),
     ("ratio-diag --d 5 --k 1", None),
     ("property2 --kernel wendland --d 2 --k 1 --h 0.125 --csv w.csv", "w.csv"),
+    # The d = 1 Wendland scan with the most far-field cancellation in |E|.
+    ("property2 --kernel wendland --d 1 --k 2 --h 0.0078125 --csv w1.csv", "w1.csv"),
     ("property2 --kernel sobolev --d 1 --gamma 4 --h 0.0625 --csv s.csv", "s.csv"),
     ("property2 --kernel sobolev --d 2 --gamma 4 --h 0.125 --csv s2.csv", "s2.csv"),
     ("property2 --kernel wendland --d 3 --k 1 --h 0.25 --budget 240", None),
