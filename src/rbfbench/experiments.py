@@ -186,8 +186,9 @@ def family_kernel(family: str, d: int, k: int | None, gamma: int | None) -> Fami
 
     The Wendland reproduction degree max(1, 2k - 1) comes from the
     comparison order 2k of the local Taylor argument.  Refuses an unknown
-    family, a missing or cross-family order, and a d or order that is not
-    an integer (bool included) before building anything.
+    family, a missing or cross-family order, a d or order that is not an
+    integer (bool included), and Wendland k < 1, whose theory rate 2k no
+    fitted slope can miss, before building anything.
     """
     if family not in ("wendland", "sobolev"):
         raise ValueError(f"unknown kernel family {family!r}")
@@ -202,6 +203,8 @@ def family_kernel(family: str, d: int, k: int | None, gamma: int | None) -> Fami
         if not isinstance(val, Integral) or isinstance(val, bool):
             raise ValueError(f"{name} must be an integer, got {val!r}")
     if wendland:
+        if k < 1:
+            raise ValueError(f"wendland kernels need k >= 1 (theory rate 2k), got {k}")
         kernel, degree = wendland_construct(d, k), max(1, 2 * k - 1)
         rate = kappa = 2.0 * k
     else:

@@ -204,7 +204,7 @@ class SobolevSpline:
         return self.profile_bessel(r)
 
     def profile_bessel(self, r) -> np.ndarray:
-        """Evaluation through K_nu; valid for any dim, used as fallback path."""
+        """c r^nu K_nu(r) in any dim: the even-dim profile, and the odd-dim test reference."""
         from scipy.special import kv
 
         r = np.asarray(r, dtype=float)

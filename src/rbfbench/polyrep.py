@@ -93,7 +93,7 @@ class ReproFunctional:
 
 
 class LocalPolyBuilder:
-    """Builds and caches reproduction functionals, one linear map per cube.
+    """Builds reproduction functionals, one linear map per cube, and keeps none.
 
     Cubes have side X.h.  On rank deficiency or an l1 norm above C2_CAP, the
     star radius factor is enlarged by 1.5 and the cube rebuilt, at most
@@ -112,13 +112,9 @@ class LocalPolyBuilder:
         self.exponents = monomial_exponents(X.dim, degree)
         # Offsets of the cube corners, kept just inside the cube.
         self._corners = self.side / 2.0 * 0.999 * tensor_grid([(-1.0, 1.0)] * X.dim)
-        self._cubes: dict[tuple[int, ...], tuple] = {}
 
     def cube_map(self, idx: tuple[int, ...]):
-        """(star indices, pinv factor, anchor, scale, c3 used) for a cube."""
-        hit = self._cubes.get(idx)
-        if hit is not None:
-            return hit
+        """(star indices, pinv factor, anchor, scale, c3 used) for a cube, built anew."""
         anchor = cube_center(idx, self.side)
         c3 = self.c3
         last = None
@@ -150,7 +146,6 @@ class LocalPolyBuilder:
             raise UnisolvencyError(
                 f"cube {idx} (center {anchor}): star cannot reproduce "
                 f"degree {self.degree} after {MAX_RETRIES} enlargements")
-        self._cubes[idx] = last
         return last
 
     def weights(self, idx: tuple[int, ...], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

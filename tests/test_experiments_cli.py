@@ -193,6 +193,8 @@ def test_family_kernel_builds_and_refuses():
         (("wendland", 1, True, None), "k must be an integer, got True"),
         (("sobolev", 1, None, 2.0), "gamma must be an integer, got 2.0"),
         (("sobolev", 1, None, "2"), "gamma must be an integer, got '2'"),
+        (("wendland", 1, 0, None), "wendland kernels need k >= 1 (theory rate 2k), got 0"),
+        (("wendland", 3, -1, None), "wendland kernels need k >= 1 (theory rate 2k), got -1"),
     ]:
         with pytest.raises(ValueError) as exc:
             family_kernel(*args)
@@ -402,6 +404,27 @@ def test_cli_rates_with_config_file(tmp_path):
 
 def test_cli_rates_bad_config():
     assert main(["rates", "--kernel", "wendland", "--d", "1"]) == 2
+
+
+@pytest.mark.parametrize("command,prefix", [("rates", "rates: bad configuration: "),
+                                            ("property2", "rbfbench: ")])
+def test_cli_refuses_wendland_k0_before_any_point_set(command, prefix, capsys, monkeypatch):
+    # Theory rate 2k = 0 gives a rate gate that no fitted slope can miss.
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built for a refused config")
+
+    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    monkeypatch.setattr(geometry, "make_quasi_uniform", no_points)
+    assert main([command, "--kernel", "wendland", "--d", "1", "--k", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"{prefix}wendland kernels need k >= 1 (theory rate 2k), got 0\n")
+
+
+def test_wendland_k0_kernel_and_transform_commands_still_run(tmp_path):
+    assert main(["kernels", "table", "--d", "1", "--k", "0",
+                 "--out", str(tmp_path / "k.json")]) == 0
+    assert main(["spectral", "check", "--d", "1", "--k", "0",
+                 "--out", str(tmp_path / "s.json")]) == 0
 
 
 def test_cli_rates_refuses_quasi_wendland_before_any_level(capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """Reproduction functionals, the surrogate kernel, and the error scan."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -8,7 +11,7 @@ from helpers import property2_scan_per_sample
 from rbfbench import polyrep
 from rbfbench.approx import collocation_matrix
 from rbfbench.geometry import Box, PointSet, cube_index, make_quasi_uniform
-from rbfbench.kernels import sobolev_spline_construct, wendland_construct
+from rbfbench.kernels import _BLOCK_ENTRY_BYTES, sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import (
     LocalPolyBuilder,
     _basis_matrix,
@@ -257,3 +260,50 @@ def test_scan_builds_weights_once_per_cube(monkeypatch):
     cubes = {cube_index(t, ps.h) for t in scan.t}
     assert len(calls) == len(set(calls)) == len(cubes) < len(scan.t)
     assert set(calls) == cubes
+
+
+def test_scan_peak_memory_does_not_grow_with_the_cubes_visited():
+    # The scan holds its samples and the work of one cube of t at a time:
+    # that cube's map (star indices and the n_star x p pseudo-inverse),
+    # the star search over X, and the cube's kernel block with its
+    # weights.  The bound is twice the sum of those byte counts, an
+    # allowance for allocator overhead and numpy temporaries; keeping the
+    # map of every visited cube would exceed it on its own.
+    Phi, degree, c3, budget = wendland_construct(2, 1), 1, 16.0, 1200
+    ps = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 16, seed=7, pad=2.0)
+
+    def scan():
+        return property2_scan(Phi, ps, 2.0, 3.0, budget, degree=degree, c3=c3, seed=7)
+
+    scan()                  # one-time allocations (lazy imports, numpy caches)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = scan()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+    rows: dict[tuple[int, ...], int] = {}
+    for t in result.t:
+        idx = cube_index(t, ps.h)
+        rows[idx] = rows.get(idx, 0) + 1
+    builder = LocalPolyBuilder(ps, degree, c3)
+    maps = [builder.cube_map(idx)[:2] for idx in rows]
+    map_bytes = [star.nbytes + V.nbytes for star, V in maps]
+    n_star = max(star.size for star, _ in maps)
+    # One drawn sample (x, t, s) and its list slot; then its rows of x, t,
+    # s, E, |E| and the envelope, its cube-grouping entry (a list slot and
+    # an int), and its pair of the Phi(x - t) block.
+    t = np.zeros(ps.dim)
+    drawn = sum(map(sys.getsizeof, ((t + 0.0, t, 0.0), t + 0.0, t, 0.0))) + 8
+    per_sample = (drawn + 8 * (2 * ps.dim + 4) + 8 + sys.getsizeof(10 ** 6)
+                  + 8 + _BLOCK_ENTRY_BYTES)
+    # The star search: squared distances, their partial sums and the mask.
+    search = ps.n * (8 + 8 + 1)
+    # The busiest cube's kernel block, its temporaries and its weights.
+    block = max(rows.values()) * n_star * (8 + _BLOCK_ENTRY_BYTES + 8)
+    bound = 2 * (max(map_bytes) + search + block + len(result.t) * per_sample)
+    assert len(rows) > 400 and sum(map_bytes) > bound
+    assert peak <= bound, f"peak {peak} B above the bound {bound} B"

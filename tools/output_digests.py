@@ -44,6 +44,8 @@ COMMANDS = (
     ("property2 --kernel wendland --d 1 --k 2 --h 0.0078125 --csv w1.csv", "w1.csv"),
     ("property2 --kernel sobolev --d 1 --gamma 4 --h 0.0625 --csv s.csv", "s.csv"),
     ("property2 --kernel sobolev --d 2 --gamma 4 --h 0.125 --csv s2.csv", "s2.csv"),
+    # The largest scan here: its samples of t fall in hundreds of cubes.
+    ("property2 --kernel sobolev --d 2 --gamma 4 --h 0.0625 --csv s3.csv", "s3.csv"),
     ("property2 --kernel wendland --d 3 --k 1 --h 0.25 --budget 240", None),
     ("rates --kernel sobolev --gamma 2 --d 1 --p 2 --levels 4 --seed 7", None),
     ("rates --kernel wendland --k 2 --d 1 --p 2 inf --levels 5 --seed 7", None),
@@ -56,10 +58,12 @@ COMMANDS = (
     # rounding of the witness evaluation.
     ("rates --kernel wendland --k 3 --d 1 --p 1 2 inf --levels 5 --seed 7", None),
     # Refused with exit 2: a cross-family order parameter (rates and
-    # property2), a sample budget below 8 per stratum, a frequency grid
-    # of fewer than 2 points, a config file that cannot be read, and an
-    # output file that cannot be written.
+    # property2), a Wendland order k = 0 (theory rate 0), a sample budget
+    # below 8 per stratum, a frequency grid of fewer than 2 points, a
+    # config file that cannot be read, and an output file that cannot be
+    # written.
     ("rates --kernel wendland --d 1 --k 1 --gamma 4 --levels 2 --h0 0.25", None),
+    ("rates --kernel wendland --d 1 --k 0 --levels 4", None),
     ("property2 --kernel wendland --d 1 --k 1 --gamma 4", None),
     ("property2 --kernel wendland --d 1 --k 1 --budget 0", None),
     ("measure check --k 2 --grid 1", None),
