@@ -38,7 +38,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._quad import panel_nodes
-from .geometry import PointSet, _squared_distances, cube_center, cube_index, tensor_grid
+from .geometry import PointSet, _squared_distances, cube_center, cube_indices, tensor_grid
 from .kernels import _BLOCK_ENTRY_BYTES, _kernel_block
 from .polyrep import LocalPolyBuilder
 
@@ -153,28 +153,27 @@ def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float) -> np.
 
     c_xi = (2 pi)^(-d/2) times the integral of g(t) A(t, xi) dt over the
     cubes meeting the support of the source term g, with a midpoint rule
-    of _MIDPOINTS points per axis inside each cube of side h, and A(t, .)
-    from LocalPolyBuilder(X, degree, c3), all midpoints of a cube at once.
-    Returns one coefficient per point of X.
+    of _MIDPOINTS points per axis inside each cube of side h.  The
+    midpoints of every cube in the range are built and g evaluated on
+    them at once; cubes where g vanishes on every midpoint are dropped,
+    and the rest are grouped by LocalPolyBuilder(X, degree, c3).weights_by_cube,
+    which gives A(t, .) for all midpoints of a cube at once and takes the
+    cubes in np.ndindex order.  Returns one coefficient per point of X.
     """
     d = X.dim
     side = X.h
     m = _MIDPOINTS
     offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
     w_quad = (side / m) ** d
-    builder = LocalPolyBuilder(X, degree, c3)
-    lo = np.asarray(cube_index(np.asarray(g.center) - g.width, side))
-    hi = np.asarray(cube_index(np.asarray(g.center) + g.width, side))
+    lo, hi = cube_indices(np.asarray(g.center) + [[-g.width], [g.width]], side)
+    centers = cube_center(tensor_grid([np.arange(a, b + 1) for a, b in zip(lo, hi)]), side)
+    samples = (centers[:, None, :] + offsets).reshape(-1, d)
+    gv = g(samples)
+    kept = np.repeat(gv.reshape(len(centers), -1).any(axis=1), len(offsets))
+    samples, gv = samples[kept], gv[kept]
     coeffs = np.zeros(X.n)
-    for rel in np.ndindex(*(hi - lo + 1)):
-        idx = tuple(lo + np.asarray(rel))
-        center = cube_center(idx, side)
-        samples = center + offsets
-        gv = np.atleast_1d(g(samples if d > 1 else samples[:, 0]))
-        if not np.any(gv):
-            continue
-        star, alpha = builder.weights(idx, samples)   # (n_star, n_samples)
-        coeffs[star] += w_quad * (alpha @ gv)
+    for rows, star, alpha in LocalPolyBuilder(X, degree, c3).weights_by_cube(samples):
+        coeffs[star] += w_quad * (alpha @ gv[rows])
     return coeffs * _green_factor(d)
 
 

@@ -10,7 +10,9 @@ padding or the box moves every point, not only the added ones.
 
 The cube partition splits R^d into half-open cubes [c - s/2, c + s/2)
 centered at the lattice s*Z^d; local stars are anchored at cube centers so
-that every t in a given cube sees the same star.
+that every t in a given cube sees the same star.  cube_indices holds the
+one floor rule that assigns points to cubes; cube_index reads it for a
+single point.
 
 Distances are numpy's: one helper adds the per-axis squares in axis
 order, so every distance is the float a KD-tree or cdist would give.  The
@@ -36,6 +38,7 @@ __all__ = [
     "fill_distance",
     "separation_radius",
     "cube_index",
+    "cube_indices",
     "cube_center",
 ]
 
@@ -92,13 +95,26 @@ def _capped(what: str, counts: list[int]) -> list[int]:
     return counts
 
 
+def cube_indices(ts: np.ndarray, side: float) -> np.ndarray:
+    """Integer index of the half-open cube [c - side/2, c + side/2) containing
+    each point of ts, with the shape of ts: one row of d indices per row.
+
+    A point with a non-finite coordinate lies in no cube and is refused
+    with a ValueError.
+    """
+    keys = np.floor(np.asarray(ts, dtype=float) / side + 0.5)
+    if not np.isfinite(keys).all():
+        raise ValueError("a point with a non-finite coordinate lies in no cube")
+    return keys.astype(np.int64)
+
+
 def cube_index(t: np.ndarray, side: float) -> tuple[int, ...]:
     """Index of the half-open cube [c - side/2, c + side/2) containing t."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return tuple(int(i) for i in np.floor(t / side + 0.5))
+    return tuple(cube_indices(np.atleast_1d(t), side).tolist())
 
 
 def cube_center(idx: tuple[int, ...], side: float) -> np.ndarray:
+    """Center of cube idx; an (n, d) array of indices gives n centers."""
     return np.asarray(idx, dtype=float) * side
 
 
@@ -330,7 +346,8 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
     [-jitter*h_target, jitter*h_target] per coordinate, drawn from a
     counter-based generator keyed by the seed (an integer >= 0), so the set
     is reproducible independent of evaluation order.  jitter must lie in
-    [0, MAX_JITTER]; any jitter < 0.5 guarantees no collisions.
+    [0, MAX_JITTER]; any jitter < 0.5 guarantees no collisions.  pad must
+    be finite and >= 0.
 
     h_target must be positive and smaller than the domain's shortest side;
     the returned PointSet caches the measured fill distance (w.r.t. the
@@ -344,6 +361,8 @@ def make_quasi_uniform(domain: Box, h_target: float, jitter: float = 0.0,
         raise ValueError("h_target must be smaller than the domain's shortest side")
     if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if not (np.isfinite(pad) and pad >= 0):
+        raise ValueError(f"pad must be finite and >= 0, got {pad}")
     box = domain.pad(pad) if pad > 0 else domain
     counts = _capped("point lattice", [max(1, round((b - a) / h_target)) + 1
                                        for a, b in zip(box.lo, box.hi)])

@@ -19,6 +19,11 @@ Every Phi value comes from kernels._kernel_block and every sum over the
 star is an einsum, which calls no BLAS.  E is evaluated one cube of t at
 a time: one weights product for all the t of a cube and one kernel block
 for their x against its star.
+
+LocalPolyBuilder.weights_by_cube is the one grouping of points by cube:
+the error kernel, functional_at and approx.quasi_interpolant all take
+their cubes, in ascending lexicographic order, and each cube's
+reproduction weights from it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import PointSet, cube_center, cube_index, tensor_grid
+from .geometry import PointSet, cube_center, cube_indices, tensor_grid
 from .kernels import _kernel_block
 
 __all__ = [
@@ -153,9 +158,26 @@ class LocalPolyBuilder:
         star, V, anchor, scale, _ = self.cube_map(idx)
         return star, V @ _basis_matrix(ts, anchor, scale, self.exponents)
 
+    def weights_by_cube(self, ts: np.ndarray):
+        """Yield (rows, star, A) for each cube that holds rows of ts.
+
+        ts holds one point per row.  The rows are grouped by
+        geometry.cube_indices with one stable sort, so the cubes come in
+        ascending lexicographic index order (the order of np.ndindex) and
+        each cube's rows in their input order; rows indexes ts, and A has
+        one column A(t, .) per row, from one weights call per cube.
+        """
+        keys = cube_indices(ts, self.side)
+        if not len(keys):
+            return                  # np.split would make one empty group
+        order = np.lexsort(keys.T[::-1])
+        starts = np.flatnonzero(np.diff(keys[order], axis=0).any(axis=1)) + 1
+        for rows in np.split(order, starts):
+            star, A = self.weights(tuple(keys[rows[0]].tolist()), ts[rows])
+            yield rows, star, A
+
     def functional_at(self, t: np.ndarray) -> ReproFunctional:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        star, A = self.weights(cube_index(t, self.side), t[None, :])
+        ((_, star, A),) = self.weights_by_cube(np.reshape(t, (1, -1)))
         return ReproFunctional(star, self.X.points[star], A[:, 0])
 
 
@@ -177,17 +199,13 @@ def kernel_K(x, Phi, F: ReproFunctional) -> np.ndarray | float:
 def _error_kernel(Phi, builder: LocalPolyBuilder, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """E(x, t) = Phi(x - t) - K(x, t) for each row pair (x, t) of xs and ts.
 
-    The pairs are grouped by the cube of t, and each cube makes one
-    builder.weights call for all its t and one kernels._kernel_block call
-    for its x against its star; each row is reduced against its own
-    column A(t, .) by einsum, which calls no BLAS.
+    The pairs are grouped by the cube of t with builder.weights_by_cube,
+    and each cube makes one kernels._kernel_block call for its x against
+    its star; each row is reduced against its own column A(t, .) by
+    einsum, which calls no BLAS.
     """
     e = _kernel_block(Phi, xs.T, ts.T)
-    cubes: dict[tuple[int, ...], list[int]] = {}
-    for i, t in enumerate(ts):
-        cubes.setdefault(cube_index(t, builder.side), []).append(i)
-    for idx, rows in cubes.items():
-        star, A = builder.weights(idx, ts[rows])
+    for rows, star, A in builder.weights_by_cube(ts):
         block = _kernel_block(Phi, xs[rows].T[:, :, None], builder.X.points[star].T[:, None, :])
         e[rows] -= np.einsum("ij,ji->i", block, A)
     return e
@@ -222,8 +240,9 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     unbounded support count as supported on FAR_LIMIT.  t is drawn
     uniformly in the domain.  The sample budget is split evenly over the
     strata; a budget below 8 samples per stratum is refused with a
-    ValueError.  The samples are drawn first, t, s and the direction of
-    x - t in turn for each, and E is then evaluated by cube of t.
+    ValueError.  The samples are drawn first into preallocated arrays, t,
+    s and the direction of x - t in turn for each, and E is then
+    evaluated by cube of t.
     """
     d = X.dim
     h = X.h
@@ -243,15 +262,13 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     rng = np.random.Generator(np.random.Philox(key=seed))
     lo = np.asarray(X.domain.lo)
     hi = np.asarray(X.domain.hi)
-    n_per = sample_budget // strata
-    samples = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        for _ in range(n_per):
-            t = rng.uniform(lo, hi)
-            s = rng.uniform(a, b)
-            u = rng.normal(size=d)
-            u /= np.linalg.norm(u)
-            samples.append((t + s * h * u, t, s))
-    xs, ts, ss = (np.asarray(column) for column in zip(*samples))
+    bounds = np.repeat(list(zip(edges[:-1], edges[1:])), sample_budget // strata, axis=0)
+    xs, ts, ss = np.empty((len(bounds), d)), np.empty((len(bounds), d)), np.empty(len(bounds))
+    for i, (a, b) in enumerate(bounds):
+        ts[i] = rng.uniform(lo, hi)
+        ss[i] = rng.uniform(a, b)
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        xs[i] = ts[i] + ss[i] * h * u
     es = np.abs(_error_kernel(Phi, builder, xs, ts))
     return ErrorKernelScan(xs, ts, ss, es, h ** (kappa - d) * (1.0 + ss) ** (-ell))

@@ -27,7 +27,7 @@ All transforms use the symmetric (2 pi)^(-d/2) convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gamma as gamma_fn, pi
@@ -202,7 +202,7 @@ class _WendlandTransform:
     amplitude: float
     series: tuple[float, ...] = field(repr=False)   # f_m(r)/r^(3m+2) near 0
     series_switch: float
-    validation_residuals: list[float] = field(init=False, default_factory=list)
+    validation_residuals: tuple[float, ...]          # relative to the oracle at 10 radii
 
     def hat(self, r) -> np.ndarray | float:
         """Transform value at radius r >= 0 (vectorized)."""
@@ -246,8 +246,8 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
     if amplitude <= 0:
         raise CalibrationError(f"non-positive amplitude for (d={d}, k={k})")
 
-    tf = _WendlandTransform(m, amplitude, reduced, switch)
-    residuals = tf.validation_residuals
+    tf = _WendlandTransform(m, amplitude, reduced, switch, ())
+    residuals = []
     for r in np.geomspace(0.3, 5.0, 10):
         ref = hankel_oracle(kernel, float(r))
         residuals.append(abs(float(tf.hat(float(r))) - ref) / abs(ref))
@@ -255,7 +255,8 @@ def wendland_transform(d: int, k: int) -> _WendlandTransform:
         raise CalibrationError(
             f"amplitude validation failed for (d={d}, k={k}): "
             f"max relative residual {max(residuals):.3e}")
-    return tf
+    # The cached transform keeps its residuals as a tuple, so no caller can change them.
+    return replace(tf, validation_residuals=tuple(residuals))
 
 
 def wendland_hat(d: int, k: int, r) -> np.ndarray | float:

@@ -1,7 +1,8 @@
 """Shared test utilities: reference polynomials, exact oracles for the
 partial fraction table and the f_m series, Fourier quadrature oracles, a
 high-precision derivative reference, a per-point convolution oracle,
-convolution trials and the per-sample error-kernel scan."""
+convolution trials, the per-sample error-kernel scan and the per-cube
+quasi-interpolant."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -13,6 +14,8 @@ from scipy.integrate import quad
 
 from rbfbench._exact import GaussianRational, binomial_one_minus_r, poly_mul, poly_trim
 from rbfbench._quad import panel_edges
+from rbfbench.approx import _MIDPOINTS, _green_factor
+from rbfbench.geometry import cube_center, cube_index, tensor_grid
 from rbfbench.kernels import PiecewisePolyRadial
 from rbfbench.polyrep import FAR_LIMIT, LocalPolyBuilder
 from rbfbench.spectral import (
@@ -362,3 +365,28 @@ def property2_scan_per_sample(Phi, X, ell, sample_budget, *, degree, c3, seed=0)
             rows.append((x, t, s, abs(e), fsum([at_t, *(-star * F.weights)]),
                          2 * len(star) * np.finfo(float).eps * fsum(np.abs(star * F.weights))))
     return tuple(np.asarray(column) for column in zip(*rows))
+
+
+def quasi_interpolant_per_cube(g, X, degree, c3):
+    """approx.quasi_interpolant one cube at a time, in np.ndindex order.
+
+    The cubes of the range that covers g's support are walked by
+    np.ndindex; each cube's midpoints are built from its center, g is
+    evaluated on them, a cube where g vanishes on every midpoint is
+    skipped, and A(t, .) comes from LocalPolyBuilder.weights.
+    """
+    d, side, m = X.dim, X.h, _MIDPOINTS
+    offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
+    builder = LocalPolyBuilder(X, degree, c3)
+    lo = np.asarray(cube_index(np.asarray(g.center) - g.width, side))
+    hi = np.asarray(cube_index(np.asarray(g.center) + g.width, side))
+    coeffs = np.zeros(X.n)
+    for rel in np.ndindex(*(hi - lo + 1)):
+        idx = tuple(lo + np.asarray(rel))
+        samples = cube_center(idx, side) + offsets
+        gv = np.atleast_1d(g(samples if d > 1 else samples[:, 0]))
+        if not np.any(gv):
+            continue
+        star, alpha = builder.weights(idx, samples)
+        coeffs[star] += (side / m) ** d * (alpha @ gv)
+    return coeffs * _green_factor(d)

@@ -250,3 +250,14 @@ def test_generator_guards():
     for seed in (None, -1, 1.5, True):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             make_quasi_uniform(UNIT_1D, 0.25, jitter=0.25, seed=seed)
+
+
+def test_generator_refuses_a_negative_or_non_finite_pad(monkeypatch):
+    # A negative or NaN pad used to give the unpadded set silently, and an
+    # infinite one an OverflowError; each is refused before any lattice.
+    monkeypatch.setattr(geometry, "tensor_grid", None)
+    for pad in (-1.0, -1e-12, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="pad must be finite and >= 0"):
+            make_quasi_uniform(UNIT_1D, 0.25, pad=pad)
+    monkeypatch.undo()
+    assert make_quasi_uniform(UNIT_1D, 0.25, pad=0.0).n == 5

@@ -1,6 +1,5 @@
 """Reproduction functionals, the surrogate kernel, and the error scan."""
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,7 @@ from scipy.linalg import null_space
 from helpers import property2_scan_per_sample
 from rbfbench import polyrep
 from rbfbench.approx import collocation_matrix
-from rbfbench.geometry import Box, PointSet, cube_index, make_quasi_uniform
+from rbfbench.geometry import Box, PointSet, cube_index, cube_indices, make_quasi_uniform
 from rbfbench.kernels import _BLOCK_ENTRY_BYTES, sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import (
     LocalPolyBuilder,
@@ -245,6 +244,70 @@ def test_scan_equals_the_per_sample_scan(Phi, h, degree, c3):
     assert (bound > 0).any() and (bound == 0).any() == np.isfinite(Phi.support_radius)
 
 
+def test_cube_indices_keep_the_half_open_rule():
+    # Cube k is [(k - 1/2) side, (k + 1/2) side): a point on a face
+    # belongs to the cube above it, on both sides of the origin.
+    side = 0.125
+    faces = np.array([[-0.1875], [-0.0625], [0.0625], [0.1875]])
+    assert cube_indices(faces, side)[:, 0].tolist() == [-1, 0, 1, 2]
+    assert [cube_index(t, side) for t in faces] == [(-1,), (0,), (1,), (2,)]
+    assert cube_index(0.0625, side) == (1,)
+    # A non-finite coordinate lies in no cube, here and in functional_at.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            cube_indices(np.array([[0.0, bad]]), side)
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            cube_index(bad, side)
+    ps = make_quasi_uniform(UNIT_1D, 1 / 8, pad=1.0)
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        LocalPolyBuilder(ps, degree=1, c3=4.0).functional_at(np.array([np.nan]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weights_by_cube_groups_like_cube_index(d, monkeypatch):
+    # Random points on both sides of the origin and points exactly on
+    # cube faces: the groups are the per-point cube_index groups, the
+    # cubes come in ascending lexicographic order, each cube's rows in
+    # input order, and each cube's weights come from one weights call on
+    # its rows.
+    side = 0.125
+    ps = PointSet(np.zeros((1, d)), Box((0.0,) * d, (1.0,) * d), h=side, h_slack=0.0, q=0.5)
+    rng = np.random.default_rng(d)
+    faces = (rng.integers(-6, 6, size=(60, d)) + 0.5) * side
+    ts = rng.permutation(np.vstack([rng.uniform(-1.0, 1.0, size=(300, d)), faces]))
+    calls = []
+
+    def recorded(self, idx, pts):
+        calls.append((idx, pts.copy()))
+        return np.arange(len(calls)), np.full((1, len(pts)), float(len(calls)))
+
+    monkeypatch.setattr(LocalPolyBuilder, "weights", recorded)
+    groups = list(LocalPolyBuilder(ps, 0, 1.0).weights_by_cube(ts))
+
+    expected: dict[tuple[int, ...], list[int]] = {}
+    for i, t in enumerate(ts):
+        expected.setdefault(cube_index(t, side), []).append(i)
+    assert [idx for idx, _ in calls] == sorted(expected)
+    assert any(min(idx) < 0 for idx in expected) and len(expected) < len(ts)
+    for n, ((rows, star, A), (idx, pts)) in enumerate(zip(groups, calls), start=1):
+        assert rows.tolist() == expected[idx]
+        assert np.array_equal(pts, ts[rows])
+        assert np.array_equal(star, np.arange(n)) and np.all(A == n)
+
+
+def test_weights_by_cube_gives_the_weights_of_each_cube():
+    ps = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 8, seed=7, pad=1.0)
+    builder = LocalPolyBuilder(ps, degree=1, c3=4.0)
+    ts = np.random.default_rng(3).uniform(-0.2, 1.2, size=(50, 2))
+    seen = 0
+    for rows, star, A in builder.weights_by_cube(ts):
+        ref_star, ref_A = builder.weights(cube_index(ts[rows[0]], ps.h), ts[rows])
+        assert np.array_equal(star, ref_star) and np.array_equal(A, ref_A)
+        seen += len(rows)
+    assert seen == len(ts)
+    assert list(builder.weights_by_cube(np.empty((0, 2)))) == []
+
+
 def test_scan_builds_weights_once_per_cube(monkeypatch):
     calls = []
     weights = LocalPolyBuilder.weights
@@ -293,13 +356,11 @@ def test_scan_peak_memory_does_not_grow_with_the_cubes_visited():
     maps = [builder.cube_map(idx)[:2] for idx in rows]
     map_bytes = [star.nbytes + V.nbytes for star, V in maps]
     n_star = max(star.size for star, _ in maps)
-    # One drawn sample (x, t, s) and its list slot; then its rows of x, t,
-    # s, E, |E| and the envelope, its cube-grouping entry (a list slot and
-    # an int), and its pair of the Phi(x - t) block.
-    t = np.zeros(ps.dim)
-    drawn = sum(map(sys.getsizeof, ((t + 0.0, t, 0.0), t + 0.0, t, 0.0))) + 8
-    per_sample = (drawn + 8 * (2 * ps.dim + 4) + 8 + sys.getsizeof(10 ** 6)
-                  + 8 + _BLOCK_ENTRY_BYTES)
+    # Per sample: its rows of x, t, s, E, |E| and the envelope; its share of
+    # the cube grouping (the integer keys, the sort order, the sorted keys
+    # and their differences); and its pair of the Phi(x - t) block.
+    d = ps.dim
+    per_sample = 8 * (2 * d + 4) + (8 * d + 8 + 8 * d + 8 * d) + 8 + _BLOCK_ENTRY_BYTES
     # The star search: squared distances, their partial sums and the mask.
     search = ps.n * (8 + 8 + 1)
     # The busiest cube's kernel block, its temporaries and its weights.

@@ -141,6 +141,18 @@ def test_amplitude_is_positive_and_validated():
         assert max(tf.validation_residuals) < 1e-6
 
 
+def test_cached_transform_residuals_cannot_be_changed():
+    # wendland_transform caches its result, so a residual list that a
+    # caller could append to would move every later spectral check.
+    tf = wendland_transform(1, 2)
+    residuals = tf.validation_residuals
+    assert isinstance(residuals, tuple) and len(residuals) == 10
+    with pytest.raises(AttributeError):
+        residuals.append(1.0)
+    assert spectral.spectral_check(1, 2)["validation_residuals"] == list(residuals)
+    assert max(residuals) < 1e-6
+
+
 @pytest.mark.parametrize("d,k", SCOPE_PAIRS)
 def test_transform_validates_across_scope(d, k):
     tf = wendland_transform(d, k)
