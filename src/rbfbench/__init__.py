@@ -40,10 +40,7 @@ _EXPORTS = {
     ),
     "kernels": (
         "PiecewisePolyRadial",
-        "SmoothnessError",
         "SobolevSpline",
-        "kernel_derivative",
-        "kernel_eval",
         "sobolev_spline_construct",
         "wendland_construct",
     ),

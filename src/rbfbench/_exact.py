@@ -37,16 +37,6 @@ def poly_scale(p: RatPoly, c) -> RatPoly:
     return poly_trim(x * c for x in p)
 
 
-def poly_mul(p: RatPoly, q: RatPoly) -> RatPoly:
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_eval(p: RatPoly, x):
     """Horner evaluation, exact for Fraction p and x.
 

@@ -98,8 +98,9 @@ class ExperimentConfig:
             val = getattr(self, name)
             if not isinstance(val, Integral) or isinstance(val, bool) or val < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")
-        if not self.h0 > 0:
-            raise ValueError(f"coarsest spacing h0 must be positive, got {self.h0}")
+        if not 0 < self.h0 < 1:
+            raise ValueError("coarsest spacing h0 must be positive and below 1, the side "
+                             f"of the evaluation region [0, 1]^d, got {self.h0}")
         for name in ("bump_width", "grid_factor"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "

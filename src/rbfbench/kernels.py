@@ -22,18 +22,16 @@ Every kernel value at a pair of points comes from one block function,
 _kernel_block: squared distances from geometry's one distance helper, the
 root and the profile only on squares up to the squared support radius,
 exact zeros beyond, and a refusal of non-finite values.  Collocation
-matrices, witness evaluation, test-function synthesis, kernel_eval, the
-local surrogate and the error-kernel scan all call it.
+matrices, witness evaluation, test-function synthesis, the local
+surrogate and the error-kernel scan all call it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import exp, factorial, gamma as gamma_fn
+from math import factorial, gamma as gamma_fn
 
 import numpy as np
 
@@ -43,7 +41,6 @@ from ._exact import (
     binomial_one_minus_r,
     poly_derivative,
     poly_eval,
-    poly_mul,
     poly_trim,
 )
 from .geometry import _squared_distances
@@ -51,11 +48,8 @@ from .geometry import _squared_distances
 __all__ = [
     "PiecewisePolyRadial",
     "SobolevSpline",
-    "SmoothnessError",
     "wendland_construct",
     "sobolev_spline_construct",
-    "kernel_eval",
-    "kernel_derivative",
     "wendland_coeff_json",
 ]
 
@@ -70,10 +64,6 @@ MAX_SMOOTHNESS = 5
 # Sobolev prefactor * exp(-r) beside that Horner peak (32), or the Bessel
 # form's r > 0 mask, scale * r^nu, kv and their product (25).
 _BLOCK_ENTRY_BYTES = max(9 + 24, 32, 25)
-
-
-class SmoothnessError(ValueError):
-    """Requested derivative order exceeds the kernel's smoothness."""
 
 
 @dataclass(frozen=True)
@@ -192,11 +182,6 @@ class SobolevSpline:
     def support_radius(self) -> float:
         return np.inf
 
-    @property
-    def bessel_scale(self) -> float:
-        """The constant c with profile(r) = c r^nu K_nu(r)."""
-        return 1.0 / (2 ** (self.gamma / 2 - 1) * factorial(self.gamma // 2 - 1))
-
     def profile(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.poly is not None:
@@ -204,12 +189,15 @@ class SobolevSpline:
         return self.profile_bessel(r)
 
     def profile_bessel(self, r) -> np.ndarray:
-        """c r^nu K_nu(r) in any dim: the even-dim profile, and the odd-dim test reference."""
+        """c r^nu K_nu(r) in any dim: the even-dim profile, and the odd-dim test reference.
+
+        c = 1 / (2^(gamma/2 - 1) Gamma(gamma/2)).
+        """
         from scipy.special import kv
 
         r = np.asarray(r, dtype=float)
         nu = float(self.nu)
-        scale = self.bessel_scale
+        scale = 1.0 / (2 ** (self.gamma / 2 - 1) * factorial(self.gamma // 2 - 1))
         at_zero = 2 ** (nu - 1) * gamma_fn(nu) * scale
         out = np.where(
             r > 0.0,
@@ -217,13 +205,6 @@ class SobolevSpline:
             at_zero,
         )
         return out
-
-    def radial_series(self, order: int) -> RatPoly:
-        """Exact Taylor coefficients of profile/prefactor at 0 (odd dim only)."""
-        if self.poly is None:
-            raise SmoothnessError("origin series unavailable for even dimension")
-        exp_series = tuple(Fraction((-1) ** t, factorial(t)) for t in range(order + 1))
-        return poly_mul(self.poly, exp_series)[: order + 1]
 
 
 def sobolev_spline_construct(gamma: int, d: int) -> SobolevSpline:
@@ -293,112 +274,3 @@ def _kernel_block(Phi, a, b, out=None) -> np.ndarray:
         raise ValueError("kernel values are not finite")
     return D
 
-
-def kernel_eval(K, x) -> float:
-    """Evaluate the kernel at a point x in R^dim, as the pair (x, 0) of _kernel_block."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (K.dim,):
-        raise ValueError(f"expected a point in R^{K.dim}, got shape {x.shape}")
-    return float(_kernel_block(K, x[:, None], np.zeros(K.dim))[0])
-
-
-def _origin_derivative(series: RatPoly, alpha: tuple[int, ...], scale: float) -> float:
-    """D^alpha of the even extension of a radial Taylor series, at x = 0."""
-    n = sum(alpha)
-    for t in range(1, min(n, len(series) - 1) + 1, 2):
-        if series[t] != 0:
-            raise SmoothnessError(
-                f"radial profile has a nonzero odd term r^{t}; "
-                f"derivative order {n} at the origin is undefined")
-    if n % 2 == 1:
-        return 0.0
-    if any(a % 2 == 1 for a in alpha):
-        return 0.0
-    j = n // 2
-    if len(series) <= n or series[n] == 0:
-        return 0.0
-    beta = [a // 2 for a in alpha]
-    mult = Fraction(factorial(j))
-    for a, b in zip(alpha, beta):
-        mult *= Fraction(factorial(a), factorial(b))
-    return float(series[n] * mult) * scale
-
-
-def _radial_steps(K, r: float, top: int) -> tuple[float, list[dict[int, Fraction]]]:
-    """(w, L) with ((1/r) d/dr)^j profile = w * sum_p L[j][p] r^p at r, j <= top.
-
-    Exact for a rational profile and for exp(-r) times one (odd-d Sobolev):
-    a step maps c r^p to p c r^(p-2), and exp(-r) adds -c r^(p-1).  In even
-    d, d/dr [r^nu K_nu(r)] = -r^nu K_(nu-1)(r) gives one value per step.
-    """
-    if isinstance(K, SobolevSpline) and K.poly is None:
-        from scipy.special import kv
-
-        nu = float(K.nu)
-        return 1.0, [{0: Fraction((-1) ** j * K.bessel_scale * r ** (nu - j)
-                                  * float(kv(nu - j, r)))} for j in range(top + 1)]
-    decay = isinstance(K, SobolevSpline)
-    laurent = [dict(enumerate(K.poly if decay else K.coeffs))]
-    for _ in range(top):
-        step = Counter()
-        for p, c in laurent[-1].items():
-            step[p - 2] += p * c
-            if decay:
-                step[p - 1] -= c
-        laurent.append(step)
-    return (K.prefactor * exp(-r) if decay else 1.0), laurent
-
-
-def kernel_derivative(K, x, alpha) -> float:
-    """Partial derivative D^alpha of the kernel at x.
-
-    alpha is a multi-index of length dim.  Away from the origin, with
-    F(x) = g(|x|^2 / 2) and g^(j) = ((1/r) d/dr)^j profile, the radial chain
-    rule gives D^alpha F(x) = sum over beta <= alpha/2 of
-    prod_i alpha_i! / (beta_i! (alpha_i - 2 beta_i)! 2^beta_i)
-    * x^(alpha - 2 beta) * g^(|alpha| - |beta|).  At the origin the even
-    extension of the profile defines the value, and orders beyond the
-    available smoothness raise SmoothnessError.
-    """
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    if len(alpha) != K.dim or any(a < 0 for a in alpha):
-        raise ValueError(f"alpha must be a multi-index of length {K.dim}")
-    n = sum(alpha)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.sqrt(_squared_distances(x[:, None], np.zeros(len(x)))[0]))
-    if isinstance(K, PiecewisePolyRadial):
-        if n > 2 * K.smoothness:
-            raise SmoothnessError(
-                f"order {n} exceeds the C^{2 * K.smoothness} smoothness of this kernel")
-        if r >= 1.0:
-            return 0.0
-        if r == 0.0:
-            return _origin_derivative(K.coeffs, alpha, 1.0)
-    else:
-        if r == 0.0:
-            if n >= K.gamma - K.dim:
-                raise SmoothnessError(
-                    f"order {n} >= gamma - d = {K.gamma - K.dim}: "
-                    "Sobolev-spline derivative undefined at the origin")
-            if n == 0:
-                return float(K.profile(0.0))
-            return _origin_derivative(K.radial_series(n), alpha, K.prefactor)
-    if n == 0:
-        return float(K.profile(r))
-    w, laurent = _radial_steps(K, r, n)
-    # The sum is formed exactly in x and s = |x|^2, as even + r * odd, so
-    # singular terms that cancel in D^alpha (in d = 1, or on an axis)
-    # cancel exactly instead of in floating point.
-    xq = [Fraction(v) for v in x]
-    s = sum(v * v for v in xq)
-    even = odd = ZERO
-    for beta in product(*(range(a // 2 + 1) for a in alpha)):
-        c = Fraction(1)
-        for a, b, v in zip(alpha, beta, xq):
-            c *= factorial(a) // (factorial(b) * factorial(a - 2 * b) * 2 ** b) * v ** (a - 2 * b)
-        for p, coeff in laurent[n - sum(beta)].items():
-            if p % 2:
-                odd += c * coeff * s ** (p // 2)
-            else:
-                even += c * coeff * s ** (p // 2)
-    return w * (float(even) + r * float(odd))

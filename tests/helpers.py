@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from rbfbench._exact import GaussianRational, binomial_one_minus_r, poly_mul, poly_trim
+from rbfbench._exact import ZERO, GaussianRational, binomial_one_minus_r, poly_trim
 from rbfbench._quad import panel_edges
 from rbfbench.approx import _MIDPOINTS, _green_factor
 from rbfbench.geometry import cube_center, cube_index, tensor_grid
@@ -37,6 +37,17 @@ TABULATED_WENDLAND = {
     (3, 2): (6, (3, 18, 35)),
     (3, 3): (8, (1, 8, 25, 32)),
 }
+
+
+def poly_mul(p, q):
+    """Exact product of two dense rational polynomials, ascending powers."""
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(out)
 
 
 def tabulated_poly(d: int, k: int):

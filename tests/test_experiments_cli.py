@@ -94,9 +94,10 @@ def test_config_validation():
     for p_list in ((2.0, 0.0), (-2.0,), (0.5,), (np.nan,), (-np.inf,), ()):
         with pytest.raises(ValueError, match=r"each in \[1, inf\]"):
             ExperimentConfig(family="sobolev", d=1, gamma=2, p_list=p_list)
-    for h0 in (0.0, -0.125, np.nan):
-        with pytest.raises(ValueError, match="h0 must be positive"):
+    for h0 in (0.0, -0.125, np.nan, 1.0, 2.0, np.inf):
+        with pytest.raises(ValueError, match="h0 must be positive and below 1"):
             ExperimentConfig(family="sobolev", d=1, gamma=2, h0=h0)
+    ExperimentConfig(family="sobolev", d=1, gamma=2, h0=0.5)
     for name in ("bump_width", "grid_factor"):
         for bad in (-0.2, 0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be positive"):
@@ -442,8 +443,10 @@ def test_cli_rates_refuses_quasi_wendland_before_any_level(capsys, monkeypatch):
     ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--p", "-2"],
     ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--p", "nan"],
     ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--h0", "0"],
+    ["rates", "--kernel", "sobolev", "--gamma", "2", "--d", "1", "--h0", "1"],
     ["property2", "--kernel", "wendland", "--d", "1", "--k", "1", "--h", "0"],
-], ids=["rates_p0", "rates_p_negative", "rates_p_nan", "rates_h0_zero", "property2_h0"])
+], ids=["rates_p0", "rates_p_negative", "rates_p_nan", "rates_h0_zero", "rates_h0_one",
+        "property2_h0"])
 def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
     def no_points(*args, **kwargs):
         raise AssertionError("a point set was built for a refused config")

@@ -1,4 +1,4 @@
-"""Kernel construction, evaluation, and derivative tests."""
+"""Kernel construction and evaluation tests, and the Sobolev decay envelope."""
 
 from fractions import Fraction
 
@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from rbfbench._exact import poly_derivative, poly_eval
-from rbfbench.kernels import (
-    SmoothnessError,
-    kernel_derivative,
-    kernel_eval,
-    sobolev_spline_construct,
-    wendland_construct,
-)
-from rbfbench.polyrep import monomial_exponents
+from rbfbench.kernels import sobolev_spline_construct, wendland_construct
 
 from helpers import (
     TABULATED_WENDLAND,
@@ -64,11 +57,11 @@ def test_construct_guards():
 
 
 def test_eval_examples():
-    assert kernel_eval(wendland_construct(1, 0), [0.25]) == pytest.approx(0.75)
+    assert wendland_construct(1, 0).profile(0.25) == pytest.approx(0.75)
     # |x| = 1.5 > support radius
-    assert kernel_eval(wendland_construct(3, 1), [0.9, 0.9, 0.9]) == 0.0
+    assert wendland_construct(3, 1).profile(np.linalg.norm([0.9, 0.9, 0.9])) == 0.0
     G2 = sobolev_spline_construct(2, 1)
-    assert kernel_eval(G2, [1.0]) == pytest.approx(G2_AT_ONE, rel=1e-12, abs=0)
+    assert G2.profile(1.0) == pytest.approx(G2_AT_ONE, rel=1e-12, abs=0)
 
 
 def test_sobolev_matches_inverse_transform_oracle():
@@ -122,46 +115,6 @@ def test_sobolev_guards():
         sobolev_spline_construct(-2, 1)
 
 
-def test_derivative_at_origin_is_zero_for_odd_orders():
-    K = wendland_construct(1, 1)
-    assert kernel_derivative(K, [0.0], (1,)) == 0.0
-    K3 = wendland_construct(3, 2)
-    assert kernel_derivative(K3, [0.0, 0.0, 0.0], (1, 0, 0)) == 0.0
-    assert kernel_derivative(K3, [0.0, 0.0, 0.0], (1, 1, 1)) == 0.0
-
-
-def test_derivative_outside_support_is_zero():
-    K = wendland_construct(3, 1)
-    assert kernel_derivative(K, [1.2, 0.0, 0.0], (2, 0, 0)) == 0.0
-    assert kernel_derivative(K, [0.6, 0.6, 0.6], (1, 1, 0)) == 0.0
-
-
-def test_derivative_matches_finite_differences():
-    K = wendland_construct(3, 2)
-    x0 = np.array([0.31, 0.17, -0.22])
-    step = 1e-5
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = step
-        fd = (kernel_eval(K, x0 + e) - kernel_eval(K, x0 - e)) / (2 * step)
-        alpha = tuple(int(axis == j) for j in range(3))
-        assert kernel_derivative(K, x0, alpha) == pytest.approx(fd, abs=1e-8)
-    G = sobolev_spline_construct(4, 1)
-    fd2 = (kernel_eval(G, [0.4 + 1e-4]) - 2 * kernel_eval(G, [0.4])
-           + kernel_eval(G, [0.4 - 1e-4])) / 1e-8
-    assert kernel_derivative(G, [0.4], (2,)) == pytest.approx(fd2, rel=1e-5, abs=0)
-
-
-def test_derivative_order_guards():
-    K = wendland_construct(1, 1)
-    with pytest.raises(SmoothnessError):
-        kernel_derivative(K, [0.2], (3,))
-    G = sobolev_spline_construct(4, 1)
-    with pytest.raises(SmoothnessError):
-        kernel_derivative(G, [0.0], (3,))     # order >= gamma - d at origin
-    kernel_derivative(G, [0.1], (3,))          # fine away from the origin
-
-
 def test_decay_bound_ratios():
     # |D^a G_gamma| against the asymptotic envelope near 0: exponent
     # gamma - d - |a| once |a| >= gamma - d, constant envelope below that.
@@ -169,36 +122,12 @@ def test_decay_bound_ratios():
     rs = np.geomspace(1e-3, 1e-1, 12)
     for order in (2, 3):
         expo = min(0, 4 - 1 - order)
-        ratios = np.array([abs(kernel_derivative(G, [r], (order,))) / r ** expo
+        ratios = np.array([abs(kernel_derivative_mp(G, [r], (order,))) / r ** expo
                            for r in rs])
         assert ratios.max() / ratios.min() < 10.0
     # order 4 exceeds gamma - d: the envelope r^(-1) bounds the derivative
     # (the half-integer profile actually stays bounded here).
-    vals = np.array([abs(kernel_derivative(G, [r], (4,))) for r in rs])
+    vals = np.array([abs(kernel_derivative_mp(G, [r], (4,))) for r in rs])
     assert np.all(vals <= 10.0 * rs ** (-1.0))
     assert vals.max() < 5.0
 
-
-# (family, d, k or gamma, top order): Wendland up to its C^{2k} smoothness,
-# Sobolev splines up to order 4.
-DERIVATIVE_CASES = (
-    [("wendland", d, k, min(2 * k, 4)) for d in (1, 2, 3) for k in (1, 2, 3)]
-    + [("sobolev", d, gamma, 4) for gamma, d in
-       ((2, 1), (4, 1), (6, 1), (4, 2), (6, 2), (4, 3), (6, 3), (8, 3))])
-
-
-@pytest.mark.parametrize("family,d,order,top", DERIVATIVE_CASES,
-                         ids=[f"{f}_d{d}_{o}" for f, d, o, _ in DERIVATIVE_CASES])
-def test_derivative_matches_high_precision_reference(family, d, order, top):
-    K = wendland_construct(d, order) if family == "wendland" else sobolev_spline_construct(order, d)
-    rng = np.random.default_rng(d)
-    dirs = rng.normal(size=(3, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    # On an axis (and always in d = 1) the singular terms of D^alpha cancel;
-    # near the origin they are largest.
-    points = [0.06 * np.eye(d)[0]] + [r * u for r, u in zip((0.06, 0.3, 0.65), dirs)]
-    for alpha in monomial_exponents(d, top)[1:]:
-        for x in points:
-            ref = kernel_derivative_mp(K, x, alpha, dps=40)
-            got = kernel_derivative(K, x, alpha)
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (alpha, x, got, ref)

@@ -11,12 +11,29 @@ setting; then one line is printed per command:
 Run it in two checkouts and diff the outputs to see which reports moved:
 
     python tools/output_digests.py > digests.txt
+
+To see how far they moved, save the outputs in each checkout and compare:
+
+    python tools/output_digests.py --save old    # in the first checkout
+    python tools/output_digests.py --save new    # in the second
+    python tools/output_digests.py --compare old new
+
+``--save DIR`` prints the same lines and also writes each command's stdout
+(``<name>.stdout``) and CSV (``<name>.csv``) to DIR.  ``--compare A B``
+prints one line per command: ``identical`` when the saved files match
+byte for byte, ``missing`` when only one directory holds a file,
+``text differs`` when the files differ outside their numbers or in how
+many numbers they hold, and otherwise the largest relative change
+|b - a| / |a| of any number, the numbers paired in the order they appear.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -74,11 +91,57 @@ COMMANDS = (
 )
 
 
+# A number token: a decimal with optional exponent, or inf/nan as Python
+# and JSON print them.
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def _stem(args: str) -> str:
+    """File name stem of a command's saved outputs."""
+    return re.sub(r"[^A-Za-z0-9.]+", "_", args).strip("_")
+
+
+def relative_change(a: str, b: str) -> float | None:
+    """Largest |y - x| / |x| over the numbers x of a and y of b, in order.
+
+    None when the texts differ outside their numbers or hold different
+    counts of numbers.  A change from 0 is infinite; NaN to NaN is none.
+    """
+    if _NUMBER.split(a) != _NUMBER.split(b):
+        return None
+    worst = 0.0
+    for x, y in zip(map(float, _NUMBER.findall(a)), map(float, _NUMBER.findall(b))):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        worst = max(worst, abs(y - x) / abs(x) if x else float("inf"))
+    return worst
+
+
+def _verdict(args: str, dir_a: Path, dir_b: Path) -> str:
+    worst = None
+    for suffix in (".stdout", ".csv"):
+        a, b = (Path(d, _stem(args) + suffix) for d in (dir_a, dir_b))
+        if a.exists() != b.exists():
+            return "missing"
+        if not a.exists() or a.read_bytes() == b.read_bytes():
+            continue
+        change = relative_change(a.read_text(), b.read_text())
+        if change is None:
+            return "text differs"
+        worst = max(worst or 0.0, change)
+    return "identical" if worst is None else f"max rel change {worst:.3g}"
+
+
+def compare(dir_a: Path, dir_b: Path) -> list[str]:
+    """One line per command: how its saved outputs moved from dir_a to dir_b."""
+    return [f"{_verdict(args, dir_a, dir_b)}  {args}" for args, _ in COMMANDS]
+
+
+def digests(save: Path | None) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = BLAS_THREADS
@@ -88,9 +151,30 @@ def main() -> int:
             proc = subprocess.run([sys.executable, "-m", "rbfbench.cli", *args.split()],
                                   capture_output=True, cwd=tmp, env=env)
             csv_path = Path(tmp, csv_name) if csv_name else None
-            csv_digest = (_sha256(csv_path.read_bytes())
-                          if csv_path is not None and csv_path.exists() else "-")
+            csv_bytes = (csv_path.read_bytes()
+                         if csv_path is not None and csv_path.exists() else None)
+        csv_digest = _sha256(csv_bytes) if csv_bytes is not None else "-"
+        if save is not None:
+            Path(save, _stem(args) + ".stdout").write_bytes(proc.stdout)
+            if csv_bytes is not None:
+                Path(save, _stem(args) + ".csv").write_bytes(csv_bytes)
         print(f"{proc.returncode}  {_sha256(proc.stdout)}  {csv_digest}  {args}", flush=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", type=Path, metavar="DIR",
+                      help="also write each command's stdout and CSV to DIR")
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                      help="compare the outputs saved in A and B")
+    args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
+    digests(args.save)
     return 0
 
 
