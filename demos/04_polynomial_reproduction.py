@@ -24,15 +24,24 @@ print(f"point set: n={X.n}, h={X.h:.4f}, q={X.q:.4f}, mesh ratio {X.rho:.2f}")
 
 builder = LocalPolyBuilder(X, degree=3, c3=32.0)
 rng = np.random.default_rng(0)
+ts, cs = np.empty((200, 1)), np.empty((200, 4))
+for i in range(200):
+    ts[i] = rng.uniform(0, 1, size=1)
+    cs[i] = rng.normal(size=4)
+
+
+def cubic(c, x):
+    return c[..., 0] + c[..., 1] * x + c[..., 2] * x ** 2 + c[..., 3] * x ** 3
+
+
 worst = 0.0
 l1s = []
-for _ in range(200):
-    t = rng.uniform(0, 1, size=1)
-    F = builder.functional_at(t)
-    l1s.append(F.l1_norm)
-    c = rng.normal(size=4)
-    p = lambda x: c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3
-    worst = max(worst, abs(F.apply(p(F.points[:, 0])) - p(t[0])))
+# One weights product per cube: A holds one column A(t, .) per t of the cube.
+for rows, star, A in builder.weights_by_cube(ts):
+    l1s.extend(np.abs(A).sum(axis=0))
+    star_vals = cubic(cs[rows, None, :], X.points[star, 0])      # (t, star point)
+    reproduced = np.einsum("ij,ji->i", star_vals, A)
+    worst = max(worst, np.abs(reproduced - cubic(cs[rows], ts[rows, 0])).max())
 print(f"cubic reproduction over 200 random t: worst error {worst:.2e}, "
       f"functional norms in [{min(l1s):.3f}, {max(l1s):.3f}]")
 

@@ -46,7 +46,6 @@ _EXPORTS = {
     ),
     "polyrep": (
         "LocalPolyBuilder",
-        "ReproFunctional",
         "kernel_K",
         "property2_scan",
     ),

@@ -94,7 +94,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must hold numbers, got {val!r}")
         if not 0 < self.ratio < 1:
             raise ValueError("schedule ratio must lie in (0, 1)")
-        for name, low in (("levels", 1), ("seed", 0)):
+        for name, low in (("levels", 2), ("seed", 0)):
             val = getattr(self, name)
             if not isinstance(val, Integral) or isinstance(val, bool) or val < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")

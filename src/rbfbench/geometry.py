@@ -11,8 +11,7 @@ padding or the box moves every point, not only the added ones.
 The cube partition splits R^d into half-open cubes [c - s/2, c + s/2)
 centered at the lattice s*Z^d; local stars are anchored at cube centers so
 that every t in a given cube sees the same star.  cube_indices holds the
-one floor rule that assigns points to cubes; cube_index reads it for a
-single point.
+one floor rule that assigns points to cubes.
 
 Distances are numpy's: one helper adds the per-axis squares in axis
 order, so every distance is the float a KD-tree or cdist would give.  The
@@ -37,7 +36,6 @@ __all__ = [
     "make_quasi_uniform",
     "fill_distance",
     "separation_radius",
-    "cube_index",
     "cube_indices",
     "cube_center",
 ]
@@ -106,11 +104,6 @@ def cube_indices(ts: np.ndarray, side: float) -> np.ndarray:
     if not np.isfinite(keys).all():
         raise ValueError("a point with a non-finite coordinate lies in no cube")
     return keys.astype(np.int64)
-
-
-def cube_index(t: np.ndarray, side: float) -> tuple[int, ...]:
-    """Index of the half-open cube [c - side/2, c + side/2) containing t."""
-    return tuple(cube_indices(np.atleast_1d(t), side).tolist())
 
 
 def cube_center(idx: tuple[int, ...], side: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Local polynomial reproduction functionals and the kernel error scan.
+"""Local polynomial reproduction weights and the kernel error scan.
 
 For each cube Q of the partition, the points of X within c3 * h of the cube
 center form the star X(t) shared by every t in Q.  The functional
@@ -16,14 +16,13 @@ Substituting kernel translates for point evaluations gives the surrogate
 K(x, t) = sum A(t, xi) Phi(x - xi); the scan records how the error kernel
 E(x, t) = Phi(x - t) - K(x, t) compares to h^(kappa - d) (1 + |x-t|/h)^(-l).
 Every Phi value comes from kernels._kernel_block and every sum over the
-star is an einsum, which calls no BLAS.  E is evaluated one cube of t at
+star is an einsum, which calls no BLAS.  kernel_K forms K one cube of t at
 a time: one weights product for all the t of a cube and one kernel block
 for their x against its star.
 
 LocalPolyBuilder.weights_by_cube is the one grouping of points by cube:
-the error kernel, functional_at and approx.quasi_interpolant all take
-their cubes, in ascending lexicographic order, and each cube's
-reproduction weights from it.
+kernel_K and approx.quasi_interpolant take their cubes, in ascending
+lexicographic order, and each cube's reproduction weights from it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .geometry import PointSet, cube_center, cube_indices, tensor_grid
 from .kernels import _kernel_block
 
 __all__ = [
-    "ReproFunctional",
     "ErrorKernelScan",
     "UnisolvencyError",
     "LocalPolyBuilder",
@@ -70,41 +68,27 @@ def _basis_matrix(pts: np.ndarray, anchor: np.ndarray, scale: float,
                   exponents: list[tuple[int, ...]]) -> np.ndarray:
     """Rows p_i((pts - anchor)/scale) for the shifted-scaled monomials."""
     z = (pts - anchor) / scale
+    powers = {}             # z[:, axis] ** power, formed once per (axis, power)
     rows = []
     for e in exponents:
         col = np.ones(z.shape[0])
         for axis, power in enumerate(e):
             if power:
-                col = col * z[:, axis] ** power
+                if (axis, power) not in powers:
+                    powers[axis, power] = z[:, axis] ** power
+                col = col * powers[axis, power]
         rows.append(col)
     return np.asarray(rows)
 
 
-@dataclass(frozen=True, eq=False)
-class ReproFunctional:
-    """Point-evaluation weights realizing polynomial reproduction at t."""
-
-    star: np.ndarray              # indices into the point set
-    points: np.ndarray            # star coordinates, (n_star, d)
-    weights: np.ndarray           # A(t, xi)
-
-    @property
-    def l1_norm(self) -> float:
-        return float(np.abs(self.weights).sum())
-
-    def apply(self, values: np.ndarray) -> float:
-        """lambda_t applied to samples of a function at the star points."""
-        return float(self.weights @ values)
-
-
 class LocalPolyBuilder:
-    """Builds reproduction functionals, one linear map per cube, and keeps none.
+    """Builds reproduction weights, one linear map per cube, and keeps none.
 
     Cubes have side X.h.  On rank deficiency or an l1 norm above C2_CAP, the
     star radius factor is enlarged by 1.5 and the cube rebuilt, at most
     MAX_RETRIES times.  Rank deficiency that survives all retries raises
-    UnisolvencyError; an l1 norm still above the cap is reported on the
-    functional, not raised.
+    UnisolvencyError; an l1 norm still above the cap is left in the
+    weights, not raised.
     """
 
     def __init__(self, X: PointSet, degree: int, c3: float):
@@ -176,39 +160,20 @@ class LocalPolyBuilder:
             star, A = self.weights(tuple(keys[rows[0]].tolist()), ts[rows])
             yield rows, star, A
 
-    def functional_at(self, t: np.ndarray) -> ReproFunctional:
-        ((_, star, A),) = self.weights_by_cube(np.reshape(t, (1, -1)))
-        return ReproFunctional(star, self.X.points[star], A[:, 0])
 
-
-def kernel_K(x, Phi, F: ReproFunctional) -> np.ndarray | float:
-    """Local surrogate K(x, t) = sum_xi A(t, xi) Phi(x - xi).
-
-    x holds points of R^d, one per row; a flat array or a scalar is read
-    as consecutive points, as approx.collocation_matrix reads them.  A
-    single point gives a float, any other input one value per point.  The
-    kernel values come from kernels._kernel_block, and each row is reduced
-    against A(t, .) by einsum, which calls no BLAS.
-    """
-    pts = np.reshape(np.asarray(x, dtype=float), (-1, F.points.shape[1]))
-    block = _kernel_block(Phi, pts.T[:, :, None], F.points.T[:, None, :])
-    vals = np.einsum("ij,j->i", block, F.weights)
-    return float(vals[0]) if np.ndim(x) <= 1 and len(pts) == 1 else vals
-
-
-def _error_kernel(Phi, builder: LocalPolyBuilder, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """E(x, t) = Phi(x - t) - K(x, t) for each row pair (x, t) of xs and ts.
+def kernel_K(Phi, builder: LocalPolyBuilder, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Surrogate K(x, t) = sum_xi A(t, xi) Phi(x - xi) for each row pair (x, t) of xs and ts.
 
     The pairs are grouped by the cube of t with builder.weights_by_cube,
     and each cube makes one kernels._kernel_block call for its x against
     its star; each row is reduced against its own column A(t, .) by
     einsum, which calls no BLAS.
     """
-    e = _kernel_block(Phi, xs.T, ts.T)
+    K = np.zeros(len(xs))
     for rows, star, A in builder.weights_by_cube(ts):
         block = _kernel_block(Phi, xs[rows].T[:, :, None], builder.X.points[star].T[:, None, :])
-        e[rows] -= np.einsum("ij,ji->i", block, A)
-    return e
+        K[rows] = np.einsum("ij,ji->i", block, A)
+    return K
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,8 +206,8 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
     uniformly in the domain.  The sample budget is split evenly over the
     strata; a budget below 8 samples per stratum is refused with a
     ValueError.  The samples are drawn first into preallocated arrays, t,
-    s and the direction of x - t in turn for each, and E is then
-    evaluated by cube of t.
+    s and the direction of x - t in turn for each; E is then Phi(x - t)
+    less the surrogate that kernel_K forms by cube of t.
     """
     d = X.dim
     h = X.h
@@ -270,5 +235,5 @@ def property2_scan(Phi, X: PointSet, kappa: float, ell: float,
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
         xs[i] = ts[i] + ss[i] * h * u
-    es = np.abs(_error_kernel(Phi, builder, xs, ts))
+    es = np.abs(_kernel_block(Phi, xs.T, ts.T) - kernel_K(Phi, builder, xs, ts))
     return ErrorKernelScan(xs, ts, ss, es, h ** (kappa - d) * (1.0 + ss) ** (-ell))

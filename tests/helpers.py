@@ -1,12 +1,13 @@
 """Shared test utilities: reference polynomials, exact oracles for the
 partial fraction table and the f_m series, Fourier quadrature oracles, a
 high-precision derivative reference, a per-point convolution oracle,
-convolution trials, the per-sample error-kernel scan and the per-cube
-quasi-interpolant."""
+convolution trials, a one-point reproduction functional, the
+per-sample error-kernel scan, the per-cube quasi-interpolant and the
+monomial basis one power at a time."""
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, fsum
+from math import factorial, floor, fsum
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.integrate import quad
 from rbfbench._exact import ZERO, GaussianRational, binomial_one_minus_r, poly_trim
 from rbfbench._quad import panel_edges
 from rbfbench.approx import _MIDPOINTS, _green_factor
-from rbfbench.geometry import cube_center, cube_index, tensor_grid
+from rbfbench.geometry import cube_center, tensor_grid
 from rbfbench.kernels import PiecewisePolyRadial
 from rbfbench.polyrep import FAR_LIMIT, LocalPolyBuilder
 from rbfbench.spectral import (
@@ -343,6 +344,18 @@ def young_trials(mu: FiniteMeasure, n_trials: int, seed: int = 0,
     return margins
 
 
+def cube_of(t, side: float) -> tuple[int, ...]:
+    """Index of the half-open cube [c - side/2, c + side/2) holding the point t,
+    one math.floor per coordinate (independent of geometry.cube_indices)."""
+    return tuple(floor(c / side + 0.5) for c in np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+def functional(builder: LocalPolyBuilder, t):
+    """(star points, weights A(t, .)) of the reproduction functional at one point t."""
+    star, A = builder.weights(cube_of(t, builder.side), np.reshape(t, (1, -1)))
+    return builder.X.points[star], A[:, 0]
+
+
 def property2_scan_per_sample(Phi, X, ell, sample_budget, *, degree, c3, seed=0):
     """The error-kernel scan one sample at a time, with an fsum reference.
 
@@ -369,12 +382,12 @@ def property2_scan_per_sample(Phi, X, ell, sample_budget, *, degree, c3, seed=0)
             u = rng.normal(size=d)
             u /= np.linalg.norm(u)
             x = t + s * h * u
-            F = builder.functional_at(t)
+            points, weights = functional(builder, t)
             at_t = float(Phi.profile(np.linalg.norm(x - t)))
-            star = Phi.profile(np.linalg.norm(x - F.points, axis=-1))
-            e = at_t - float(star @ F.weights)
-            rows.append((x, t, s, abs(e), fsum([at_t, *(-star * F.weights)]),
-                         2 * len(star) * np.finfo(float).eps * fsum(np.abs(star * F.weights))))
+            star = Phi.profile(np.linalg.norm(x - points, axis=-1))
+            e = at_t - float(star @ weights)
+            rows.append((x, t, s, abs(e), fsum([at_t, *(-star * weights)]),
+                         2 * len(star) * np.finfo(float).eps * fsum(np.abs(star * weights))))
     return tuple(np.asarray(column) for column in zip(*rows))
 
 
@@ -389,8 +402,8 @@ def quasi_interpolant_per_cube(g, X, degree, c3):
     d, side, m = X.dim, X.h, _MIDPOINTS
     offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
     builder = LocalPolyBuilder(X, degree, c3)
-    lo = np.asarray(cube_index(np.asarray(g.center) - g.width, side))
-    hi = np.asarray(cube_index(np.asarray(g.center) + g.width, side))
+    lo = np.asarray(cube_of(np.asarray(g.center) - g.width, side))
+    hi = np.asarray(cube_of(np.asarray(g.center) + g.width, side))
     coeffs = np.zeros(X.n)
     for rel in np.ndindex(*(hi - lo + 1)):
         idx = tuple(lo + np.asarray(rel))
@@ -401,3 +414,16 @@ def quasi_interpolant_per_cube(g, X, degree, c3):
         star, alpha = builder.weights(idx, samples)
         coeffs[star] += (side / m) ** d * (alpha @ gv)
     return coeffs * _green_factor(d)
+
+
+def basis_matrix_per_term(pts, anchor, scale, exponents):
+    """polyrep._basis_matrix raising z to every power of every term anew."""
+    z = (pts - anchor) / scale
+    rows = []
+    for e in exponents:
+        col = np.ones(z.shape[0])
+        for axis, power in enumerate(e):
+            if power:
+                col = col * z[:, axis] ** power
+        rows.append(col)
+    return np.asarray(rows)

@@ -386,7 +386,7 @@ def test_level_over_the_address_space_limit_exits_2():
 
     proc = subprocess.run(
         [sys.executable, "-m", "rbfbench.cli", "rates", "--kernel", "wendland", "--d", "2",
-         "--k", "1", "--levels", "1", "--h0", "0.0625", "--seed", "7"],
+         "--k", "1", "--levels", "2", "--h0", "0.0625", "--seed", "7"],
         capture_output=True, text=True, preexec_fn=cap)
     # The available share depends on the process's VmSize, which moves
     # with the BLAS thread count, so the two figures are compared, not

@@ -102,9 +102,12 @@ def test_config_validation():
         for bad in (-0.2, 0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be positive"):
                 ExperimentConfig(family="sobolev", d=1, gamma=2, **{name: bad})
-    for levels in (2.5, 0, -1, True, "3"):
+    for levels in (2.5, 0, 1, -1, True, "3"):
         with pytest.raises(ValueError, match="levels must be an integer"):
             ExperimentConfig(family="sobolev", d=1, gamma=2, levels=levels)
+    for levels in (0, 1):
+        with pytest.raises(ValueError, match=f"levels must be an integer >= 2, got {levels}"):
+            ExperimentConfig(family="wendland", d=1, k=1, levels=levels)
     for seed in (None, -1, 1.5, True, "7"):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             ExperimentConfig(family="wendland", d=1, k=1, seed=seed)
@@ -355,7 +358,7 @@ def test_cli_property2_refuses_other_familys_order(argv, message, capsys, monkey
 @pytest.mark.parametrize("argv", [
     ["property2", "--kernel", "wendland", "--d", "2", "--k", "1", "--h", "0.0005"],
     ["rates", "--kernel", "wendland", "--d", "2", "--k", "1", "--h0", "0.0005",
-     "--levels", "1"],
+     "--levels", "2"],
 ], ids=["property2", "rates"])
 def test_cli_refuses_oversize_point_set_before_building_it(argv, capsys, monkeypatch):
     def no_grid(*args, **kwargs):
@@ -434,8 +437,19 @@ def test_cli_rates_refuses_quasi_wendland_before_any_level(capsys, monkeypatch):
 
     monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
     assert main(["rates", "--kernel", "wendland", "--d", "2", "--k", "1",
-                 "--witness", "quasi", "--levels", "1", "--h0", "0.03125"]) == 2
+                 "--witness", "quasi", "--levels", "2", "--h0", "0.03125"]) == 2
     assert "rates: bad configuration:" in capsys.readouterr().err
+
+
+def test_cli_rates_refuses_one_level_before_building_it(capsys, monkeypatch):
+    # One level shows no decrease of the error and can never pass.
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point set was built for a refused config")
+
+    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    assert main(["rates", "--kernel", "wendland", "--d", "1", "--k", "1", "--levels", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "rates: bad configuration: levels must be an integer >= 2")
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from rbfbench.geometry import (
     MAX_JITTER,
     Box,
     PointSet,
-    cube_index,
+    cube_indices,
     fill_distance,
     make_quasi_uniform,
     separation_radius,
@@ -198,7 +198,7 @@ def test_within_ball_equals_brute_force(d):
     # The same points, queried after builders with different stars and
     # degrees ran on them in either order, give the same answers.
     Y = PointSet(X.points, X.domain, X.h, X.h_slack, X.q)
-    idx = cube_index(np.full(d, 0.5), X.h)
+    idx = tuple(cube_indices(np.full(d, 0.5), X.h).tolist())
     for first, second in ((X, Y), (Y, X)):
         LocalPolyBuilder(first, 1, 3.0).cube_map(idx)
         LocalPolyBuilder(second, 2, 8.0).cube_map(idx)
@@ -211,8 +211,8 @@ def test_cube_assignment_half_open():
     side = 0.25
     # A point exactly on a cube face belongs to the cube on its upper side.
     boundary = side / 2.0
-    assert cube_index(np.array([boundary]), side) == (1,)
-    assert cube_index(np.array([boundary - 1e-12]), side) == (0,)
+    assert cube_indices(np.array([boundary]), side).tolist() == [1]
+    assert cube_indices(np.array([boundary - 1e-12]), side).tolist() == [0]
 
 
 

@@ -36,7 +36,7 @@ def _loaded_roots(code: str, tmp_path) -> list[str]:
 
 
 def test_every_exported_name_is_its_submodule_object():
-    assert len(rbfbench.__all__) == 39
+    assert len(rbfbench.__all__) == 38
     for name in rbfbench.__all__:
         obj = getattr(rbfbench, name)
         module = importlib.import_module(obj.__module__)

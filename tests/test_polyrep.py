@@ -1,4 +1,4 @@
-"""Reproduction functionals, the surrogate kernel, and the error scan."""
+"""Reproduction weights, the surrogate kernel, and the error scan."""
 
 import tracemalloc
 
@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from helpers import property2_scan_per_sample
+from helpers import basis_matrix_per_term, cube_of, functional, property2_scan_per_sample
 from rbfbench import polyrep
-from rbfbench.approx import collocation_matrix
-from rbfbench.geometry import Box, PointSet, cube_index, cube_indices, make_quasi_uniform
-from rbfbench.kernels import _BLOCK_ENTRY_BYTES, sobolev_spline_construct, wendland_construct
+from rbfbench.geometry import Box, PointSet, cube_indices, make_quasi_uniform
+from rbfbench.kernels import (
+    _BLOCK_ENTRY_BYTES,
+    _kernel_block,
+    sobolev_spline_construct,
+    wendland_construct,
+)
 from rbfbench.polyrep import (
     LocalPolyBuilder,
     _basis_matrix,
@@ -37,17 +41,17 @@ def _poly_at(coeffs, exponents, t):
 
 def test_two_point_linear_weights():
     ps = PointSet(np.array([[0.0], [1.0]]), UNIT_1D, h=0.5, h_slack=0.0, q=0.5)
-    F = LocalPolyBuilder(ps, degree=1, c3=2.0).functional_at(np.array([0.5]))
-    assert np.allclose(np.sort(F.weights), [0.5, 0.5])
-    assert F.l1_norm == pytest.approx(1.0)
+    _, weights = functional(LocalPolyBuilder(ps, degree=1, c3=2.0), np.array([0.5]))
+    assert np.allclose(np.sort(weights), [0.5, 0.5])
+    assert np.abs(weights).sum() == pytest.approx(1.0)
 
 
 def test_constant_reproduction_always_exact():
     ps = make_quasi_uniform(UNIT_1D, 1 / 8, jitter=0.25, seed=2)
     builder = LocalPolyBuilder(ps, degree=0, c3=2.0)
     for t in np.linspace(0.01, 0.99, 17):
-        F = builder.functional_at(np.array([t]))
-        assert F.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        _, weights = functional(builder, np.array([t]))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -60,10 +64,10 @@ def test_reproduction_oracle_1d(seed):
     worst = 0.0
     for _ in range(40):
         t = rng.uniform(0, 1, size=1)
-        F = builder.functional_at(t)
-        coeffs, vals = _rand_poly_eval(rng, exponents, F.points)
-        worst = max(worst, abs(F.apply(vals) - _poly_at(coeffs, exponents, t)))
-        assert F.l1_norm <= 2.5
+        points, weights = functional(builder, t)
+        coeffs, vals = _rand_poly_eval(rng, exponents, points)
+        worst = max(worst, abs(weights @ vals - _poly_at(coeffs, exponents, t)))
+        assert np.abs(weights).sum() <= 2.5
     assert worst < 1e-10
 
 
@@ -75,23 +79,23 @@ def test_reproduction_oracle_2d():
     rng = np.random.default_rng(0)
     for _ in range(25):
         t = rng.uniform(0, 1, size=2)
-        F = builder.functional_at(t)
-        coeffs, vals = _rand_poly_eval(rng, exponents, F.points)
-        assert abs(F.apply(vals) - _poly_at(coeffs, exponents, t)) < 1e-10
+        points, weights = functional(builder, t)
+        coeffs, vals = _rand_poly_eval(rng, exponents, points)
+        assert abs(weights @ vals - _poly_at(coeffs, exponents, t)) < 1e-10
 
 
 def test_minimum_norm_among_solutions():
     ps = make_quasi_uniform(UNIT_1D, 1 / 16, jitter=0.2, seed=5)
     builder = LocalPolyBuilder(ps, degree=2, c3=24.0)
     t = np.array([0.5])
-    F = builder.functional_at(t)
-    _, _, anchor, scale, _ = builder.cube_map(cube_index(t, builder.side))
-    M = _basis_matrix(F.points, anchor, scale, builder.exponents)
+    points, weights = functional(builder, t)
+    _, _, anchor, scale, _ = builder.cube_map(cube_of(t, builder.side))
+    M = _basis_matrix(points, anchor, scale, builder.exponents)
     N = null_space(M)
     rng = np.random.default_rng(3)
-    base = np.linalg.norm(F.weights)
+    base = np.linalg.norm(weights)
     for _ in range(10):
-        alt = F.weights + N @ rng.normal(size=N.shape[1])
+        alt = weights + N @ rng.normal(size=N.shape[1])
         assert np.linalg.norm(alt) >= base - 1e-10
 
 
@@ -100,46 +104,55 @@ def test_weights_continuous_in_t():
     builder = LocalPolyBuilder(ps, degree=2, c3=24.0)
     t0 = np.array([0.503])
     dt = 1e-6
-    F0 = builder.functional_at(t0)
-    F1 = builder.functional_at(t0 + dt)
-    assert np.array_equal(F0.star, F1.star)
-    assert np.abs(F1.weights - F0.weights).max() < 1e-3 * dt / 1e-6
+    points0, weights0 = functional(builder, t0)
+    points1, weights1 = functional(builder, t0 + dt)
+    assert np.array_equal(points0, points1)
+    assert np.abs(weights1 - weights0).max() < 1e-3 * dt / 1e-6
 
 
 def test_unisolvency_failure_reported():
     ps = PointSet(np.array([[0.0], [1.0]]), UNIT_1D, h=0.5, h_slack=0.0, q=0.5)
     with pytest.raises(UnisolvencyError):
-        LocalPolyBuilder(ps, degree=4, c3=1.0).functional_at(np.array([0.5]))
+        functional(LocalPolyBuilder(ps, degree=4, c3=1.0), np.array([0.5]))
 
 
 def test_l1_cap_reported_not_raised(monkeypatch):
     # A 2-point star reproducing degree 1 from an off-center t has l1 > 1;
-    # an unreachable cap must still return the functional.
+    # an unreachable cap must still return the weights.
     monkeypatch.setattr(polyrep, "C2_CAP", 1.5)
     ps = PointSet(np.array([[0.45], [0.55]]), Box((0.0,), (1.0,)),
                   h=0.45, h_slack=0.0, q=0.05)
-    F = LocalPolyBuilder(ps, degree=1, c3=2.0).functional_at(np.array([0.9]))
-    assert F.l1_norm > 1.5
+    _, weights = functional(LocalPolyBuilder(ps, degree=1, c3=2.0), np.array([0.9]))
+    assert np.abs(weights).sum() > 1.5
 
 
-def test_kernel_surrogate_basics():
+def test_kernel_surrogate_basics(monkeypatch):
     Phi = wendland_construct(1, 1)
     ps = make_quasi_uniform(UNIT_1D, 1 / 8)
-    F = LocalPolyBuilder(ps, degree=1, c3=3.0).functional_at(np.array([0.5]))
-    zeroed = type(F)(F.star, F.points, np.zeros_like(F.weights))
-    assert kernel_K(np.array([0.4]), Phi, zeroed) == 0.0
+    builder = LocalPolyBuilder(ps, degree=1, c3=3.0)
+    t = np.array([[0.5]])
     # all star points farther than the support radius from x
-    far_x = np.array([5.0])
-    assert kernel_K(far_x, Phi, F) == 0.0
+    far_x = np.array([[5.0]])
+    assert kernel_K(Phi, builder, far_x, t) == 0.0
+    weights = LocalPolyBuilder.weights
+
+    def zeroed(self, idx, ts):
+        star, A = weights(self, idx, ts)
+        return star, np.zeros_like(A)
+
+    monkeypatch.setattr(LocalPolyBuilder, "weights", zeroed)
+    assert kernel_K(Phi, builder, np.array([[0.4]]), t) == 0.0
 
 
 def test_single_point_star_reproduces_translate():
     Phi = wendland_construct(1, 1)
     ps = PointSet(np.array([[0.5]]), UNIT_1D, h=0.5, h_slack=0.0, q=0.25)
-    F = LocalPolyBuilder(ps, degree=0, c3=1.0).functional_at(np.array([0.5]))
-    assert np.allclose(F.weights, [1.0])
+    builder = LocalPolyBuilder(ps, degree=0, c3=1.0)
+    _, weights = functional(builder, np.array([0.5]))
+    assert np.allclose(weights, [1.0])
     xs = np.linspace(0, 1, 21)[:, None]
-    err = np.abs(Phi.profile(np.abs(xs[:, 0] - 0.5)) - kernel_K(xs, Phi, F))
+    ts = np.full_like(xs, 0.5)
+    err = np.abs(Phi.profile(np.abs(xs[:, 0] - 0.5)) - kernel_K(Phi, builder, xs, ts))
     assert err.max() == 0.0
 
 
@@ -150,13 +163,13 @@ def test_error_kernel_vanishes_beyond_joint_support():
     builder = LocalPolyBuilder(ps, degree=1, c3=c3)
     c1 = c3 + 0.5
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        t = rng.uniform(0, 1, size=1)
-        F = builder.functional_at(t)
+    ts, xs = np.empty((50, 1)), np.empty((50, 1))
+    for i in range(50):
+        ts[i] = rng.uniform(0, 1, size=1)
         dist = 1.0 + c1 * ps.h + rng.uniform(0.01, 2.0)
-        x = t + np.sign(rng.normal()) * dist
-        e = float(Phi.profile(abs(float(x[0] - t[0])))) - kernel_K(x, Phi, F)
-        assert e == 0.0
+        xs[i] = ts[i] + np.sign(rng.normal()) * dist
+    e = Phi.profile(np.abs(xs[:, 0] - ts[:, 0])) - kernel_K(Phi, builder, xs, ts)
+    assert np.all(e == 0.0)
 
 
 def test_scan_covers_near_and_far_field():
@@ -205,28 +218,14 @@ def test_sobolev_far_field_decay():
     assert slope <= -2.0
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_kernel_K_reads_points_like_collocation_matrix(d):
-    # A flat array is read as consecutive points of R^d; only a single
-    # point gives a float.
-    Phi = wendland_construct(d, 1)
-    ps = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), 1 / 8, seed=1)
-    F = LocalPolyBuilder(ps, degree=1, c3=4.0).functional_at(np.full(d, 0.5))
-    star = PointSet(F.points, ps.domain, ps.h, ps.h_slack, ps.q)
-    pts = np.linspace(0.4, 0.6, 3 * d).reshape(3, d)
-    want = np.einsum("ij,j->i", collocation_matrix(pts, star, Phi), F.weights)
-    assert np.array_equal(kernel_K(pts.ravel(), Phi, F), want)
-    assert np.array_equal(kernel_K(pts, Phi, F), want)
-    one = kernel_K(pts[0], Phi, F)
-    assert isinstance(one, float) and one == want[0]
-    assert kernel_K(pts[:1], Phi, F).shape == (1,)
-
-
-@pytest.mark.parametrize("Phi, h, degree, c3", [
+SCAN_CASES = pytest.mark.parametrize("Phi, h, degree, c3", [
     (wendland_construct(1, 2), 1 / 64, 3, 32.0),
     (sobolev_spline_construct(4, 1), 1 / 16, 4, 40.0),
     (wendland_construct(2, 1), 1 / 8, 1, 16.0),
 ], ids=["wendland_d1_k2", "sobolev_d1_g4", "wendland_d2_k1"])
+
+
+@SCAN_CASES
 def test_scan_equals_the_per_sample_scan(Phi, h, degree, c3):
     # The samples are the per-sample scan's bit for bit.  |E| is a sum of
     # n_star + 1 products computed in another order, from reproduction
@@ -244,29 +243,49 @@ def test_scan_equals_the_per_sample_scan(Phi, h, degree, c3):
     assert (bound > 0).any() and (bound == 0).any() == np.isfinite(Phi.support_radius)
 
 
+@SCAN_CASES
+def test_scan_is_the_kernel_less_the_surrogate(Phi, h, degree, c3):
+    # |E| is |Phi(x - t) - kernel_K| bit for bit, and a Wendland surrogate
+    # is exactly 0 where x lies beyond the support radius of its whole star.
+    d = Phi.dim
+    ps = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), h, seed=7, pad=2.0)
+    scan = property2_scan(Phi, ps, 2.0, d + 1.0, 600, degree=degree, c3=c3, seed=7)
+    builder = LocalPolyBuilder(ps, degree, c3)
+    K = kernel_K(Phi, builder, scan.x, scan.t)
+    assert np.array_equal(scan.abs_e, np.abs(_kernel_block(Phi, scan.x.T, scan.t.T) - K))
+    if np.isfinite(Phi.support_radius):
+        far = np.zeros(len(K), dtype=bool)
+        for rows, star, _ in builder.weights_by_cube(scan.t):
+            gaps = np.linalg.norm(scan.x[rows, None, :] - ps.points[star][None], axis=-1)
+            far[rows] = gaps.min(axis=1) > Phi.support_radius
+        assert far.any() and (~far).any()
+        assert np.all(K[far] == 0.0) and (K[~far] != 0.0).any()
+
+
 def test_cube_indices_keep_the_half_open_rule():
     # Cube k is [(k - 1/2) side, (k + 1/2) side): a point on a face
     # belongs to the cube above it, on both sides of the origin.
     side = 0.125
     faces = np.array([[-0.1875], [-0.0625], [0.0625], [0.1875]])
     assert cube_indices(faces, side)[:, 0].tolist() == [-1, 0, 1, 2]
-    assert [cube_index(t, side) for t in faces] == [(-1,), (0,), (1,), (2,)]
-    assert cube_index(0.0625, side) == (1,)
-    # A non-finite coordinate lies in no cube, here and in functional_at.
+    assert [cube_of(t, side) for t in faces] == [(-1,), (0,), (1,), (2,)]
+    assert cube_indices(np.array([0.0625]), side).tolist() == [1]
+    # A non-finite coordinate lies in no cube, here and in weights_by_cube.
+    ps = make_quasi_uniform(UNIT_1D, 1 / 8, pad=1.0)
+    builder = LocalPolyBuilder(ps, degree=1, c3=4.0)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite coordinate"):
             cube_indices(np.array([[0.0, bad]]), side)
         with pytest.raises(ValueError, match="non-finite coordinate"):
-            cube_index(bad, side)
-    ps = make_quasi_uniform(UNIT_1D, 1 / 8, pad=1.0)
-    with pytest.raises(ValueError, match="non-finite coordinate"):
-        LocalPolyBuilder(ps, degree=1, c3=4.0).functional_at(np.array([np.nan]))
+            cube_indices(np.array([bad]), side)
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            next(builder.weights_by_cube(np.array([[0.5], [bad]])))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_weights_by_cube_groups_like_cube_index(d, monkeypatch):
     # Random points on both sides of the origin and points exactly on
-    # cube faces: the groups are the per-point cube_index groups, the
+    # cube faces: the groups are the per-point cube_of groups, the
     # cubes come in ascending lexicographic order, each cube's rows in
     # input order, and each cube's weights come from one weights call on
     # its rows.
@@ -286,7 +305,7 @@ def test_weights_by_cube_groups_like_cube_index(d, monkeypatch):
 
     expected: dict[tuple[int, ...], list[int]] = {}
     for i, t in enumerate(ts):
-        expected.setdefault(cube_index(t, side), []).append(i)
+        expected.setdefault(cube_of(t, side), []).append(i)
     assert [idx for idx, _ in calls] == sorted(expected)
     assert any(min(idx) < 0 for idx in expected) and len(expected) < len(ts)
     for n, ((rows, star, A), (idx, pts)) in enumerate(zip(groups, calls), start=1):
@@ -301,7 +320,7 @@ def test_weights_by_cube_gives_the_weights_of_each_cube():
     ts = np.random.default_rng(3).uniform(-0.2, 1.2, size=(50, 2))
     seen = 0
     for rows, star, A in builder.weights_by_cube(ts):
-        ref_star, ref_A = builder.weights(cube_index(ts[rows[0]], ps.h), ts[rows])
+        ref_star, ref_A = builder.weights(cube_of(ts[rows[0]], ps.h), ts[rows])
         assert np.array_equal(star, ref_star) and np.array_equal(A, ref_A)
         seen += len(rows)
     assert seen == len(ts)
@@ -320,7 +339,7 @@ def test_scan_builds_weights_once_per_cube(monkeypatch):
     ps = make_quasi_uniform(Box((0.0, 0.0), (1.0, 1.0)), 1 / 8, seed=7, pad=2.0)
     scan = property2_scan(wendland_construct(2, 1), ps, kappa=2.0, ell=3.0,
                           sample_budget=400, degree=1, c3=16.0, seed=7)
-    cubes = {cube_index(t, ps.h) for t in scan.t}
+    cubes = {cube_of(t, ps.h) for t in scan.t}
     assert len(calls) == len(set(calls)) == len(cubes) < len(scan.t)
     assert set(calls) == cubes
 
@@ -350,7 +369,7 @@ def test_scan_peak_memory_does_not_grow_with_the_cubes_visited():
 
     rows: dict[tuple[int, ...], int] = {}
     for t in result.t:
-        idx = cube_index(t, ps.h)
+        idx = cube_of(t, ps.h)
         rows[idx] = rows.get(idx, 0) + 1
     builder = LocalPolyBuilder(ps, degree, c3)
     maps = [builder.cube_map(idx)[:2] for idx in rows]
@@ -368,3 +387,15 @@ def test_scan_peak_memory_does_not_grow_with_the_cubes_visited():
     bound = 2 * (max(map_bytes) + search + block + len(result.t) * per_sample)
     assert len(rows) > 400 and sum(map_bytes) > bound
     assert peak <= bound, f"peak {peak} B above the bound {bound} B"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_basis_matrix_forms_each_power_once_with_the_same_bits(d):
+    # Each axis power is formed once and reused; every entry keeps the
+    # bits of raising the coordinate anew for each term.
+    rng = np.random.default_rng(d)
+    pts = rng.uniform(-1.0, 1.0, size=(500, d))
+    anchor = rng.uniform(-0.1, 0.1, size=d)
+    exponents = monomial_exponents(d, 4)
+    got = _basis_matrix(pts, anchor, 0.7, exponents)
+    assert np.array_equal(got, basis_matrix_per_term(pts, anchor, 0.7, exponents))

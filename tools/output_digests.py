@@ -88,6 +88,8 @@ COMMANDS = (
     ("kernels table --d 1 --k 1 --out missing/k.json", None),
     ("rates --kernel wendland --k 1 --d 1 --levels 4 --out missing/r.json", None),
     ("property2 --kernel wendland --d 1 --k 1 --csv missing/p.csv", None),
+    # Refused with exit 2: one level, which can show no decrease of the error.
+    ("rates --kernel wendland --k 1 --d 1 --levels 1", None),
 )
 
 
