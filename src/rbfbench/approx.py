@@ -200,6 +200,17 @@ def _available_bytes() -> tuple[float, str]:
     return memory, "MemAvailable"
 
 
+def _refuse_oversize(n_rows: int, n_cols: int, workspace_bytes: int = 0) -> int:
+    """Refuse a kernel matrix too big to build (see _kernel_matrix); else its rows per block."""
+    step = max(1, _BUILD_BLOCK // max(n_cols, 1))
+    need = 8.0 * n_rows * n_cols + workspace_bytes + _BLOCK_ENTRY_BYTES * min(step, n_rows) * n_cols
+    available, limit = _available_bytes()
+    if need > available:
+        raise ValueError(f"a {n_rows} x {n_cols} kernel matrix needs {need / 1e9:.3g} GB, "
+                         f"but only {available / 1e9:.3g} GB is available ({limit})")
+    return step
+
+
 def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
                    workspace_bytes: int = 0) -> np.ndarray:
     """C-order matrix of Phi(|row - col|), built _BUILD_BLOCK entries at a time.
@@ -212,12 +223,7 @@ def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
     refused with a ValueError; a non-finite entry is refused as well.
     """
     n_rows, n_cols = len(rows), len(cols)
-    step = max(1, _BUILD_BLOCK // max(n_cols, 1))
-    need = 8.0 * n_rows * n_cols + workspace_bytes + _BLOCK_ENTRY_BYTES * min(step, n_rows) * n_cols
-    available, limit = _available_bytes()
-    if need > available:
-        raise ValueError(f"a {n_rows} x {n_cols} kernel matrix needs {need / 1e9:.3g} GB, "
-                         f"but only {available / 1e9:.3g} GB is available ({limit})")
+    step = _refuse_oversize(n_rows, n_cols, workspace_bytes)
     out = np.empty((n_rows, n_cols))
     cols_t = np.ascontiguousarray(cols.T)[:, None, :]
     for start in range(0, n_rows, step):
@@ -276,6 +282,12 @@ def _gelsd_workspace(m: int, n: int) -> tuple[int, int]:
     return int(work), int(iwork)
 
 
+def _ls_workspace_bytes(m: int, n: int) -> int:
+    """Bytes of the gelsd work, iwork, b and s arrays of an m x n solve."""
+    lwork, liwork = _gelsd_workspace(m, n)
+    return 8 * (lwork + max(m, n) + min(m, n)) + 4 * liwork
+
+
 def lstsq(A: np.ndarray, b: np.ndarray, cond: float) -> tuple[np.ndarray, int]:
     """Minimum-norm least-squares solution of A x = b by LAPACK gelsd: (x, rank).
 
@@ -325,12 +337,9 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
     if not np.isfinite(f_vals).all():
         raise ValueError("function values must be finite")
     grid = np.reshape(grid, (-1, X.dim))
-    m, n = len(grid), X.n
-    lwork, liwork = _gelsd_workspace(m, n)
-    workspace = 8 * (lwork + max(m, n) + min(m, n)) + 4 * liwork
     # Rows are centres, so the transpose is the Fortran-order collocation
     # matrix, which the solve overwrites without a copy.
-    A = _kernel_matrix(X.points, grid, Phi, workspace).T
+    A = _kernel_matrix(X.points, grid, Phi, _ls_workspace_bytes(len(grid), X.n)).T
     # cond = machine epsilon keeps every singular value above it: a fixed
     # coarse cutoff (e.g. 1e-12) visibly floors the error of the smoothest
     # kernels, whose collocation spectra decay below it while the discarded

@@ -59,12 +59,9 @@ def _cmd_spectral_check(args) -> int:
 def _cmd_measure_check(args) -> int:
     from .spectral import amplitude_from_moments, build_measure_1d, measure_ft, wendland_hat
 
-    if args.grid < 2:
-        print(f"measure check: --grid must be at least 2, got {args.grid}", file=sys.stderr)
-        return EXIT_CONFIG
     k = args.k
     mu = build_measure_1d(k)
-    omegas = np.linspace(0.0, 50.0, args.grid)
+    omegas = np.linspace(0.0, 50.0, 101)
     muhat = np.asarray(measure_ft(mu, omegas))
     target = np.asarray(wendland_hat(1, k, omegas))
     residual = np.abs(muhat / (1.0 + np.abs(omegas) ** (2 * k + 2)) - target)
@@ -182,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     msub = measure.add_subparsers(dest="subcommand", required=True)
     mcheck = msub.add_parser("check", parents=[out], help="transform factorization residuals")
     mcheck.add_argument("--k", type=int, required=True)
-    mcheck.add_argument("--grid", type=int, default=101)
     mcheck.set_defaults(func=_cmd_measure_check)
 
     prop2 = sub.add_parser("property2", parents=[out], help="error-kernel envelope scan")

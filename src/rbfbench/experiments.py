@@ -13,12 +13,13 @@ level holds one dense collocation matrix at a time, about 8 rows cols
 bytes, and a Level holds none: the solve overwrites it in place and
 releases it.  evaluate_combination then evaluates either witness on the
 grid one row block at a time, so no level holds a dense evaluation
-matrix and a quasi level holds no dense matrix at all.  A level whose
-matrix does not fit in the available memory is refused with a
-ValueError before it is allocated.  Reports are deterministic for a
+matrix and a quasi level holds no dense matrix at all.  Every point set
+is built first, and a least-squares level whose matrix and solver
+workspace do not fit in the available memory is refused with a
+ValueError before any level is solved.  Reports are deterministic for a
 fixed config, BLAS build and thread count: the config hash is embedded
-and no timestamps are written.  The witness evaluation calls no BLAS
-and does not depend on the thread count; the least-squares solve does.
+and no timestamps are written.  The witness evaluation calls no BLAS and
+does not depend on the thread count; the least-squares solve does.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from math import prod
 from numbers import Integral
 from pathlib import Path
 
@@ -35,6 +37,8 @@ import numpy as np
 from ._quad import trapezoid_weights
 from .approx import (
     SmoothBump,
+    _ls_workspace_bytes,
+    _refuse_oversize,
     evaluate_combination,
     fit_rate,
     lp_error,
@@ -233,12 +237,18 @@ def rate_levels(cfg: ExperimentConfig):
     pad = cfg.pad if cfg.pad is not None else DEFAULT_PAD
     bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
     f = synth_test_function(cfg.fam.kernel, bump).f if cfg.family == "sobolev" else bump
+    schedule = []
     for i in range(cfg.levels):
         X = make_quasi_uniform(domain, cfg.h0 * cfg.ratio ** i, jitter=cfg.jitter,
                                seed=cfg.seed, pad=pad)
         if X.rho > RHO_MAX:
             raise RuntimeError(f"mesh ratio {X.rho:.3f} exceeds RHO_MAX={RHO_MAX}")
         axes = domain.candidate_axes(X.q / cfg.grid_factor)
+        if cfg.witness == "ls":
+            m = prod(ax.size for ax in axes)
+            _refuse_oversize(X.n, m, _ls_workspace_bytes(m, X.n))
+        schedule.append((X, axes))
+    for X, axes in schedule:
         grid = tensor_grid(axes)
         weights = tensor_grid([trapezoid_weights(ax.size, ax[1] - ax[0])
                                for ax in axes]).prod(axis=1)

@@ -76,13 +76,9 @@ class Box:
         return Box(tuple(a - amount for a in self.lo), tuple(b + amount for b in self.hi))
 
     def candidate_axes(self, resolution: float) -> list[np.ndarray]:
-        """The axes of candidate_grid, refused by their node count before any is built."""
+        """Axes of a grid of spacing <= resolution over the box, refused by node count first."""
         counts = _capped("candidate grid", [int(np.ceil(s / resolution)) + 1 for s in self.sides])
         return [np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)]
-
-    def candidate_grid(self, resolution: float) -> np.ndarray:
-        """Uniform grid of spacing <= resolution covering the box."""
-        return tensor_grid(self.candidate_axes(resolution))
 
 
 def _capped(what: str, counts: list[int]) -> list[int]:
@@ -174,7 +170,6 @@ class _Cells:
         self.strides = np.array([prod(shape[k + 1:]) for k in range(d)])
         cell = self._cell(points)
         order = np.argsort(cell, kind="stable")
-        self.sorted_cell = cell[order]
         # Coordinates by axis, in cell order, with one point at infinity
         # (index n) that stands for an empty cell.
         self.coords = np.full((d, n + 1), np.inf)
@@ -200,21 +195,19 @@ class _Cells:
         """The points in cell order, one per row."""
         return self.coords[:, :-1].T
 
-    def nearest(self, queries: np.ndarray, own: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, queries: np.ndarray, skip=None) -> tuple[np.ndarray, np.ndarray]:
         """(squared distance to the nearest point in the 3^d cells around each query,
         indices of the queries for which that is not below bound).
 
-        With own, the queries are sorted_points and each skips itself.
+        skip, when given, names for each query a point (in cell order) it
+        skips, as in brute_nearest.
         """
         best = np.empty(len(queries))
         step = max(1, _QUERY_BLOCK // len(self.offsets))
         for start in range(0, len(queries), step):
             block = slice(start, min(start + step, len(queries)))
-            if own:
-                cell, skip = self.sorted_cell[block], np.arange(block.start, block.stop)
-            else:
-                cell, skip = self._cell(queries[block]), None
-            best[block] = self._block_nearest(queries[block], cell, skip)
+            best[block] = self._block_nearest(queries[block], self._cell(queries[block]),
+                                              None if skip is None else skip[block])
         return best, np.flatnonzero(~(best < self.bound))
 
     def _block_nearest(self, queries: np.ndarray, cell: np.ndarray, skip) -> np.ndarray:
@@ -303,7 +296,7 @@ def fill_distance(points: np.ndarray, domain: Box, resolution: float) -> float:
     if points.shape[1] != domain.dim:
         raise ValueError(f"points of dimension {points.shape[1]} in a domain of "
                          f"dimension {domain.dim}")
-    grid = domain.candidate_grid(resolution)
+    grid = tensor_grid(domain.candidate_axes(resolution))
     cells = _Cells(points)
     d2, rest = cells.nearest(grid)
     d2[rest] = cells.brute_nearest(grid[rest])
@@ -320,11 +313,8 @@ def separation_radius(points: np.ndarray) -> float:
         raise ValueError("separation radius needs at least two points")
     cells = _Cells(points)
     pts = cells.sorted_points
-    d2, rest = cells.nearest(pts, own=True)
-    # A point whose minimum is not below the bound has no other point
-    # nearer than that; it can hold the minimum only if every point does.
-    if rest.size == len(pts):
-        d2 = cells.brute_nearest(pts, skip=np.arange(len(pts)))
+    d2, rest = cells.nearest(pts, skip=np.arange(len(pts)))
+    d2[rest] = cells.brute_nearest(pts[rest], skip=rest)
     qmin = float(np.sqrt(d2.min())) / 2.0
     if qmin == 0.0:
         raise ValueError("duplicate points: separation radius is zero")

@@ -26,7 +26,7 @@ from rbfbench.approx import (
     quasi_interpolant,
     synth_test_function,
 )
-from rbfbench.geometry import Box, make_quasi_uniform
+from rbfbench.geometry import Box, make_quasi_uniform, tensor_grid
 from rbfbench.kernels import sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import LocalPolyBuilder
 
@@ -376,6 +376,25 @@ def test_oversize_level_is_refused_before_allocation(monkeypatch, capsys):
                      r"but only 0\.05 GB is available", capsys.readouterr().err)
 
 
+def test_oversize_later_level_is_refused_before_the_first_solve(monkeypatch, capsys):
+    # Level 0 (h = 1/4) fits in 50 MB, level 1's 1681 x 6241 matrix does
+    # not; the run is refused before level 0 is solved.
+    solves = []
+    solve = approx.lstsq
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "_available_bytes", lambda: (50e6, "MemAvailable"))
+    monkeypatch.setattr(approx, "lstsq", counted)
+    code = main(["rates", "--kernel", "wendland", "--d", "2", "--k", "1",
+                 "--levels", "2", "--h0", "0.25"])
+    assert code == 2
+    assert "a 1681 x 6241 kernel matrix needs" in capsys.readouterr().err
+    assert solves == []
+
+
 def test_level_over_the_address_space_limit_exits_2():
     # Under a 1.2 GB RLIMIT_AS the first level's 6561 x 24649 matrix
     # (1.29 GB) is refused with exit 2 before numpy fails to allocate it.
@@ -421,8 +440,8 @@ def test_rate_report_equals_two_build_reference():
     levels = list(experiments.rate_levels(cfg))
     assert len(levels) == cfg.levels
     for i, lv in enumerate(levels):
-        assert lv.grid.tobytes() == lv.X.domain.candidate_grid(
-            lv.X.q / cfg.grid_factor).tobytes()
+        assert lv.grid.tobytes() == tensor_grid(lv.X.domain.candidate_axes(
+            lv.X.q / cfg.grid_factor)).tobytes()
         coeffs, _, rank, _ = lstsq(_full_profile_matrix(lv.grid, lv.X, fam.kernel),
                                    lv.f_vals, lapack_driver="gelsd")
         assert rank == lv.rank

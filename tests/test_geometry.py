@@ -93,7 +93,7 @@ def test_separation_radius_examples_and_oracle():
 def _kdtree_h_q(points, domain, resolution):
     """The fill distance and separation radius by cKDTree, the oracle of the cell search."""
     tree = cKDTree(points)
-    h = float(tree.query(domain.candidate_grid(resolution))[0].max())
+    h = float(tree.query(tensor_grid(domain.candidate_axes(resolution)))[0].max())
     return h, float(tree.query(points, k=2)[0][:, 1].min()) / 2.0
 
 
@@ -121,7 +121,8 @@ def test_density_functionals_of_scattered_and_single_points():
         assert fill_distance(pts, box, 0.02) == h
         assert separation_radius(pts) == q == pdist(pts).min() / 2.0
         one = pts[:1]
-        assert fill_distance(one, box, 0.02) == cKDTree(one).query(box.candidate_grid(0.02))[0].max()
+        grid = tensor_grid(box.candidate_axes(0.02))
+        assert fill_distance(one, box, 0.02) == cKDTree(one).query(grid)[0].max()
 
 
 def test_duplicate_points_still_refused():
@@ -142,9 +143,31 @@ def test_domain_wider_than_the_cloud_is_searched_by_brute_force(monkeypatch):
     monkeypatch.setattr(geometry._Cells, "brute_nearest", spy)
     rng = np.random.default_rng(4)
     pts = rng.uniform(0.45, 0.55, size=(400, 2))
-    want = cKDTree(pts).query(UNIT_2D.candidate_grid(1e-2))[0].max()
+    want = cKDTree(pts).query(tensor_grid(UNIT_2D.candidate_axes(1e-2)))[0].max()
     assert fill_distance(pts, UNIT_2D, 1e-2) == want
     assert searched and searched[0] > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unresolved_points_alone_are_searched_by_brute_force(d, monkeypatch):
+    # A far outlier stretches the cells, so the outlier's nearest point lies
+    # beyond the cells around it while every cluster point finds its own.
+    searched = []
+    brute = geometry._Cells.brute_nearest
+
+    def spy(self, queries, skip=None):
+        searched.append(queries.copy())
+        return brute(self, queries, skip)
+
+    monkeypatch.setattr(geometry._Cells, "brute_nearest", spy)
+    rng = np.random.default_rng(d)
+    pts = np.vstack([rng.uniform(0.0, 0.1, size=(50, d)), np.full((1, d), 10.0)])
+    nn = cKDTree(pts).query(pts, k=2)[0][:, 1]
+    assert separation_radius(pts) == float(nn.min()) / 2.0
+    unresolved = pts[~(nn ** 2 < geometry._Cells(pts).bound)]
+    assert 0 < len(unresolved) < len(pts)
+    assert len(searched) == 1
+    assert sorted(map(tuple, searched[0])) == sorted(map(tuple, unresolved))
 
 
 def test_flat_arrays_are_points_of_the_line():

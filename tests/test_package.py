@@ -79,7 +79,7 @@ def test_import_loads_no_heavy_dependency(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["kernels", "table", "--d", "3", "--k", "1"],
     ["spectral", "check", "--d", "1", "--k", "1"],
-    ["measure", "check", "--k", "1", "--grid", "11"],
+    ["measure", "check", "--k", "1"],
     ["ratio-diag", "--d", "1", "--k", "1"],
 ])
 def test_transform_commands_load_no_scipy_or_sympy(argv, tmp_path):

@@ -76,14 +76,12 @@ COMMANDS = (
     ("rates --kernel wendland --k 3 --d 1 --p 1 2 inf --levels 5 --seed 7", None),
     # Refused with exit 2: a cross-family order parameter (rates and
     # property2), a Wendland order k = 0 (theory rate 0), a sample budget
-    # below 8 per stratum, a frequency grid of fewer than 2 points, a
-    # config file that cannot be read, and an output file that cannot be
-    # written.
+    # below 8 per stratum, a config file that cannot be read, and an output
+    # file that cannot be written.
     ("rates --kernel wendland --d 1 --k 1 --gamma 4 --levels 2 --h0 0.25", None),
     ("rates --kernel wendland --d 1 --k 0 --levels 4", None),
     ("property2 --kernel wendland --d 1 --k 1 --gamma 4", None),
     ("property2 --kernel wendland --d 1 --k 1 --budget 0", None),
-    ("measure check --k 2 --grid 1", None),
     ("rates --config missing.json", None),
     ("kernels table --d 1 --k 1 --out missing/k.json", None),
     ("rates --kernel wendland --k 1 --d 1 --levels 4 --out missing/r.json", None),
