@@ -200,15 +200,14 @@ def _available_bytes() -> tuple[float, str]:
     return memory, "MemAvailable"
 
 
-def _refuse_oversize(n_rows: int, n_cols: int, workspace_bytes: int = 0) -> int:
-    """Refuse a kernel matrix too big to build (see _kernel_matrix); else its rows per block."""
+def _refuse_oversize(n_rows: int, n_cols: int, workspace_bytes: int = 0) -> None:
+    """Refuse with a ValueError a kernel matrix too big to build (see _kernel_matrix)."""
     step = max(1, _BUILD_BLOCK // max(n_cols, 1))
     need = 8.0 * n_rows * n_cols + workspace_bytes + _BLOCK_ENTRY_BYTES * min(step, n_rows) * n_cols
     available, limit = _available_bytes()
     if need > available:
         raise ValueError(f"a {n_rows} x {n_cols} kernel matrix needs {need / 1e9:.3g} GB, "
                          f"but only {available / 1e9:.3g} GB is available ({limit})")
-    return step
 
 
 def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
@@ -223,7 +222,8 @@ def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
     refused with a ValueError; a non-finite entry is refused as well.
     """
     n_rows, n_cols = len(rows), len(cols)
-    step = _refuse_oversize(n_rows, n_cols, workspace_bytes)
+    _refuse_oversize(n_rows, n_cols, workspace_bytes)
+    step = max(1, _BUILD_BLOCK // max(n_cols, 1))
     out = np.empty((n_rows, n_cols))
     cols_t = np.ascontiguousarray(cols.T)[:, None, :]
     for start in range(0, n_rows, step):

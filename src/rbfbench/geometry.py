@@ -314,7 +314,10 @@ def separation_radius(points: np.ndarray) -> float:
     cells = _Cells(points)
     pts = cells.sorted_points
     d2, rest = cells.nearest(pts, skip=np.arange(len(pts)))
-    d2[rest] = cells.brute_nearest(pts[rest], skip=rest)
+    # A point whose minimum is not below the bound has no other point
+    # nearer than that; it can hold the minimum only if every point does.
+    if rest.size == len(pts):
+        d2 = cells.brute_nearest(pts, skip=np.arange(len(pts)))
     qmin = float(np.sqrt(d2.min())) / 2.0
     if qmin == 0.0:
         raise ValueError("duplicate points: separation radius is zero")

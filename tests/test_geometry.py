@@ -149,14 +149,15 @@ def test_domain_wider_than_the_cloud_is_searched_by_brute_force(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_unresolved_points_alone_are_searched_by_brute_force(d, monkeypatch):
+def test_unresolved_points_are_not_searched_when_any_point_resolves(d, monkeypatch):
     # A far outlier stretches the cells, so the outlier's nearest point lies
     # beyond the cells around it while every cluster point finds its own.
+    # The outlier cannot hold the minimum, so no point is brute-forced.
     searched = []
     brute = geometry._Cells.brute_nearest
 
     def spy(self, queries, skip=None):
-        searched.append(queries.copy())
+        searched.append(len(queries))
         return brute(self, queries, skip)
 
     monkeypatch.setattr(geometry._Cells, "brute_nearest", spy)
@@ -164,10 +165,8 @@ def test_unresolved_points_alone_are_searched_by_brute_force(d, monkeypatch):
     pts = np.vstack([rng.uniform(0.0, 0.1, size=(50, d)), np.full((1, d), 10.0)])
     nn = cKDTree(pts).query(pts, k=2)[0][:, 1]
     assert separation_radius(pts) == float(nn.min()) / 2.0
-    unresolved = pts[~(nn ** 2 < geometry._Cells(pts).bound)]
-    assert 0 < len(unresolved) < len(pts)
-    assert len(searched) == 1
-    assert sorted(map(tuple, searched[0])) == sorted(map(tuple, unresolved))
+    assert 0 < np.count_nonzero(~(nn ** 2 < geometry._Cells(pts).bound)) < len(pts)
+    assert searched == []
 
 
 def test_flat_arrays_are_points_of_the_line():
