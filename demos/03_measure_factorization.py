@@ -13,18 +13,22 @@ from math import factorial
 import numpy as np
 
 from rbfbench import (
+    amplitude_from_moments,
     build_measure_1d,
     measure_convolve,
     measure_ft,
-    wend1d_decompose,
+    partial_fractions,
     wendland_hat,
 )
 
 for k in (1, 2):
-    D = wend1d_decompose(k)
-    print(f"k={k}: scaled transform = B ({D.const_term} "
-          f"+ ({D.cos_coeff}) cos x + ({D.sinc_coeff}) sin(x)/x + h^(x)), "
-          f"B = {D.amplitude:.6g}")
+    # The asymptotic terms of x^(2k+2) phi^(x), read from the exact table of m = k.
+    t = partial_fractions(k)
+    B = amplitude_from_moments(1, k)
+    print(f"k={k}: scaled transform = B ({t.alpha[k] / factorial(k)} "
+          f"+ ({2 * t.beta[k].re / factorial(k)}) cos x "
+          f"+ ({2 * t.beta[k - 1].im / factorial(k - 1)}) sin(x)/x + h^(x)), "
+          f"B = {B:.6g}")
     mu = build_measure_1d(k)
     print(f"     atoms: {mu.atoms}")
     print(f"     density on [-1,1]: exact polynomial of degree "
@@ -38,7 +42,7 @@ for k in (1, 2):
 
     disc = np.abs(np.asarray(mu.discrete_ft(np.linspace(0, 50, 501))))
     print(f"     |atomic part^| >= {disc.min():.4f} "
-          f"(lower bound B/(2 k!) = {D.amplitude / (2 * factorial(k)):.4f})")
+          f"(lower bound B/(2 k!) = {B / (2 * factorial(k)):.4f})")
 
 # Convolution contracts every L^p norm by at most the total variation.
 mu = build_measure_1d(1)

@@ -52,7 +52,6 @@ _EXPORTS = {
     "spectral": (
         "FiniteMeasure",
         "PartialFractionTable",
-        "Wend1DDecomposition",
         "amplitude_from_moments",
         "build_measure_1d",
         "f_m_eval",
@@ -61,7 +60,6 @@ _EXPORTS = {
         "measure_ft",
         "partial_fractions",
         "ratio_diagnostic",
-        "wend1d_decompose",
         "wendland_hat",
     ),
 }

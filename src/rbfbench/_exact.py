@@ -2,9 +2,9 @@
 
 Polynomials are tuples of ``fractions.Fraction`` coefficients in ascending
 powers.  Everything here is exact; floating point only enters when a caller
-converts coefficients at the end and hands them to poly_eval.  ``GaussianRational`` only holds the exact
-real and imaginary parts of a partial-fraction coefficient; it does no
-arithmetic.
+converts coefficients at the end and hands them to poly_eval.
+``GaussianRational`` only holds the exact real and imaginary parts of a
+partial-fraction coefficient; it does no arithmetic.
 """
 
 from __future__ import annotations
@@ -67,7 +67,3 @@ class GaussianRational:
 
     re: Fraction
     im: Fraction
-
-    @staticmethod
-    def of(re=0, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))

@@ -38,7 +38,7 @@ def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, (half[:, None] * w[None, :]).ravel()
 
 
-def gl_panel_quad(f, a: float, b: float, omega: float = 0.0, nodes: int = 16) -> float:
+def gl_panel_quad(f, a: float, b: float, omega: float, nodes: int) -> float:
     """Integrate callable f over [a, b] with oscillation-limited GL panels.
 
     f must accept a numpy array.  omega is the fastest angular frequency

@@ -288,12 +288,12 @@ def _ls_workspace_bytes(m: int, n: int) -> int:
     return 8 * (lwork + max(m, n) + min(m, n)) + 4 * liwork
 
 
-def lstsq(A: np.ndarray, b: np.ndarray, cond: float) -> tuple[np.ndarray, int]:
+def lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-norm least-squares solution of A x = b by LAPACK gelsd: (x, rank).
 
     A is a Fortran-order float64 matrix and is overwritten, so no copy of
-    it is made.  Singular values below cond times the largest are treated
-    as zero.  The arithmetic is that of scipy.linalg.lstsq with
+    it is made.  Singular values below machine epsilon times the largest
+    are treated as zero.  The arithmetic is that of scipy.linalg.lstsq with
     lapack_driver="gelsd": the routine is the dgelsd that
     scipy.linalg.get_lapack_funcs returns for float64, the same function
     object of scipy's f2py LAPACK module.  That module is loaded alone,
@@ -310,7 +310,11 @@ def lstsq(A: np.ndarray, b: np.ndarray, cond: float) -> tuple[np.ndarray, int]:
     rhs = np.zeros(max(m, n))
     rhs[:m] = b
     lwork, liwork = _gelsd_workspace(m, n)
-    x, _, rank, info = gelsd(A, rhs, lwork, liwork, cond,
+    # cond = machine epsilon keeps every singular value above it: a fixed
+    # coarse cutoff (e.g. 1e-12) visibly floors the error of the smoothest
+    # kernels, whose collocation spectra decay below it while the discarded
+    # modes still carry needed signal.
+    x, _, rank, info = gelsd(A, rhs, lwork, liwork, float(np.finfo(float).eps),
                              overwrite_a=True, overwrite_b=True)
     if info > 0:
         raise LinAlgError("SVD did not converge in Linear Least Squares")
@@ -340,11 +344,7 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
     # Rows are centres, so the transpose is the Fortran-order collocation
     # matrix, which the solve overwrites without a copy.
     A = _kernel_matrix(X.points, grid, Phi, _ls_workspace_bytes(len(grid), X.n)).T
-    # cond = machine epsilon keeps every singular value above it: a fixed
-    # coarse cutoff (e.g. 1e-12) visibly floors the error of the smoothest
-    # kernels, whose collocation spectra decay below it while the discarded
-    # modes still carry needed signal.
-    return lstsq(A, f_vals, cond=float(np.finfo(float).eps))
+    return lstsq(A, f_vals)
 
 
 def evaluate_combination(coeffs: np.ndarray, X: PointSet, Phi, pts: np.ndarray) -> np.ndarray:

@@ -15,14 +15,12 @@ oracle, and exposes it with a cancellation-free series path near r = 0.
 The table and the series are independent derivations, so the agreement of
 the two evaluation paths at the series-switch radius checks both.
 
-It also houses the 1-D asymptotic decomposition
-
-    x^(2k+2) hat(Phi)_{1,k}(x)
-        = B_k (1/k! + (-1)^(k+1)/(k! 2^k) cos x + C sin(x)/x + hat(h)(x)),
-
-the finite Borel measure mu with hat(mu) = hat(Phi)_{1,k} (1 + |x|^(2k+2)),
-and utilities (transforms, convolution, total variation) for that measure.
-All transforms use the symmetric (2 pi)^(-d/2) convention.
+It also houses the finite Borel measure mu with
+hat(mu) = hat(Phi)_{1,k} (1 + |x|^(2k+2)) and utilities (transforms,
+convolution, total variation) for that measure.  All transforms use the
+symmetric (2 pi)^(-d/2) convention.  Every evaluator takes a scalar or an
+array-like: a scalar or 0-d input gives a float, any other input an array
+of its shape.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from .kernels import PiecewisePolyRadial, wendland_construct
 
 __all__ = [
     "PartialFractionTable",
-    "Wend1DDecomposition",
     "FiniteMeasure",
     "CalibrationError",
     "partial_fractions",
@@ -59,7 +56,6 @@ __all__ = [
     "wendland_hat",
     "amplitude_from_moments",
     "hankel_oracle",
-    "wend1d_decompose",
     "build_measure_1d",
     "measure_ft",
     "measure_convolve",
@@ -84,6 +80,12 @@ CONV_BLOCK = 1 << 14     # f evaluations per measure_convolve block (rows x rule
 
 class CalibrationError(RuntimeError):
     """The transform failed a self-check or its oracle validation."""
+
+
+def _shaped(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | float:
+    """The evaluators' shape rule: a float for a 0-d input, else an array of its shape."""
+    out = np.reshape(out, shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def f_m_eval(m: int, r) -> np.ndarray | float:
     out = (poly_eval(P, r_arr)
            + poly_eval(Q, r_arr) * np.cos(r_arr)
            + poly_eval(S, r_arr) * np.sin(r_arr))
-    return out if isinstance(r, np.ndarray) else float(out)
+    return _shaped(out, r_arr.shape)
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +216,7 @@ class _WendlandTransform:
             direct = f_m_eval(self.m, r_arr) * np.power(
                 np.maximum(r_arr, 1e-300), -(3 * self.m + 2))
         out = self.amplitude * np.where(r_arr < self.series_switch, small, direct)
-        return out if isinstance(r, np.ndarray) else float(out)
+        return _shaped(out, r_arr.shape)
 
 
 @lru_cache(maxsize=None)
@@ -317,63 +319,6 @@ def _hankel_float(profile, d: int, r: float, upper: float, nodes: int) -> float:
 
 
 # ----------------------------------------------------------------------------
-# 1-D asymptotic decomposition of x^(2k+2) hat(Phi)_{1,k}
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Wend1DDecomposition:
-    """Closed-form pieces of x^(2k+2) hat(Phi)_{1,k}(x) / B_k.
-
-    const_term = 1/k!, cos_coeff = (-1)^(k+1)/(k! 2^k), and sinc_coeff is
-    the coefficient of sin(x)/x, all exact rationals extracted from the
-    partial fraction table.  h_remainder is the leftover term, a bounded
-    function vanishing at infinity; for k = 1 it is identically zero.  Its
-    physical-space preimage is an integrable piecewise polynomial on
-    [-1, 1]: the regular part of the (2k+2)-th kernel derivative minus the
-    plateau term, realized exactly by build_measure_1d.
-    """
-
-    k: int
-    const_term: Fraction
-    cos_coeff: Fraction
-    sinc_coeff: Fraction
-    amplitude: float
-
-    def main_terms(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        safe = np.where(x != 0.0, x, 1.0)
-        sinc = np.where(x != 0.0, np.sin(safe) / safe, 1.0)
-        return (float(self.const_term)
-                + float(self.cos_coeff) * np.cos(x)
-                + float(self.sinc_coeff) * sinc)
-
-    def h_remainder(self, x) -> np.ndarray:
-        """hat(h)(x), evaluated as the residual of the decomposition."""
-        x = np.asarray(x, dtype=float)
-        scaled = np.power(x, 2 * self.k + 2) * wendland_hat(1, self.k, x) / self.amplitude
-        return scaled - self.main_terms(x)
-
-
-def wend1d_decompose(k: int) -> Wend1DDecomposition:
-    """Extract the asymptotic decomposition coefficients for d = 1.
-
-    Requires k >= 1 (for k = 0 the remainder term is not integrable).
-    All three coefficients are read from the exact table of m = k; its top
-    coefficients alpha_k = 1 and beta_k = (-1)^(k+1)/2^(k+1) give the
-    closed forms 1/k! and (-1)^(k+1)/(k! 2^k) by construction.  B_k is the
-    transform's amplitude, amplitude_from_moments(1, k), with no calibration.
-    """
-    if k < 1:
-        raise ValueError("decomposition requires k >= 1")
-    table = partial_fractions(k)
-    const_term = table.alpha[k] / factorial(k)
-    cos_coeff = 2 * table.beta[k].re / factorial(k)
-    sinc_coeff = 2 * table.beta[k - 1].im / factorial(k - 1)
-    return Wend1DDecomposition(k, const_term, cos_coeff, sinc_coeff,
-                               amplitude_from_moments(1, k))
-
-
-# ----------------------------------------------------------------------------
 # The measure mu with hat(mu) = hat(Phi)_{1,k} * (1 + |x|^(2k+2))
 # ----------------------------------------------------------------------------
 
@@ -411,13 +356,7 @@ class FiniteMeasure:
         out = np.zeros_like(omega_arr)
         for loc, w in self.atoms:
             out = out + w * np.cos(omega_arr * loc)
-        out = out / np.sqrt(2.0 * pi)
-        return out if isinstance(omega, np.ndarray) else float(out)
-
-    def restrict(self, radius: float) -> "FiniteMeasure":
-        """Restriction of the measure to the closed ball of given radius."""
-        atoms = tuple((loc, w) for loc, w in self.atoms if abs(loc) <= radius)
-        return FiniteMeasure(atoms, self.density_poly, min(self.support_radius, radius))
+        return _shaped(out / np.sqrt(2.0 * pi), omega_arr.shape)
 
 
 def _abs_poly_integral(p: RatPoly, a: float, b: float) -> float:
@@ -471,11 +410,10 @@ def build_measure_1d(k: int) -> FiniteMeasure:
 def measure_ft(mu: FiniteMeasure, omega) -> np.ndarray | float:
     """Fourier transform of the measure at omega (symmetric convention).
 
-    omega is a scalar or an array of any shape, and an array gives an
-    array of its shape.  Atoms contribute an exact trigonometric sum; the
-    even density contributes through the oracle's d = 1 cosine quadrature.
-    Every density quadrature is confirmed by a refined rule; disagreement
-    beyond FT_TOL raises with the achieved error estimate.
+    Atoms contribute an exact trigonometric sum; the even density
+    contributes through the oracle's d = 1 cosine quadrature.  Every density
+    quadrature is confirmed by a refined rule; disagreement beyond FT_TOL
+    raises with the achieved error estimate.
     """
     omega_arr = np.asarray(omega, dtype=float)
     flat = omega_arr.reshape(-1)
@@ -489,10 +427,7 @@ def measure_ft(mu: FiniteMeasure, omega) -> np.ndarray | float:
                 f"density quadrature did not converge at omega={w}: "
                 f"achieved error estimate {estimate:.3e} > {FT_TOL:.1e}")
         out[i] = refined
-    out = out + mu.discrete_ft(flat)
-    if omega_arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(omega_arr.shape)
+    return _shaped(out + mu.discrete_ft(flat), omega_arr.shape)
 
 
 def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:

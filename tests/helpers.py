@@ -1,10 +1,12 @@
 """Shared test utilities: reference polynomials, exact oracles for the
-partial fraction table and the f_m series, Fourier quadrature oracles, a
+partial fraction table and the f_m series, the 1-D asymptotic
+decomposition of the Wendland transform, Fourier quadrature oracles, a
 high-precision derivative reference, a per-point convolution oracle,
 convolution trials, a one-point reproduction functional, the
 per-sample error-kernel scan, the per-cube quasi-interpolant and the
 monomial basis one power at a time."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, floor, fsum
@@ -23,8 +25,10 @@ from rbfbench.spectral import (
     SERIES_EXTRA,
     FiniteMeasure,
     PartialFractionTable,
+    amplitude_from_moments,
     measure_convolve,
     partial_fractions,
+    wendland_hat,
 )
 
 # Classical tabulated Wendland polynomials: (d, k) -> (base power, factor poly).
@@ -74,6 +78,11 @@ def proportionality_factor(p, q):
     return lam
 
 
+def gaussian(re=0, im=0) -> GaussianRational:
+    """The Gaussian rational re + i im, for writing expected table entries."""
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
 def _gadd(a: GaussianRational, b: GaussianRational) -> GaussianRational:
     return GaussianRational(a.re + b.re, a.im + b.im)
 
@@ -83,7 +92,7 @@ def _gmul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
 
 
 def _gpoly_mul(p, q):
-    out = [GaussianRational.of(0)] * (len(p) + len(q) - 1)
+    out = [gaussian(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] = _gadd(out[i + j], _gmul(a, b))
@@ -98,14 +107,14 @@ def multiply_back(t: PartialFractionTable) -> list[GaussianRational]:
     trailing zero coefficients dropped.
     """
     m = t.m
-    one = GaussianRational.of(1)
+    one = gaussian(1)
     plus = [[one]]                       # powers of s + i
     minus = [[one]]                      # powers of s - i
     for _ in range(m + 1):
-        plus.append(_gpoly_mul(plus[-1], [GaussianRational.of(0, 1), one]))
-        minus.append(_gpoly_mul(minus[-1], [GaussianRational.of(0, -1), one]))
+        plus.append(_gpoly_mul(plus[-1], [gaussian(0, 1), one]))
+        minus.append(_gpoly_mul(minus[-1], [gaussian(0, -1), one]))
 
-    total = [GaussianRational.of(0)] * (3 * m + 4)
+    total = [gaussian(0)] * (3 * m + 4)
 
     def add(coef, s_power, p, q):        # total += coef s^s_power p q
         for i, c in enumerate(_gpoly_mul(p, q)):
@@ -115,7 +124,7 @@ def multiply_back(t: PartialFractionTable) -> list[GaussianRational]:
         add(GaussianRational(a, Fraction(0)), m - j, plus[m + 1], minus[m + 1])
         add(b, m + 1, plus[m - j], minus[m + 1])
         add(GaussianRational(b.re, -b.im), m + 1, minus[m - j], plus[m + 1])
-    while len(total) > 1 and total[-1] == GaussianRational.of(0):
+    while len(total) > 1 and total[-1] == gaussian(0):
         total.pop()
     return total
 
@@ -138,6 +147,59 @@ def f_m_series_oracle(m: int) -> tuple[Fraction, ...]:
             trig = b.re if q % 2 == 0 else b.im
             out[j + q] += 2 * trig * (-1) ** (q // 2) / (factorial(j) * factorial(q))
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class Wend1DDecomposition:
+    """Closed-form pieces of x^(2k+2) hat(Phi)_{1,k}(x) / B_k.
+
+    const_term = 1/k!, cos_coeff = (-1)^(k+1)/(k! 2^k), and sinc_coeff is
+    the coefficient of sin(x)/x, all exact rationals extracted from the
+    partial fraction table.  h_remainder is the leftover term, a bounded
+    function vanishing at infinity; for k = 1 it is identically zero.
+    """
+
+    k: int
+    const_term: Fraction
+    cos_coeff: Fraction
+    sinc_coeff: Fraction
+    amplitude: float
+
+    def main_terms(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        safe = np.where(x != 0.0, x, 1.0)
+        sinc = np.where(x != 0.0, np.sin(safe) / safe, 1.0)
+        return (float(self.const_term)
+                + float(self.cos_coeff) * np.cos(x)
+                + float(self.sinc_coeff) * sinc)
+
+    def h_remainder(self, x) -> np.ndarray:
+        """hat(h)(x), evaluated as the residual of the decomposition."""
+        x = np.asarray(x, dtype=float)
+        scaled = np.power(x, 2 * self.k + 2) * wendland_hat(1, self.k, x) / self.amplitude
+        return scaled - self.main_terms(x)
+
+
+def wend1d_decompose(k: int) -> Wend1DDecomposition:
+    """The asymptotic decomposition of x^(2k+2) hat(Phi)_{1,k}, for k >= 1.
+
+    The oracle for the large-x behaviour of ``spectral.wendland_hat``:
+
+        x^(2k+2) hat(Phi)_{1,k}(x)
+            = B_k (1/k! + (-1)^(k+1)/(k! 2^k) cos x + C sin(x)/x + hat(h)(x)).
+
+    All three coefficients are read from the exact table of m = k (for
+    k = 0 the remainder is not integrable); B_k is
+    ``spectral.amplitude_from_moments(1, k)``.
+    """
+    if k < 1:
+        raise ValueError("decomposition requires k >= 1")
+    table = partial_fractions(k)
+    const_term = table.alpha[k] / factorial(k)
+    cos_coeff = 2 * table.beta[k].re / factorial(k)
+    sinc_coeff = 2 * table.beta[k - 1].im / factorial(k - 1)
+    return Wend1DDecomposition(k, const_term, cos_coeff, sinc_coeff,
+                               amplitude_from_moments(1, k))
 
 
 def fourier_cos_semiinf(f, omega: float, a: float = 0.0) -> tuple[float, float]:

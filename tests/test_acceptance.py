@@ -12,20 +12,20 @@ from math import factorial
 import numpy as np
 import pytest
 
-from rbfbench._exact import GaussianRational
 from rbfbench.experiments import RATE_TOLERANCE, ExperimentConfig, run_rate_experiment
 from rbfbench.geometry import Box, make_quasi_uniform
 from rbfbench.kernels import wendland_construct
 from rbfbench.polyrep import LocalPolyBuilder, monomial_exponents, property2_scan
 from rbfbench.spectral import (
+    amplitude_from_moments,
     build_measure_1d,
     partial_fractions,
-    wend1d_decompose,
     wendland_hat,
 )
 
 from helpers import (
     TABULATED_WENDLAND,
+    gaussian,
     hankel_oracle_mp,
     multiply_back,
     proportionality_factor,
@@ -62,10 +62,10 @@ def test_criterion_02_partial_fraction_exactness():
     for m in range(9):
         t = partial_fractions(m)
         total = multiply_back(t)
-        assert total[0] == GaussianRational.of(1)
-        assert all(c == GaussianRational.of(0) for c in total[1:])
+        assert total[0] == gaussian(1)
+        assert all(c == gaussian(0) for c in total[1:])
         assert t.alpha[m] == 1
-        assert t.beta[m] == GaussianRational.of(Fraction((-1) ** (m + 1), 2 ** (m + 1)))
+        assert t.beta[m] == gaussian(Fraction((-1) ** (m + 1), 2 ** (m + 1)))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(2, elapsed, "multiply-back identity exact for m = 0..8; "
@@ -115,7 +115,6 @@ def test_criterion_05_measure_factorization():
     start = time.perf_counter()
     details = []
     for k in (1, 2):
-        decomp = wend1d_decompose(k)
         mu = build_measure_1d(k)
         omegas = np.linspace(0.0, 50.0, 201)
         from rbfbench.spectral import measure_ft
@@ -124,7 +123,7 @@ def test_criterion_05_measure_factorization():
         resid = np.abs(lhs - rhs).max()
         assert resid < 1e-4, f"k={k}: {resid:.2e}"
         disc = np.abs(np.asarray(mu.discrete_ft(omegas)))
-        bound = decomp.amplitude / (2.0 * factorial(k))
+        bound = amplitude_from_moments(1, k) / (2.0 * factorial(k))
         assert disc.min() >= bound * (1 - 1e-12)
         details.append(f"k={k}: resid {resid:.1e}, disc min {disc.min():.3f} "
                        f">= {bound:.3f}")

@@ -13,10 +13,10 @@ from rbfbench.spectral import (
     CONV_NODES,
     CONV_PANELS,
     FiniteMeasure,
+    amplitude_from_moments,
     build_measure_1d,
     measure_convolve,
     measure_ft,
-    wend1d_decompose,
     wendland_hat,
 )
 
@@ -40,7 +40,7 @@ def test_atom_weights_exact(mu1, mu2):
 
 def test_atom_weights_match_closed_forms(mu1, mu2):
     for k, mu in ((1, mu1), (2, mu2)):
-        B = wend1d_decompose(k).amplitude
+        B = amplitude_from_moments(1, k)
         root = np.sqrt(2 * np.pi)
         assert mu.atoms[0][1] == pytest.approx(root * B / factorial(k), rel=1e-9, abs=0)
         assert mu.atoms[1][1] == pytest.approx(
@@ -119,49 +119,20 @@ def test_factorization_identity(k, mu1, mu2):
 @pytest.mark.parametrize("k", [1, 2])
 def test_discrete_part_bounded_below(k, mu1, mu2):
     mu = {1: mu1, 2: mu2}[k]
-    B = wend1d_decompose(k).amplitude
+    B = amplitude_from_moments(1, k)
     omegas = np.linspace(0.0, 50.0, 401)
     disc = np.abs(np.asarray(mu.discrete_ft(omegas)))
     assert disc.min() >= B / (2 * factorial(k)) * (1 - 1e-12)
 
 
-def test_restriction(mu1):
-    full = mu1.restrict(2.0)
-    assert full.tv_norm == pytest.approx(mu1.tv_norm, abs=1e-7)
-    inner = mu1.restrict(0.5)
-    assert len(inner.atoms) == 1          # only the atom at 0 survives
-    assert inner.tv_norm < mu1.tv_norm
-    # Tail mass |mu - mu restricted| shrinks as the radius grows.
-    tails = [mu1.tv_norm - mu1.restrict(r).tv_norm for r in (0.25, 0.5, 0.9)]
-    assert tails[0] >= tails[1] >= tails[2] >= 0.0
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_restriction_total_variation_is_exact(k):
-    # A ball holding the whole support keeps the total variation, and a
-    # smaller ball never adds any.
-    mu = build_measure_1d(k)
-    assert mu.restrict(2.0).tv_norm == pytest.approx(mu.tv_norm, rel=1e-14, abs=0)
-    for r in (0.25, 0.5, 0.9):
-        assert mu.restrict(r).tv_norm <= mu.tv_norm
-    assert mu.restrict(0.0).density_l1 == 0.0
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_norms_are_derived_from_atoms_and_density(k):
     # The norms are not constructor arguments: a measure built from its
-    # atoms, density and support carries them, and a restriction is exactly
-    # the measure built afresh from the restricted atoms and support.
+    # atoms, density and support carries them.
     mu = build_measure_1d(k)
     fresh = FiniteMeasure(mu.atoms, mu.density_poly, mu.support_radius)
     assert fresh.tv_norm == sum(abs(w) for _, w in fresh.atoms) + fresh.density_l1
     assert (fresh.density_l1, fresh.tv_norm) == (mu.density_l1, mu.tv_norm)
-    for r in (0.0, 0.3, 0.9, 2.0):
-        got = mu.restrict(r)
-        want = FiniteMeasure(tuple(a for a in mu.atoms if abs(a[0]) <= r),
-                             mu.density_poly, min(mu.support_radius, r))
-        for name in ("atoms", "density_poly", "support_radius", "density_l1", "tv_norm"):
-            assert getattr(got, name) == getattr(want, name), (r, name)
 
 
 def test_convolution_against_direct_quadrature(mu1):

@@ -1,4 +1,4 @@
-"""Partial fractions, f_m, explicit transforms, and the 1-D decomposition."""
+"""Partial fractions, f_m, explicit transforms, and their 1-D asymptotics."""
 
 from fractions import Fraction
 from math import factorial
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rbfbench._exact import GaussianRational
 from rbfbench.kernels import wendland_construct
 from rbfbench import spectral
 from rbfbench.spectral import (
@@ -16,17 +15,24 @@ from rbfbench.spectral import (
     ORACLE_NODES,
     CalibrationError,
     amplitude_from_moments,
+    build_measure_1d,
     f_m_eval,
     f_m_series,
     hankel_oracle,
+    measure_ft,
     partial_fractions,
     ratio_diagnostic,
-    wend1d_decompose,
     wendland_hat,
     wendland_transform,
 )
 
-from helpers import f_m_series_oracle, hankel_oracle_mp, multiply_back
+from helpers import (
+    f_m_series_oracle,
+    gaussian,
+    hankel_oracle_mp,
+    multiply_back,
+    wend1d_decompose,
+)
 
 ACCEPT_PAIRS = [(1, 1), (1, 2), (3, 1), (3, 2)]
 # Every pair inside the exact construction guard: odd d <= 9, k <= 5.
@@ -40,8 +46,8 @@ SCOPE_PAIRS = [(d, k) for d in (1, 3, 5, 7, 9) for k in range(6)]
 @pytest.mark.parametrize("m", range(MAX_M + 1))
 def test_multiply_back_is_exactly_one(m):
     total = multiply_back(partial_fractions(m))
-    assert total[0] == GaussianRational.of(1)
-    assert all(c == GaussianRational.of(0) for c in total[1:])
+    assert total[0] == gaussian(1)
+    assert all(c == gaussian(0) for c in total[1:])
 
 
 @pytest.mark.parametrize("m", range(MAX_M + 1))
@@ -63,13 +69,13 @@ def test_parity_and_top_coefficients(m):
 def test_known_tables():
     t1 = partial_fractions(1)
     assert t1.alpha == (Fraction(0), Fraction(1))
-    assert t1.beta[0] == GaussianRational.of(0, Fraction(-3, 4))
-    assert t1.beta[1] == GaussianRational.of(Fraction(1, 4))
+    assert t1.beta[0] == gaussian(0, Fraction(-3, 4))
+    assert t1.beta[1] == gaussian(Fraction(1, 4))
     t2 = partial_fractions(2)
     assert t2.alpha == (Fraction(-3), Fraction(0), Fraction(1))
-    assert t2.beta[0] == GaussianRational.of(Fraction(3, 2))
-    assert t2.beta[1] == GaussianRational.of(0, Fraction(9, 16))
-    assert t2.beta[2] == GaussianRational.of(Fraction(-1, 8))
+    assert t2.beta[0] == gaussian(Fraction(3, 2))
+    assert t2.beta[1] == gaussian(0, Fraction(9, 16))
+    assert t2.beta[2] == gaussian(Fraction(-1, 8))
 
 
 def test_guard():
@@ -342,6 +348,41 @@ def test_scaled_transform_tends_to_main_terms():
         assert resid[-1] <= resid[0]
         if k == 1:   # remainder is identically zero here
             assert resid.max() < 1e-10 * D.amplitude
+
+
+# ----------------------------------------------------------------------------
+# One shape rule for the evaluators
+# ----------------------------------------------------------------------------
+
+EVALUATORS = {
+    "wendland_hat": lambda x: wendland_hat(3, 1, x),
+    "f_m_eval": lambda x: f_m_eval(2, x),
+    "discrete_ft": lambda x: build_measure_1d(1).discrete_ft(x),
+    "measure_ft": lambda x: measure_ft(build_measure_1d(1), x),
+}
+SHAPE_INPUTS = {
+    "list": [0.5, 2.0, 7.5],
+    "tuple": (0.5, 2.0, 7.5),
+    "2-D array": np.array([[0.5, 2.0], [7.5, 11.0]]),
+    "0-d array": np.array(2.0),
+    "float": 2.0,
+    "float64": np.float64(2.0),
+}
+
+
+@pytest.mark.parametrize("kind", SHAPE_INPUTS)
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_share_one_shape_rule(name, kind):
+    # A scalar or 0-d input gives a float; any array-like gives an array of
+    # its shape, with the values of the ndarray call.
+    evaluate, x = EVALUATORS[name], SHAPE_INPUTS[kind]
+    got = evaluate(x)
+    want = evaluate(np.asarray(x, dtype=float))
+    if np.ndim(x) == 0:
+        assert type(got) is float and got == float(want)
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------------
