@@ -38,7 +38,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._quad import panel_nodes
-from .geometry import PointSet, _squared_distances, cube_center, cube_indices, tensor_grid
+from .geometry import Box, PointSet, _squared_distances, cube_center, cube_indices, tensor_grid
 from .kernels import _BLOCK_ENTRY_BYTES, _kernel_block
 from .polyrep import LocalPolyBuilder
 
@@ -88,10 +88,10 @@ class SmoothBump:
         return float(out[0]) if np.ndim(x) <= 1 and len(pts) == 1 else out
 
     @property
-    def support(self) -> tuple[float, float]:
-        """1-D support interval (for the convolution quadrature)."""
-        c = self.center[0]
-        return c - self.width, c + self.width
+    def box(self) -> Box:
+        """The box center +- width on every axis, outside which the bump is 0."""
+        return Box(tuple(c - self.width for c in self.center),
+                   tuple(c + self.width for c in self.center))
 
 
 def _green_factor(d: int) -> float:
@@ -117,7 +117,7 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     The factor (2 pi)^(-d/2) makes T f = g hold exactly under the
     symmetric transform convention (e.g. the Green's function of
     1 - Laplacian in d = 1 is exp(-|x|)/2).  The integrand has a kink at
-    t = x, so the bump support [a, b] is cut at c = clip(x, a, b), and
+    t = x, so the bump's box [a, b] is cut at c = clip(x, a, b), and
     the same _PANELS_PER_SIDE panels of _GL_NODES Gauss-Legendre nodes are
     mapped onto [a, c] and onto [c, b]; the bump vanishes to all orders at
     a and b, so this reaches near machine precision.  The kernel values at
@@ -128,7 +128,7 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     if bump.dim != 1:
         raise ValueError("convolution synthesis is implemented for d = 1")
     factor = _green_factor(bump.dim)
-    a, b = bump.support
+    (a,), (b,) = bump.box.lo, bump.box.hi
     center = bump.center[0]
     u, wu = panel_nodes(np.linspace(0.0, 1.0, _PANELS_PER_SIDE + 1), _GL_NODES)
 
@@ -148,15 +148,16 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     return TestFunction(bump, f)
 
 
-def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float) -> np.ndarray:
+def quasi_interpolant(g, X: PointSet, degree: int, c3: float) -> np.ndarray:
     """Constructive coefficients of G(. - xi) for f = (2 pi)^(-d/2) G * g.
 
-    c_xi = (2 pi)^(-d/2) times the integral of g(t) A(t, xi) dt over the
-    cubes meeting the support of the source term g, with a midpoint rule
-    of _MIDPOINTS points per axis inside each cube of side h.  The
-    midpoints of every cube in the range are built and g evaluated on
-    them at once; cubes where g vanishes on every midpoint are dropped,
-    and the rest are grouped by LocalPolyBuilder(X, degree, c3).weights_by_cube,
+    The source g is any vectorized callable of (n, d) points whose box, a
+    geometry.Box, holds every t where g may be nonzero.  c_xi is (2 pi)^(-d/2)
+    times the integral of g(t) A(t, xi) dt over the cubes meeting g.box, with
+    a midpoint rule of _MIDPOINTS points per axis inside each cube of side h.
+    The midpoints of every cube in the range are built and g evaluated on them
+    at once; cubes where g vanishes on every midpoint are dropped, and the
+    rest are grouped by LocalPolyBuilder(X, degree, c3).weights_by_cube,
     which gives A(t, .) for all midpoints of a cube at once and takes the
     cubes in np.ndindex order.  Returns one coefficient per point of X.
     """
@@ -165,7 +166,7 @@ def quasi_interpolant(g: SmoothBump, X: PointSet, degree: int, c3: float) -> np.
     m = _MIDPOINTS
     offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
     w_quad = (side / m) ** d
-    lo, hi = cube_indices(np.asarray(g.center) + [[-g.width], [g.width]], side)
+    lo, hi = cube_indices(np.array([g.box.lo, g.box.hi]), side)
     centers = cube_center(tensor_grid([np.arange(a, b + 1) for a, b in zip(lo, hi)]), side)
     samples = (centers[:, None, :] + offsets).reshape(-1, d)
     gv = g(samples)

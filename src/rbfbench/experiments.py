@@ -121,12 +121,7 @@ class ExperimentConfig:
                              f"got {list(self.p_list)}")
         if self.witness not in ("ls", "quasi"):
             raise ValueError(f"unknown witness type {self.witness!r}")
-        if self.witness == "quasi" and self.family != "sobolev":
-            raise ValueError("the constructive witness needs a synthesized "
-                             "test function (sobolev family)")
-        if self.family == "sobolev" and self.d != 1:
-            raise ValueError("sobolev experiments synthesize their test function "
-                             f"in d = 1 only, got d={self.d}")
+        object.__setattr__(self, "problem", rate_problem(self))  # (f, source), not a field
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -219,6 +214,21 @@ def family_kernel(family: str, d: int, k: int | None, gamma: int | None) -> Fami
                         2.0 * (degree + 1) * RHO_MAX)
 
 
+def rate_problem(cfg: ExperimentConfig):
+    """(f, source) of cfg, the one owner of which f a (family, witness, d) row
+    approximates and which source its quasi witness integrates: Sobolev f =
+    (2 pi)^(-d/2) G * g is synthesized in d = 1 only, Wendland f is the bump g.
+    """
+    if cfg.witness == "quasi" and cfg.family != "sobolev":
+        raise ValueError("the constructive witness needs a synthesized "
+                         "test function (sobolev family)")
+    if cfg.family == "sobolev" and cfg.d != 1:
+        raise ValueError("sobolev experiments synthesize their test function "
+                         f"in d = 1 only, got d={cfg.d}")
+    bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
+    return (synth_test_function(cfg.fam.kernel, bump).f if cfg.family == "sobolev" else bump), bump
+
+
 @dataclass(frozen=True, eq=False)
 class Level:
     """One level of a rate run: every input of its errors, no matrix."""
@@ -235,8 +245,7 @@ def rate_levels(cfg: ExperimentConfig):
     """Yield one Level per spacing h0 ratio^i of cfg, coarsest first."""
     domain = Box((0.0,) * cfg.d, (1.0,) * cfg.d)
     pad = cfg.pad if cfg.pad is not None else DEFAULT_PAD
-    bump = SmoothBump((cfg.bump_center,) * cfg.d, cfg.bump_width)
-    f = synth_test_function(cfg.fam.kernel, bump).f if cfg.family == "sobolev" else bump
+    f, source = cfg.problem
     schedule = []
     for i in range(cfg.levels):
         X = make_quasi_uniform(domain, cfg.h0 * cfg.ratio ** i, jitter=cfg.jitter,
@@ -254,7 +263,7 @@ def rate_levels(cfg: ExperimentConfig):
                                for ax in axes]).prod(axis=1)
         f_vals = f(grid if cfg.d > 1 else grid[:, 0])
         if cfg.witness == "quasi":
-            coeffs, rank = quasi_interpolant(bump, X, cfg.fam.degree, cfg.fam.c3), None
+            coeffs, rank = quasi_interpolant(source, X, cfg.fam.degree, cfg.fam.c3), None
         else:
             coeffs, rank = ls_witness(f_vals, grid, cfg.fam.kernel, X)
         yield Level(X, grid, weights, f_vals, coeffs, rank)

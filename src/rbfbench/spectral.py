@@ -344,11 +344,11 @@ class FiniteMeasure:
         object.__setattr__(self, "density_l1", l1)
         object.__setattr__(self, "tv_norm", sum(abs(w) for _, w in self.atoms) + l1)
 
-    def density(self, t) -> np.ndarray:
+    def density(self, t) -> np.ndarray | float:
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
         vals = poly_eval(tuple(float(c) for c in self.density_poly), a)
-        return np.where(a <= self.support_radius, vals, 0.0)
+        return _shaped(np.where(a <= self.support_radius, vals, 0.0), t.shape)
 
     def discrete_ft(self, omega) -> np.ndarray | float:
         """Transform of the atomic part (real; the atoms are symmetric)."""
@@ -430,7 +430,7 @@ def measure_ft(mu: FiniteMeasure, omega) -> np.ndarray | float:
     return _shaped(out + mu.discrete_ft(flat), omega_arr.shape)
 
 
-def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:
+def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray | float:
     """(f * mu)(x) for a vectorized integrable f (x may be an array).
 
     The density part uses the fixed rule of CONV_PANELS x CONV_NODES
@@ -450,7 +450,7 @@ def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray:
     out = out.reshape(x.shape)
     for loc, w in mu.atoms:
         out = out + w * f(x - loc)
-    return out
+    return _shaped(out, x.shape)
 
 
 # ----------------------------------------------------------------------------

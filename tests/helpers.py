@@ -337,7 +337,7 @@ def synth_f_oracle(G, bump, nodes: int = 48, panels_per_side: int = 4):
     the reference for ``approx.synth_test_function``.
     """
     factor = (2.0 * np.pi) ** -0.5
-    a, b = bump.support
+    (a,), (b,) = bump.box.lo, bump.box.hi
     x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
 
     def f(xs):
@@ -456,7 +456,7 @@ def property2_scan_per_sample(Phi, X, ell, sample_budget, *, degree, c3, seed=0)
 def quasi_interpolant_per_cube(g, X, degree, c3):
     """approx.quasi_interpolant one cube at a time, in np.ndindex order.
 
-    The cubes of the range that covers g's support are walked by
+    The cubes of the range that covers g.box are walked by
     np.ndindex; each cube's midpoints are built from its center, g is
     evaluated on them, a cube where g vanishes on every midpoint is
     skipped, and A(t, .) comes from LocalPolyBuilder.weights.
@@ -464,13 +464,13 @@ def quasi_interpolant_per_cube(g, X, degree, c3):
     d, side, m = X.dim, X.h, _MIDPOINTS
     offsets = tensor_grid([(np.arange(m) + 0.5) / m * side - side / 2.0] * d)
     builder = LocalPolyBuilder(X, degree, c3)
-    lo = np.asarray(cube_of(np.asarray(g.center) - g.width, side))
-    hi = np.asarray(cube_of(np.asarray(g.center) + g.width, side))
+    lo = np.asarray(cube_of(g.box.lo, side))
+    hi = np.asarray(cube_of(g.box.hi, side))
     coeffs = np.zeros(X.n)
     for rel in np.ndindex(*(hi - lo + 1)):
         idx = tuple(lo + np.asarray(rel))
         samples = cube_center(idx, side) + offsets
-        gv = np.atleast_1d(g(samples if d > 1 else samples[:, 0]))
+        gv = np.atleast_1d(g(samples))
         if not np.any(gv):
             continue
         star, alpha = builder.weights(idx, samples)

@@ -30,7 +30,7 @@ from rbfbench.geometry import Box, make_quasi_uniform, tensor_grid
 from rbfbench.kernels import sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import LocalPolyBuilder
 
-from helpers import quasi_interpolant_per_cube, synth_f_oracle
+from helpers import cube_of, quasi_interpolant_per_cube, synth_f_oracle
 
 UNIT_1D = Box((0.0,), (1.0,))
 G2 = sobolev_spline_construct(2, 1)
@@ -77,7 +77,7 @@ def test_synthesis_matches_per_point_oracle(gamma):
     bump = SmoothBump((0.5,), 0.2)
     G = sobolev_spline_construct(gamma, 1)
     tf = synth_test_function(G, bump)
-    a, b = bump.support
+    (a,), (b,) = bump.box.lo, bump.box.hi
     xs = np.concatenate([np.linspace(-0.5, 1.5, 37), [a, b, 0.5, 0.3001, 0.6999]])
     oracle = synth_f_oracle(G, bump)
     want = oracle(xs)
@@ -104,6 +104,38 @@ def test_synthesis_memory_is_bounded_in_the_number_of_points(g2_testfunction):
     assert peak < 16e6
 
 
+def test_smooth_bump_box_holds_its_support():
+    bump = SmoothBump((0.5, 0.25), 0.2)
+    assert isinstance(bump.box, Box)
+    assert bump.box.lo == pytest.approx((0.3, 0.05), rel=0, abs=1e-15)
+    assert bump.box.hi == pytest.approx((0.7, 0.45), rel=0, abs=1e-15)
+    # Uniform samples, and the first floats past each face of the box.
+    lo, hi = np.asarray(bump.box.lo), np.asarray(bump.box.hi)
+    pts = np.random.default_rng(3).uniform(-0.5, 1.5, size=(4000, 2))
+    faces = []
+    for axis in range(2):
+        for edge, away in ((lo, -np.inf), (hi, np.inf)):
+            pt = np.asarray(bump.center, dtype=float)
+            pt[axis] = np.nextafter(edge[axis], away)
+            faces.append(pt)
+    pts = np.vstack([pts, faces])
+    outside = ((pts < lo) | (pts > hi)).any(axis=1)
+    assert outside.sum() > 3000
+    assert np.all(bump(pts[outside]) == 0.0)
+    assert bump(bump.center) == 1.0
+
+
+class TwoBumps:
+    """A source that is not a SmoothBump: two 1-D bumps, and a box that holds both."""
+
+    def __init__(self, left: SmoothBump, right: SmoothBump):
+        self.left, self.right = left, right
+        self.box = Box(left.box.lo, right.box.hi)
+
+    def __call__(self, t):
+        return self.left(t) + self.right(t)
+
+
 def test_quasi_interpolant_zero_source():
     # A bump on a cube centre, narrower than the gap to the nearest of the
     # cube's midpoints, is zero at every quadrature node.
@@ -113,19 +145,22 @@ def test_quasi_interpolant_zero_source():
     assert np.all(coeffs == 0.0)
 
 
-@pytest.mark.parametrize("family, d, order, h, center", [
-    ("sobolev", 1, 2, 1 / 64, 0.5),
-    ("sobolev", 1, 2, 1 / 64, 0.0),
-    ("wendland", 2, 1, 1 / 8, 0.0),
-], ids=["sobolev_g2_d1", "sobolev_g2_d1_center0", "wendland_k1_d2_center0"])
-def test_quasi_interpolant_equals_the_per_cube_walk(family, d, order, h, center, monkeypatch):
+@pytest.mark.parametrize("family, d, order, h, source", [
+    ("sobolev", 1, 2, 1 / 64, SmoothBump((0.5,), 0.2)),
+    ("sobolev", 1, 2, 1 / 64, SmoothBump((0.0,), 0.2)),
+    ("wendland", 2, 1, 1 / 8, SmoothBump((0.0, 0.0), 0.2)),
+    ("sobolev", 1, 2, 1 / 64, TwoBumps(SmoothBump((0.25,), 0.1), SmoothBump((0.7,), 0.15))),
+], ids=["sobolev_g2_d1", "sobolev_g2_d1_center0", "wendland_k1_d2_center0",
+        "sobolev_g2_d1_two_bumps"])
+def test_quasi_interpolant_equals_the_per_cube_walk(family, d, order, h, source, monkeypatch):
     # The same cubes, in the same order, give the same coefficients bit
     # for bit; with the bump centred at 0 the cube indices of its range
-    # go negative.  Cubes where g vanishes on every midpoint are skipped.
+    # go negative.  Cubes where g vanishes on every midpoint are skipped,
+    # such as those between the two bumps, and every cube summed lies in
+    # the cube range of the source's box.
     fam = experiments.family_kernel(family, d, order if family == "wendland" else None,
                                     order if family == "sobolev" else None)
     X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), h, jitter=0.25, seed=7, pad=2.0)
-    bump = SmoothBump((center,) * d, 0.2)
     calls = []
     weights = LocalPolyBuilder.weights
 
@@ -134,11 +169,13 @@ def test_quasi_interpolant_equals_the_per_cube_walk(family, d, order, h, center,
         return weights(self, idx, ts)
 
     monkeypatch.setattr(LocalPolyBuilder, "weights", recorded)
-    coeffs = quasi_interpolant(bump, X, fam.degree, fam.c3)
+    coeffs = quasi_interpolant(source, X, fam.degree, fam.c3)
     cubes, calls[:] = calls[:], []
-    ref = quasi_interpolant_per_cube(bump, X, fam.degree, fam.c3)
+    ref = quasi_interpolant_per_cube(source, X, fam.degree, fam.c3)
     assert cubes == calls
-    assert (min(min(idx) for idx in cubes) < 0) == (center == 0.0)
+    assert (min(min(idx) for idx in cubes) < 0) == (min(source.box.lo) < 0)
+    first, last = cube_of(source.box.lo, X.h), cube_of(source.box.hi, X.h)
+    assert all(a <= i <= b for cube in cubes for a, i, b in zip(first, cube, last))
     assert np.count_nonzero(ref) > 0
     assert np.array_equal(coeffs, ref)
 

@@ -19,6 +19,7 @@ from rbfbench.spectral import (
     f_m_eval,
     f_m_series,
     hankel_oracle,
+    measure_convolve,
     measure_ft,
     partial_fractions,
     ratio_diagnostic,
@@ -359,6 +360,9 @@ EVALUATORS = {
     "f_m_eval": lambda x: f_m_eval(2, x),
     "discrete_ft": lambda x: build_measure_1d(1).discrete_ft(x),
     "measure_ft": lambda x: measure_ft(build_measure_1d(1), x),
+    "density": lambda x: build_measure_1d(1).density(x),
+    "measure_convolve": lambda x: measure_convolve(build_measure_1d(1),
+                                                   lambda t: np.exp(-t * t), x),
 }
 SHAPE_INPUTS = {
     "list": [0.5, 2.0, 7.5],

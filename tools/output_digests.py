@@ -88,6 +88,10 @@ COMMANDS = (
     ("property2 --kernel wendland --d 1 --k 1 --csv missing/p.csv", None),
     # Refused with exit 2: one level, which can show no decrease of the error.
     ("rates --kernel wendland --k 1 --d 1 --levels 1", None),
+    # Refused with exit 2 by rate_problem: a constructive witness with no
+    # synthesized source (Wendland), and a Sobolev run outside d = 1.
+    ("rates --kernel wendland --k 1 --d 1 --witness quasi --levels 4", None),
+    ("rates --kernel sobolev --gamma 4 --d 2 --levels 4", None),
 )
 
 
