@@ -38,7 +38,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._quad import panel_nodes
-from .geometry import Box, PointSet, _squared_distances, cube_center, cube_indices, tensor_grid
+from .geometry import (Box, PointSet, _points, _squared_distances, cube_center, cube_indices,
+                       tensor_grid)
 from .kernels import _BLOCK_ENTRY_BYTES, _kernel_block
 from .polyrep import LocalPolyBuilder
 
@@ -79,11 +80,10 @@ class SmoothBump:
         return np.where(u2 < 1.0, vals, 0.0)
 
     def __call__(self, x) -> np.ndarray | float:
-        """The bump at x, read as points of R^d as collocation_matrix reads them.
-
-        A single point gives a float, any other input one value per point.
+        """The bump at the points x, read by geometry._points: one value per
+        point, a float for one point given as a scalar or flat array.
         """
-        pts = np.reshape(np.asarray(x, dtype=float), (-1, self.dim))
+        pts = _points(x, self.dim)
         out = self.radial(np.sqrt(_squared_distances(pts.T, np.asarray(self.center))))
         return float(out[0]) if np.ndim(x) <= 1 and len(pts) == 1 else out
 
@@ -112,7 +112,7 @@ class TestFunction:
 
 
 def synth_test_function(G, bump: SmoothBump) -> TestFunction:
-    """Construct f = (2 pi)^(-d/2) G * g by panel quadrature (one-dimensional).
+    """Construct f = (2 pi)^(-d/2) G * g in d = 1 by panel quadrature; f reads points as g does.
 
     The factor (2 pi)^(-d/2) makes T f = g hold exactly under the
     symmetric transform convention (e.g. the Green's function of
@@ -133,8 +133,7 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
     u, wu = panel_nodes(np.linspace(0.0, 1.0, _PANELS_PER_SIDE + 1), _GL_NODES)
 
     def f(xs):
-        xs_arr = np.asarray(xs, dtype=float)
-        flat = xs_arr.ravel()
+        flat = _points(xs, 1)[:, 0]
         out = np.empty(flat.size)
         for start in range(0, flat.size, _BLOCK):
             x = flat[start:start + _BLOCK, None]
@@ -143,7 +142,7 @@ def synth_test_function(G, bump: SmoothBump) -> TestFunction:
             w = np.hstack([(c - a) * wu, (b - c) * wu])
             vals = factor * _kernel_block(G, x[None], t[None]) * bump.radial(np.abs(t - center))
             out[start:start + _BLOCK] = np.sum(w * vals, axis=1)
-        return out.reshape(xs_arr.shape) if xs_arr.ndim else float(out[0])
+        return float(out[0]) if np.ndim(xs) <= 1 and flat.size == 1 else out
 
     return TestFunction(bump, f)
 
@@ -235,12 +234,12 @@ def _kernel_matrix(rows: np.ndarray, cols: np.ndarray, Phi,
 def collocation_matrix(pts: np.ndarray, X: PointSet, Phi) -> np.ndarray:
     """Matrix of Phi(|pt - xi|): one row per point of pts, one column per xi in X.
 
-    pts holds points of R^d, one per row; in d = 1 a flat array or a scalar
-    is read as one point per entry.  The matrix is the only full-size array
-    made, about 8 rows cols bytes; one that does not fit in the available
-    memory is refused with a ValueError before it is allocated.
+    pts are read by geometry._points in X's dimension.  The matrix is the
+    only full-size array made, about 8 rows cols bytes; one that does not
+    fit in the available memory is refused with a ValueError before it is
+    allocated.
     """
-    return _kernel_matrix(np.reshape(pts, (-1, X.dim)), X.points, Phi)
+    return _kernel_matrix(_points(pts, X.dim), X.points, Phi)
 
 
 def _flapack():
@@ -326,7 +325,7 @@ def lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
                X: PointSet) -> tuple[np.ndarray, int]:
-    """Least-squares witness on the grid: (coefficients, rank).
+    """Least-squares witness on the grid, read by geometry._points: (coefficients, rank).
 
     The coefficients minimize the discrete l^2 error on the grid.  They are
     solved by an SVD-based factorization and the minimum-norm solution is
@@ -337,11 +336,14 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
     before returning; evaluate_combination then forms the fitted values
     one row block at a time, never holding a second full matrix.  A level
     whose matrix and solver workspace do not fit in the available memory
-    is refused with a ValueError before the matrix is allocated.
+    is refused with a ValueError before the matrix is allocated, and so
+    are function values that are not one per grid point.
     """
+    grid = _points(grid, X.dim)
+    if np.shape(f_vals) != (len(grid),):
+        raise ValueError(f"function values of shape {np.shape(f_vals)} on {len(grid)} grid points")
     if not np.isfinite(f_vals).all():
         raise ValueError("function values must be finite")
-    grid = np.reshape(grid, (-1, X.dim))
     # Rows are centres, so the transpose is the Fortran-order collocation
     # matrix, which the solve overwrites without a copy.
     A = _kernel_matrix(X.points, grid, Phi, _ls_workspace_bytes(len(grid), X.n)).T
@@ -357,9 +359,9 @@ def evaluate_combination(coeffs: np.ndarray, X: PointSet, Phi, pts: np.ndarray) 
     per block.  The rows are reduced against coeffs by einsum, which calls
     no BLAS: every value is the same sum in the same order whatever the
     block size or the BLAS thread count, and numpy's BLAS threads stay
-    idle.
+    idle.  The points are read by geometry._points in X's dimension.
     """
-    pts = np.reshape(pts, (-1, X.dim))
+    pts = _points(pts, X.dim)
     out = np.empty(len(pts))
     step = max(1, _BUILD_BLOCK // max(X.n, 1))
     for start in range(0, len(pts), step):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from math import prod
 from numbers import Integral
 from pathlib import Path
@@ -122,6 +122,10 @@ class ExperimentConfig:
         if self.witness not in ("ls", "quasi"):
             raise ValueError(f"unknown witness type {self.witness!r}")
         object.__setattr__(self, "problem", rate_problem(self))  # (f, source), not a field
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so fam and problem (a local f) are derived anew.
+        return ExperimentConfig, tuple(getattr(self, f.name) for f in fields(self))
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -261,7 +265,7 @@ def rate_levels(cfg: ExperimentConfig):
         grid = tensor_grid(axes)
         weights = tensor_grid([trapezoid_weights(ax.size, ax[1] - ax[0])
                                for ax in axes]).prod(axis=1)
-        f_vals = f(grid if cfg.d > 1 else grid[:, 0])
+        f_vals = f(grid)
         if cfg.witness == "quasi":
             coeffs, rank = quasi_interpolant(source, X, cfg.fam.degree, cfg.fam.c3), None
         else:

@@ -126,10 +126,16 @@ def _squared_distances(a, b, out=None) -> np.ndarray:
     return out
 
 
-def _as_points(points) -> np.ndarray:
-    """points as an (n, d) float array; a scalar or flat array is n points of R^1."""
-    points = np.asarray(points, dtype=float)
-    return points.reshape(-1, 1) if points.ndim < 2 else points
+def _points(x, d: int) -> np.ndarray:
+    """x as (n, d) points: a 2-D array's rows, d long, or a scalar's or flat
+    array's entries, except that the d entries of a flat array are one point.
+    """
+    x = np.asarray(x, dtype=float)
+    x = x.reshape(-1, d if x.size == d else 1) if x.ndim < 2 else x
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"points of dimension {x.shape[1] if x.ndim == 2 else x.shape[1:]} "
+                         f"in a domain of dimension {d}")
+    return x
 
 
 def _cell_side(extent: list[float], n: int) -> float:
@@ -287,15 +293,12 @@ def fill_distance(points: np.ndarray, domain: Box, resolution: float) -> float:
 
     The supremum is taken over a candidate grid of spacing <= resolution;
     the true fill distance exceeds the estimate by at most
-    resolution * sqrt(d).  points holds one point of R^d per row, d the
-    domain's dimension; a flat array is read as points of R^1.
+    resolution * sqrt(d).  points are read by _points in the domain's
+    dimension.
     """
-    points = _as_points(points)
+    points = _points(points, domain.dim)
     if points.shape[0] == 0:
         raise ValueError("empty point set")
-    if points.shape[1] != domain.dim:
-        raise ValueError(f"points of dimension {points.shape[1]} in a domain of "
-                         f"dimension {domain.dim}")
     grid = tensor_grid(domain.candidate_axes(resolution))
     cells = _Cells(points)
     d2, rest = cells.nearest(grid)
@@ -306,9 +309,9 @@ def fill_distance(points: np.ndarray, domain: Box, resolution: float) -> float:
 def separation_radius(points: np.ndarray) -> float:
     """Half the minimum pairwise distance (exact).
 
-    points holds one point per row; a flat array is read as points of R^1.
+    points are read by _points, in the dimension of a 2-D array's rows.
     """
-    points = _as_points(points)
+    points = _points(points, np.shape(points)[1] if np.ndim(points) == 2 else 1)
     if points.shape[0] < 2:
         raise ValueError("separation radius needs at least two points")
     cells = _Cells(points)

@@ -26,7 +26,13 @@ from rbfbench.approx import (
     quasi_interpolant,
     synth_test_function,
 )
-from rbfbench.geometry import Box, make_quasi_uniform, tensor_grid
+from rbfbench.geometry import (
+    Box,
+    fill_distance,
+    make_quasi_uniform,
+    separation_radius,
+    tensor_grid,
+)
 from rbfbench.kernels import sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import LocalPolyBuilder
 
@@ -390,10 +396,101 @@ def test_smooth_bump_gives_a_float_only_for_a_single_point(d):
     pts = np.linspace(0.3, 0.7, 3 * d).reshape(3, d)
     vals = bump(pts)
     assert vals.shape == (3,)
-    assert np.array_equal(bump(pts.ravel()), vals)
+    if d == 1:
+        assert np.array_equal(bump(pts.ravel()), vals)
+    else:   # a flat array of n * d entries is not n points of R^d
+        with pytest.raises(ValueError, match="points of dimension 1 in a domain of dimension 2"):
+            bump(pts.ravel())
     one = bump(np.full(d, 0.5))
     assert isinstance(one, float) and one == 1.0
     assert bump(pts[:1]).shape == (1,)
+
+
+# ----------------------------------------------------------------------------
+# One point rule for every function of points
+# ----------------------------------------------------------------------------
+
+def _unit(d):
+    return Box((0.0,) * d, (1.0,) * d)
+
+
+def _point_set(d):
+    return make_quasi_uniform(_unit(d), 1 / 4, seed=3, pad=0.5)
+
+
+# Each function of points as read(x, d), with every other input fixed by d.
+# ls_witness gets one function value per d entries of x, so only the way it
+# reads the grid decides what it returns.
+POINT_READERS = {
+    "fill_distance": lambda x, d: fill_distance(x, _unit(d), 0.05),
+    "separation_radius": lambda x, d: separation_radius(x),
+    "SmoothBump": lambda x, d: SmoothBump((0.5,) * d, 0.3)(x),
+    "synthesized f": lambda x, d: synth_test_function(G2, SmoothBump((0.5,), 0.2)).f(x),
+    "collocation_matrix": lambda x, d: collocation_matrix(x, _point_set(d),
+                                                          wendland_construct(d, 1)),
+    "ls_witness": lambda x, d: ls_witness(np.linspace(1.0, 2.0, np.size(x) // d), x,
+                                          wendland_construct(d, 1), _point_set(d))[0],
+    "evaluate_combination": lambda x, d: evaluate_combination(
+        np.ones(_point_set(d).n), _point_set(d), wendland_construct(d, 1), x),
+}
+
+
+def _outcome(read, x, d):
+    """read(x, d) as a flat list of values, or the message of its ValueError."""
+    try:
+        return np.ravel(read(x, d)).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+# The synthesized f is one-dimensional.  separation_radius takes d from its
+# points, the rows of a 2-D array and otherwise R^1, so in d = 2 no column
+# count or flat array is wrong for it.
+@pytest.mark.parametrize("name, d", [(name, d) for name in POINT_READERS for d in (1, 2)
+                                     if d == 1 or name not in ("synthesized f",
+                                                               "separation_radius")])
+def test_functions_of_points_share_one_point_rule(name, d):
+    read = POINT_READERS[name]
+    pts = np.linspace(0.2, 0.8, 4 * d).reshape(4, d)
+    with pytest.raises(ValueError, match="points of dimension .* in a domain of dimension"):
+        read(pts[:, :, None], d)
+    if name != "separation_radius":
+        wide = np.linspace(0.2, 0.8, 4 * (d + 1)).reshape(4, d + 1)
+        with pytest.raises(ValueError,
+                           match=f"points of dimension {d + 1} in a domain of dimension {d}"):
+            read(wide, d)
+    if d == 1:
+        assert _outcome(read, pts[:, 0], d) == _outcome(read, pts, d)
+    else:
+        with pytest.raises(ValueError,
+                           match=f"points of dimension 1 in a domain of dimension {d}"):
+            read(pts.ravel(), d)
+    # d entries of a flat array are one point.
+    assert _outcome(read, pts[0], d) == _outcome(read, pts[:1], d)
+    assert _outcome(read, pts[:2], d) != _outcome(read, pts[:1], d)
+
+
+def test_rate_levels_hand_f_the_grid_of_points():
+    cfg = experiments.ExperimentConfig(family="sobolev", d=1, gamma=2, levels=2, h0=0.25)
+    f, source = cfg.problem
+    shapes = []
+
+    def spy(x):
+        shapes.append(np.shape(x))
+        return f(x)
+
+    object.__setattr__(cfg, "problem", (spy, source))
+    grids = [lv.grid.shape for lv in experiments.rate_levels(cfg)]
+    assert shapes == grids and all(len(g) == 2 and g[1] == 1 for g in grids)
+
+
+def test_ls_witness_refuses_values_that_are_not_one_per_grid_point():
+    X = _point_set(1)
+    grid = np.linspace(0.0, 1.0, 6)[:, None]
+    for f_vals in (np.ones(4), np.ones((6, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"function values of shape {f_vals.shape} on 6 grid points")):
+            ls_witness(f_vals, grid, wendland_construct(1, 1), X)
 
 
 def test_oversize_level_is_refused_before_allocation(monkeypatch, capsys):

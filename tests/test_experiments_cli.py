@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import pickle
 import re
 import subprocess
 import sys
@@ -52,6 +53,16 @@ def test_report_schema(small_reports):
     for lv in payload["levels"]:
         assert set(lv) == {"h", "q", "rho", "n_points", "error", "witness"}
     assert payload["config_hash"] == config_hash(ExperimentConfig(**SMALL))
+
+
+@pytest.mark.parametrize("cfg", [ExperimentConfig(**SMALL),
+                                 ExperimentConfig(family="wendland", d=2, k=1, levels=2)],
+                         ids=["sobolev", "wendland"])
+def test_config_survives_a_pickle_round_trip(cfg):
+    again = pickle.loads(pickle.dumps(cfg))
+    assert again == cfg and again.fam == cfg.fam
+    xs = np.linspace(0.0, 1.0, 7 * cfg.d).reshape(7, cfg.d)
+    assert np.array_equal(again.problem[0](xs), cfg.problem[0](xs))
 
 
 def test_fitted_rate_needs_four_levels():

@@ -377,16 +377,16 @@ SHAPE_INPUTS = {
 @pytest.mark.parametrize("kind", SHAPE_INPUTS)
 @pytest.mark.parametrize("name", EVALUATORS)
 def test_evaluators_share_one_shape_rule(name, kind):
-    # A scalar or 0-d input gives a float; any array-like gives an array of
-    # its shape, with the values of the ndarray call.
+    # A scalar or 0-d input gives a float, with the value of the ndarray
+    # call; any array-like gives an array of its shape, with the values of
+    # the flat call.
     evaluate, x = EVALUATORS[name], SHAPE_INPUTS[kind]
     got = evaluate(x)
-    want = evaluate(np.asarray(x, dtype=float))
     if np.ndim(x) == 0:
-        assert type(got) is float and got == float(want)
+        assert type(got) is float and got == float(evaluate(np.asarray(x, dtype=float)))
     else:
         assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, evaluate(np.ravel(x)).reshape(np.shape(x)))
 
 
 # ----------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The compare step of tools/output_digests.py on tiny saved outputs."""
+"""tools/output_digests.py: its command list, and its compare step on tiny saved outputs."""
 
 import importlib.util
+import shlex
 from pathlib import Path
 
 import pytest
+
+from rbfbench.cli import build_parser
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
@@ -51,3 +54,17 @@ def test_relative_change_pairs_numbers_in_order(digests):
     assert digests.relative_change("0.0", "1e-300") == float("inf")
     assert digests.relative_change("[1, 2]", "[1, 2, 3]") is None
     assert digests.relative_change("p 2", "q 2") is None
+
+
+def test_every_digest_command_parses(digests):
+    # A digest line cannot tell argparse's exit 2 from a refusal's exit 2,
+    # so a flag removed from the CLI must fail here, not in the digests.
+    parser = build_parser()
+    for args, csv in digests.COMMANDS:
+        argv = shlex.split(args)
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"rbfbench {args!r} does not parse")
+        if csv is not None:
+            assert "--csv" in argv and argv[argv.index("--csv") + 1] == csv, args
