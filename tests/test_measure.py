@@ -95,6 +95,13 @@ def test_measure_ft_of_symmetric_atoms():
     assert np.allclose(measure_ft(pair, omegas), expected, atol=1e-14)
 
 
+def test_measure_ft_takes_any_shape(mu1):
+    omegas = np.linspace(0.0, 20.0, 6).reshape(2, 3)
+    got = measure_ft(mu1, omegas)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, measure_ft(mu1, omegas.ravel()).reshape(2, 3))
+
+
 def test_measure_ft_at_zero_matches_transform(mu1):
     assert measure_ft(mu1, 0.0) == pytest.approx(float(wendland_hat(1, 1, 0.0)),
                                                  rel=1e-10, abs=0)
