@@ -12,14 +12,8 @@ from math import factorial
 
 import numpy as np
 
-from rbfbench import (
-    amplitude_from_moments,
-    build_measure_1d,
-    measure_convolve,
-    measure_ft,
-    partial_fractions,
-    wendland_hat,
-)
+from rbfbench import amplitude_from_moments, build_measure_1d, measure_convolve, partial_fractions
+from rbfbench.spectral import MEASURE_GATE, measure_check
 
 for k in (1, 2):
     # The asymptotic terms of x^(2k+2) phi^(x), read from the exact table of m = k.
@@ -34,15 +28,13 @@ for k in (1, 2):
     print(f"     density on [-1,1]: exact polynomial of degree "
           f"{len(mu.density_poly) - 1}, |mu| = {mu.tv_norm:.6f}")
 
-    omegas = np.linspace(0.0, 50.0, 11)
-    lhs = np.asarray(measure_ft(mu, omegas)) / (1 + omegas ** (2 * k + 2))
-    rhs = np.asarray(wendland_hat(1, k, omegas))
+    # The factorization identity and the atomic lower bound, as `measure check` runs them.
+    report, passed = measure_check(k)
     print(f"     factorization |mu^ / (1+w^(2k+2)) - phi^| on w=0..50: "
-          f"max {np.abs(lhs - rhs).max():.2e}")
-
-    disc = np.abs(np.asarray(mu.discrete_ft(np.linspace(0, 50, 501))))
-    print(f"     |atomic part^| >= {disc.min():.4f} "
-          f"(lower bound B/(2 k!) = {B / (2 * factorial(k)):.4f})")
+          f"max {report['max_factorization_residual']:.2e} (gate {MEASURE_GATE:.0e})")
+    print(f"     |atomic part^| >= {report['discrete_ft_min']:.4f} "
+          f"(lower bound B/(2 k!) = {report['discrete_ft_bound']:.4f}); "
+          f"{'passed' if passed else 'FAILED'}")
 
 # Convolution contracts every L^p norm by at most the total variation.
 mu = build_measure_1d(1)

@@ -359,9 +359,14 @@ def evaluate_combination(coeffs: np.ndarray, X: PointSet, Phi, pts: np.ndarray) 
     per block.  The rows are reduced against coeffs by einsum, which calls
     no BLAS: every value is the same sum in the same order whatever the
     block size or the BLAS thread count, and numpy's BLAS threads stay
-    idle.  The points are read by geometry._points in X's dimension.
+    idle.  The points are read by geometry._points in X's dimension, and
+    coefficients that are not one finite value per centre are refused.
     """
     pts = _points(pts, X.dim)
+    if np.shape(coeffs) != (X.n,):
+        raise ValueError(f"coefficients of shape {np.shape(coeffs)} on {X.n} centres")
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coefficients must be finite")
     out = np.empty(len(pts))
     step = max(1, _BUILD_BLOCK // max(X.n, 1))
     for start in range(0, len(pts), step):
@@ -394,12 +399,12 @@ def fit_rate(levels, f_scale: float = 1.0) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(h).
 
     Levels with error below 100 * machine epsilon * f_scale are dropped as
-    noise floor; at least 4 usable levels are required.  Returns
-    (slope, rms residual of the fit).
+    noise floor; at least 4 usable levels are required, and every error
+    must be positive and finite.  Returns (slope, rms residual of the fit).
     """
     levels = [(float(h), float(e)) for h, e in levels]
-    if any(e <= 0 for _, e in levels):
-        raise ValueError("errors must be positive")
+    if not all(0 < e < np.inf for _, e in levels):
+        raise ValueError("errors must be positive and finite")
     floor = 100.0 * np.finfo(float).eps * f_scale
     usable = [(h, e) for h, e in levels if e > floor]
     if len(usable) < 4:

@@ -1,20 +1,25 @@
 """Command-line front end.
 
-Subcommands are thin wrappers over the library: `kernels table`,
-`spectral check`, `measure check`, `property2`, `rates`, `ratio-diag`.
+Every subcommand is a thin wrapper over the library: the library computes
+every number and every pass, and the handler only emits them and maps the
+pass to an exit code.  The subcommands are `kernels table`, `spectral
+check`, `measure check`, `property2`, `rates`, `ratio-diag`.
 Exit codes: 0 all asserted invariants pass, 1 invariant failure,
 2 configuration error or an unwritable output.  Physical parameters (d, k,
 gamma) are always explicit; reports carry the config hash and no
-timestamps, so identical invocations produce byte-identical files.  Each handler imports the library
-modules it calls, so a command loads only what it runs: `kernels table`,
-`spectral check`, `measure check` and `ratio-diag` need only numpy, except
-that the transform validation of `spectral check` and `ratio-diag` in odd
-d >= 5 loads scipy.special for the Bessel oracle.  `property2` and
-`rates --witness quasi` need only numpy as well, except for the Bessel
-profile of Sobolev splines in even d, and `rates --witness ls` adds
-scipy's LAPACK extension module, scipy.linalg._flapack, for its solves,
-without the scipy.linalg package.  The library itself depends on numpy
-and scipy only.
+timestamps, so identical invocations produce byte-identical files.
+
+The front end (`--help`, argparse errors, and the refusal of an unwritable
+`--out` or `--csv` path) loads the standard library and the lazy package
+root only, no numpy.  Each handler imports the library modules it calls,
+so a command loads only what it runs: `kernels table`, `spectral check`,
+`measure check` and `ratio-diag` need only numpy, except that the transform
+validation of `spectral check` and `ratio-diag` in odd d >= 5 loads
+scipy.special for the Bessel oracle.  `property2` and `rates --witness
+quasi` need only numpy as well, except for the Bessel profile of Sobolev
+splines in even d, and `rates --witness ls` adds scipy's LAPACK extension
+module, scipy.linalg._flapack, for its solves, without the scipy.linalg
+package.  The library itself depends on numpy and scipy only.
 """
 
 from __future__ import annotations
@@ -23,10 +28,7 @@ import argparse
 import json
 import os
 import sys
-from math import factorial
 from pathlib import Path
-
-import numpy as np
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -57,29 +59,11 @@ def _cmd_spectral_check(args) -> int:
 
 
 def _cmd_measure_check(args) -> int:
-    from .spectral import amplitude_from_moments, build_measure_1d, measure_ft, wendland_hat
+    from .spectral import measure_check
 
-    k = args.k
-    mu = build_measure_1d(k)
-    omegas = np.linspace(0.0, 50.0, 101)
-    muhat = np.asarray(measure_ft(mu, omegas))
-    target = np.asarray(wendland_hat(1, k, omegas))
-    residual = np.abs(muhat / (1.0 + np.abs(omegas) ** (2 * k + 2)) - target)
-    disc = np.abs(np.asarray(mu.discrete_ft(omegas)))
-    disc_bound = amplitude_from_moments(1, k) / (2.0 * factorial(k))
-    payload = {
-        "k": k,
-        "tv_norm": mu.tv_norm,
-        "atoms": [list(a) for a in mu.atoms],
-        "max_factorization_residual": float(residual.max()),
-        "discrete_ft_min": float(disc.min()),
-        "discrete_ft_bound": disc_bound,
-        "table": [{"omega": float(w), "residual": float(r)}
-                  for w, r in zip(omegas, residual)],
-    }
-    _emit(payload, args.out)
-    ok = residual.max() < 1e-4 and disc.min() >= disc_bound * (1 - 1e-12)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    report, passed = measure_check(args.k)
+    _emit(report, args.out)
+    return EXIT_OK if passed else EXIT_INVARIANT
 
 
 def _cmd_property2(args) -> int:

@@ -61,6 +61,7 @@ __all__ = [
     "measure_convolve",
     "ratio_diagnostic",
     "spectral_check",
+    "measure_check",
 ]
 
 MAX_M = 12
@@ -71,6 +72,7 @@ SWITCH_CANDIDATES = (0.6, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0,
 ORACLE_NODES = 20        # Gauss-Legendre nodes per panel of hankel_oracle
 ORACLE_GATE = 1e-5       # largest accepted relative transform residual against the oracle
 FT_TOL = 1e-8            # largest accepted error estimate of a measure_ft quadrature
+MEASURE_GATE = 1e-4      # largest accepted factorization residual of measure_check
 CONV_PANELS = 256        # panels of the fixed measure_convolve rule on the support
 CONV_NODES = 8           # Gauss-Legendre nodes per panel of that rule
 CONV_BLOCK = 1 << 14     # f evaluations per measure_convolve block (rows x rule nodes);
@@ -495,3 +497,33 @@ def spectral_check(d: int, k: int) -> dict:
         "decay_table": [{"r": float(r), "scaled_hat": float(v)}
                         for r, v in zip(decay_radii, decay)],
     }
+
+
+def measure_check(k: int) -> tuple[dict, bool]:
+    """Factorization report of build_measure_1d(k), and whether it passes.
+
+    On 101 frequencies w of [0, 50] the residual
+    |hat(mu)(w) / (1 + |w|^(2k+2)) - hat(Phi)_{1,k}(w)| must stay below
+    MEASURE_GATE, and the transform of the atomic part must stay at least
+    B_k / (2 k!) in absolute value, B_k = amplitude_from_moments(1, k), up
+    to a relative rounding allowance of 1e-12.
+    """
+    mu = build_measure_1d(k)
+    omegas = np.linspace(0.0, 50.0, 101)
+    muhat = np.asarray(measure_ft(mu, omegas))
+    target = np.asarray(wendland_hat(1, k, omegas))
+    residual = np.abs(muhat / (1.0 + np.abs(omegas) ** (2 * k + 2)) - target)
+    disc = np.abs(np.asarray(mu.discrete_ft(omegas)))
+    disc_bound = amplitude_from_moments(1, k) / (2.0 * factorial(k))
+    report = {
+        "k": k,
+        "tv_norm": mu.tv_norm,
+        "atoms": [list(a) for a in mu.atoms],
+        "max_factorization_residual": float(residual.max()),
+        "discrete_ft_min": float(disc.min()),
+        "discrete_ft_bound": disc_bound,
+        "table": [{"omega": float(w), "residual": float(r)}
+                  for w, r in zip(omegas, residual)],
+    }
+    passed = bool(residual.max() < MEASURE_GATE and disc.min() >= disc_bound * (1 - 1e-12))
+    return report, passed

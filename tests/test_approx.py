@@ -259,17 +259,6 @@ def test_collocation_matrix_bit_identical_to_full_profile(Phi):
         assert np.all(A[outside] == 0.0)
 
 
-def test_collocation_matrix_takes_flat_points_in_1d():
-    Phi = wendland_construct(1, 1)
-    ps = make_quasi_uniform(UNIT_1D, 1 / 8)
-    coeffs = np.random.default_rng(0).normal(size=ps.n)
-    xs = np.linspace(0, 1, 5)
-    s_vals = evaluate_combination(coeffs, ps, Phi, xs)
-    assert s_vals.shape == (5,)
-    assert np.array_equal(s_vals, evaluate_combination(coeffs, ps, Phi, xs[:, None]))
-    assert evaluate_combination(coeffs, ps, Phi, 0.5).shape == (1,)
-
-
 @pytest.mark.parametrize("Phi", [wendland_construct(2, 1), sobolev_spline_construct(4, 2)],
                          ids=["wendland_d2_k1", "sobolev_d2_g4"])
 def test_ls_fit_values_equal_evaluate_combination(Phi):
@@ -394,16 +383,10 @@ def test_kernel_matrix_refusal_covers_its_traced_peak(Phi, monkeypatch):
 def test_smooth_bump_gives_a_float_only_for_a_single_point(d):
     bump = SmoothBump((0.5,) * d, 0.3)
     pts = np.linspace(0.3, 0.7, 3 * d).reshape(3, d)
-    vals = bump(pts)
-    assert vals.shape == (3,)
-    if d == 1:
-        assert np.array_equal(bump(pts.ravel()), vals)
-    else:   # a flat array of n * d entries is not n points of R^d
-        with pytest.raises(ValueError, match="points of dimension 1 in a domain of dimension 2"):
-            bump(pts.ravel())
+    assert bump(pts).shape == (3,)
+    # The flat and one-point forms are in test_functions_of_points_share_one_point_rule.
     one = bump(np.full(d, 0.5))
     assert isinstance(one, float) and one == 1.0
-    assert bump(pts[:1]).shape == (1,)
 
 
 # ----------------------------------------------------------------------------
@@ -435,12 +418,18 @@ POINT_READERS = {
 }
 
 
+# These give one value per point, and a float for a single point given as a
+# scalar or a flat array; the other readers give what its (1, d) form gives.
+ONE_VALUE = ("SmoothBump", "synthesized f")
+
+
 def _outcome(read, x, d):
-    """read(x, d) as a flat list of values, or the message of its ValueError."""
+    """read(x, d) as (shape, flat list of values), or the message of its ValueError."""
     try:
-        return np.ravel(read(x, d)).tolist()
+        out = read(x, d)
     except ValueError as exc:
         return str(exc)
+    return np.shape(out), np.ravel(out).tolist()
 
 
 # The synthesized f is one-dimensional.  separation_radius takes d from its
@@ -461,12 +450,19 @@ def test_functions_of_points_share_one_point_rule(name, d):
             read(wide, d)
     if d == 1:
         assert _outcome(read, pts[:, 0], d) == _outcome(read, pts, d)
+        singles = (pts[0, 0], pts[0])
     else:
         with pytest.raises(ValueError,
                            match=f"points of dimension 1 in a domain of dimension {d}"):
             read(pts.ravel(), d)
-    # d entries of a flat array are one point.
-    assert _outcome(read, pts[0], d) == _outcome(read, pts[:1], d)
+        singles = (pts[0],)
+    # A scalar and the d entries of a flat array are one point.
+    one = _outcome(read, pts[:1], d)
+    if name in ONE_VALUE:
+        assert one[0] == (1,)
+        one = ((), one[1])
+    for x in singles:
+        assert _outcome(read, x, d) == one
     assert _outcome(read, pts[:2], d) != _outcome(read, pts[:1], d)
 
 
@@ -491,6 +487,19 @@ def test_ls_witness_refuses_values_that_are_not_one_per_grid_point():
         with pytest.raises(ValueError, match=re.escape(
                 f"function values of shape {f_vals.shape} on 6 grid points")):
             ls_witness(f_vals, grid, wendland_construct(1, 1), X)
+
+
+def test_evaluate_combination_refuses_coefficients_that_are_not_one_per_centre():
+    X = _point_set(1)
+    Phi = wendland_construct(1, 1)
+    for coeffs in (np.ones(X.n - 1), np.ones((X.n, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficients of shape {coeffs.shape} on {X.n} centres")):
+            evaluate_combination(coeffs, X, Phi, np.linspace(0.0, 1.0, 6))
+    coeffs = np.ones(X.n)
+    coeffs[3] = np.nan
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        evaluate_combination(coeffs, X, Phi, np.linspace(0.0, 1.0, 6))
 
 
 def test_oversize_level_is_refused_before_allocation(monkeypatch, capsys):
@@ -644,6 +653,12 @@ def test_fit_rate_guards():
         fit_rate([(1 / 8, 1e-3), (1 / 16, 1e-4), (1 / 32, 1e-5)])
     with pytest.raises(ValueError):
         fit_rate([(1 / 8, 0.0), (1 / 16, 1e-4), (1 / 32, 1e-5), (1 / 64, 1e-6)])
+    # a NaN level is refused, not dropped as if below the noise floor,
+    # and so is an infinite one
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            fit_rate([(1 / 8, 1e-2), (1 / 16, 2.5e-3), (1 / 32, 6e-4), (1 / 64, 1.5e-4),
+                      (1 / 128, bad)])
     # levels at the noise floor are dropped
     with pytest.raises(ValueError):
         fit_rate([(1 / 8, 1e-15), (1 / 16, 1e-15), (1 / 32, 1e-15),

@@ -169,19 +169,6 @@ def test_unresolved_points_are_not_searched_when_any_point_resolves(d, monkeypat
     assert searched == []
 
 
-def test_flat_arrays_are_points_of_the_line():
-    flat = np.array([0.0, 0.5, 1.0])
-    assert separation_radius(flat) == separation_radius(flat[:, None]) == 0.25
-    assert fill_distance(flat, UNIT_1D, 1e-4) == fill_distance(flat[:, None], UNIT_1D, 1e-4)
-
-
-def test_fill_distance_refuses_a_dimension_mismatch():
-    with pytest.raises(ValueError, match="points of dimension 3 in a domain of dimension 2"):
-        fill_distance(np.zeros((4, 3)), UNIT_2D, 0.1)
-    with pytest.raises(ValueError, match="points of dimension 1 in a domain of dimension 2"):
-        fill_distance(np.array([0.1, 0.2, 0.7]), UNIT_2D, 0.1)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_within_ball_at_a_point_s_exact_distance(d):
     # A lattice without jitter: many points sit exactly at a lattice

@@ -14,7 +14,7 @@ import pytest
 import rbfbench
 
 SUBMODULES = ("approx", "experiments", "geometry", "kernels", "polyrep", "spectral")
-HEAVY = ("scipy", "sympy", "mpmath")
+HEAVY = ("numpy", "scipy", "sympy", "mpmath")
 SRC = str(Path(rbfbench.__file__).resolve().parent.parent)
 
 
@@ -104,6 +104,23 @@ def test_transform_commands_load_no_scipy_or_sympy(argv, tmp_path):
     loaded = _loaded_roots(code, tmp_path)
     assert "scipy" not in loaded and "sympy" not in loaded
     assert "mpmath" not in loaded
+
+
+# The CLI front end: --help run as `python -m rbfbench.cli`, and the refusal
+# of an --out path in a directory that does not exist (exit 2).
+@pytest.mark.parametrize("code", [
+    "import runpy\n"
+    "sys.argv = ['rbfbench', '--help']\n"
+    "try:\n"
+    "    runpy.run_module('rbfbench.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    status = exc.code\n"
+    "assert status == 0",
+    "from rbfbench.cli import main\n"
+    "assert main(['kernels', 'table', '--d', '1', '--k', '1', '--out', 'missing/k.json']) == 2",
+], ids=["help", "unwritable_out"])
+def test_cli_front_end_loads_no_numpy(code, tmp_path):
+    assert _loaded_roots(code, tmp_path) == []
 
 
 def _loaded_scipy(code: str, tmp_path) -> list[str]:

@@ -47,6 +47,18 @@ def test_compare_reports_identical_moved_and_changed_text(digests, tmp_path):
     assert lines[text] == "text differs"
 
 
+def test_compare_exits_1_unless_every_line_is_identical(digests, tmp_path, capsys):
+    args = digests.COMMANDS[12][0]
+    _save(digests, tmp_path / "a", {args: ('{"C_emp": 56.5}\n', "x\n0.5\n")})
+    _save(digests, tmp_path / "b", {args: ('{"C_emp": 56.5}\n', "x\n0.5\n")})
+    _save(digests, tmp_path / "c", {args: ('{"C_emp": 56.5}\n', "x\n0.505\n")})
+    a, b, c = (str(tmp_path / name) for name in "abc")
+    assert digests.main(["--compare", a, b]) == 0
+    assert capsys.readouterr().out.count("identical  ") == len(digests.COMMANDS)
+    assert digests.main(["--compare", a, c]) == 1
+    assert f"max rel change 0.01  {args}" in capsys.readouterr().out
+
+
 def test_relative_change_pairs_numbers_in_order(digests):
     assert digests.relative_change("a 1.0 b 2", "a 1.0 b 2") == 0.0
     assert digests.relative_change("1.0, 2.0", "1.0, 2.002") == pytest.approx(1e-3)

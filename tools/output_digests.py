@@ -25,6 +25,10 @@ byte for byte, ``missing`` when only one directory holds a file,
 ``text differs`` when the files differ outside their numbers or in how
 many numbers they hold, and otherwise the largest relative change
 |b - a| / |a| of any number, the numbers paired in the order they appear.
+It exits 1 when any line is not ``identical`` and 0 otherwise, so byte
+identity of two checkouts is one command:
+
+    python tools/output_digests.py --compare old new && echo identical
 """
 
 from __future__ import annotations
@@ -165,17 +169,18 @@ def digests(save: Path | None) -> None:
         print(f"{proc.returncode}  {_sha256(proc.stdout)}  {csv_digest}  {args}", flush=True)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--save", type=Path, metavar="DIR",
                       help="also write each command's stdout and CSV to DIR")
     mode.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
                       help="compare the outputs saved in A and B")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.compare:
-        print("\n".join(compare(*args.compare)))
-        return 0
+        lines = compare(*args.compare)
+        print("\n".join(lines))
+        return 0 if all(line.startswith("identical  ") for line in lines) else 1
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
     digests(args.save)
