@@ -15,8 +15,8 @@ from rbfbench import (
     LocalPolyBuilder,
     make_quasi_uniform,
     property2_scan,
-    wendland_construct,
 )
+from rbfbench.experiments import family_kernel
 
 dom = Box((0.0,), (1.0,))
 X = make_quasi_uniform(dom, 1 / 32, jitter=0.25, seed=7, pad=0.75)
@@ -45,10 +45,10 @@ for rows, star, A in builder.weights_by_cube(ts):
 print(f"cubic reproduction over 200 random t: worst error {worst:.2e}, "
       f"functional norms in [{min(l1s):.3f}, {max(l1s):.3f}]")
 
-Phi = wendland_construct(1, 1)
+fam = family_kernel("wendland", 1, 1, None)
 X2 = make_quasi_uniform(dom, 1 / 32, jitter=0.25, seed=7, pad=2.0)
-scan = property2_scan(Phi, X2, kappa=2.0, ell=2.0, sample_budget=1500,
-                      degree=1, c3=16.0, seed=0)
+scan = property2_scan(fam.kernel, X2, fam.kappa, fam.ell, sample_budget=1500,
+                      degree=fam.degree, c3=fam.c3, seed=0)
 print(f"\nerror-kernel scan for phi_{{1,1}}: {len(scan.ratio)} samples, "
       f"C_emp = {scan.c_emp:.1f}")
 for lo, hi in [(0, 1), (1, 4), (4, 16), (16, 70)]:

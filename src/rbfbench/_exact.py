@@ -56,6 +56,11 @@ def poly_derivative(p: RatPoly, order: int = 1) -> RatPoly:
     return poly_trim(c)
 
 
+def poly_integral(p: RatPoly) -> RatPoly:
+    """The antiderivative of p that vanishes at 0."""
+    return poly_trim([ZERO] + [c / (i + 1) for i, c in enumerate(p)])
+
+
 def binomial_one_minus_r(ell: int) -> RatPoly:
     """(1 - r)^ell as an exact polynomial."""
     return tuple(Fraction((-1) ** j * comb(ell, j)) for j in range(ell + 1))

@@ -380,7 +380,10 @@ def lp_error(f_vals: np.ndarray, s_vals: np.ndarray, p: float,
     """Composite-quadrature L^p norm of f - s on a common grid.
 
     p = inf is the grid maximum; finite p requires quadrature weights.
+    A p outside [1, inf] (NaN included) is refused.
     """
+    if not 1 <= p <= np.inf:
+        raise ValueError(f"p must lie in [1, inf], got {p}")
     f_vals = np.asarray(f_vals)
     s_vals = np.asarray(s_vals)
     if f_vals.shape != s_vals.shape:
@@ -399,10 +402,13 @@ def fit_rate(levels, f_scale: float = 1.0) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(h).
 
     Levels with error below 100 * machine epsilon * f_scale are dropped as
-    noise floor; at least 4 usable levels are required, and every error
-    must be positive and finite.  Returns (slope, rms residual of the fit).
+    noise floor; at least 4 usable levels are required, and every spacing
+    h and every error must be positive and finite.  Returns (slope, rms
+    residual of the fit).
     """
     levels = [(float(h), float(e)) for h, e in levels]
+    if not all(0 < h < np.inf for h, _ in levels):
+        raise ValueError("spacings h must be positive and finite")
     if not all(0 < e < np.inf for _, e in levels):
         raise ValueError("errors must be positive and finite")
     floor = 100.0 * np.finfo(float).eps * f_scale

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand is a thin wrapper over the library: the library computes
-every number and every pass, and the handler only emits them and maps the
-pass to an exit code.  The subcommands are `kernels table`, `spectral
-check`, `measure check`, `property2`, `rates`, `ratio-diag`.
+Every subcommand is a thin wrapper around the library calls that build its
+report (`property2` calls experiments.property2_run, `ratio-diag`
+spectral.ratio_diagnostic): the library computes every number and every
+pass, and the handler only emits the report, writes a CSV where asked and
+maps the pass to an exit code.  The subcommands are `kernels table`,
+`spectral check`, `measure check`, `property2`, `rates`, `ratio-diag`.
 Exit codes: 0 all asserted invariants pass, 1 invariant failure,
 2 configuration error or an unwritable output.  Physical parameters (d, k,
 gamma) are always explicit; reports carry the config hash and no
@@ -11,9 +13,10 @@ timestamps, so identical invocations produce byte-identical files.
 
 The front end (`--help`, argparse errors, and the refusal of an unwritable
 `--out` or `--csv` path) loads the standard library and the lazy package
-root only, no numpy.  Each handler imports the library modules it calls,
-so a command loads only what it runs: `kernels table`, `spectral check`,
-`measure check` and `ratio-diag` need only numpy, except that the transform
+root only, no numpy; the module imports no csv, geometry or polyrep.  Each
+handler imports the library module it calls, so a command loads only what
+it runs: `kernels table`, `spectral check`, `measure check` and
+`ratio-diag` need only numpy, except that the transform
 validation of `spectral check` and `ratio-diag` in odd d >= 5 loads
 scipy.special for the Bessel oracle.  `property2` and `rates --witness
 quasi` need only numpy as well, except for the Bessel profile of Sobolev
@@ -67,29 +70,13 @@ def _cmd_measure_check(args) -> int:
 
 
 def _cmd_property2(args) -> int:
-    from .experiments import DEFAULT_JITTER, DEFAULT_PAD, family_kernel
-    from .geometry import Box, make_quasi_uniform
-    from .polyrep import property2_scan
+    from .experiments import property2_run, scan_to_csv
 
-    d = args.d
-    fam = family_kernel(args.kernel, d, args.k, args.gamma)
-    X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), args.h, jitter=DEFAULT_JITTER,
-                           seed=args.seed, pad=DEFAULT_PAD)
-    scan = property2_scan(fam.kernel, X, fam.kappa, fam.ell, args.budget,
-                          degree=fam.degree, c3=fam.c3, seed=args.seed)
+    report, scan = property2_run(args.kernel, args.d, args.k, args.gamma, args.h,
+                                 args.seed, args.budget)
     if args.csv:
-        import csv as _csv
-        with open(args.csv, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            xcols = [f"x{i}" for i in range(d)] + [f"t{i}" for i in range(d)]
-            writer.writerow(xcols + ["dist_over_h", "abs_E", "bound", "ratio"])
-            for row in zip(scan.x, scan.t, scan.dist_over_h, scan.abs_e,
-                           scan.bound, scan.ratio):
-                writer.writerow([*row[0], *row[1], row[2], row[3], row[4], row[5]])
-    kernel = (f"wendland_d{d}_k{fam.order}" if args.kernel == "wendland"
-              else f"sobolev_gamma{fam.order}_d{d}")
-    _emit({"kernel": kernel, "h": X.h, "kappa": fam.kappa, "l": fam.ell,
-           "C_emp": scan.c_emp, "samples": len(scan.abs_e)}, args.out)
+        scan_to_csv(scan, args.csv)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -124,14 +111,7 @@ def _cmd_rates(args) -> int:
 def _cmd_ratio_diag(args) -> int:
     from .spectral import ratio_diagnostic
 
-    diag = ratio_diagnostic(args.d, args.k)
-    payload = {
-        "d": diag["d"], "k": diag["k"], "gamma": diag["gamma"],
-        "min": diag["min"], "max": diag["max"],
-        "table": [{"omega": float(w), "ratio": float(r)}
-                  for w, r in zip(diag["omega"], diag["ratio"])],
-    }
-    _emit(payload, args.out)
+    _emit(ratio_diagnostic(args.d, args.k), args.out)
     return EXIT_OK
 
 

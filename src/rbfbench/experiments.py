@@ -16,7 +16,9 @@ grid one row block at a time, so no level holds a dense evaluation
 matrix and a quasi level holds no dense matrix at all.  Every point set
 is built first, and a least-squares level whose matrix and solver
 workspace do not fit in the available memory is refused with a
-ValueError before any level is solved.  Reports are deterministic for a
+ValueError before any level is solved.  property2_run scans the
+Property-2 error-kernel envelope of a family kernel on the same jittered,
+padded lattice, one spacing only.  Reports are deterministic for a
 fixed config, BLAS build and thread count: the config hash is embedded
 and no timestamps are written.  The witness evaluation calls no BLAS and
 does not depend on the thread count; the least-squares solve does.
@@ -48,6 +50,7 @@ from .approx import (
 )
 from .geometry import MAX_JITTER, Box, PointSet, make_quasi_uniform, tensor_grid
 from .kernels import sobolev_spline_construct, wendland_construct
+from .polyrep import ErrorKernelScan, property2_scan
 
 __all__ = [
     "ExperimentConfig",
@@ -60,6 +63,8 @@ __all__ = [
     "config_hash",
     "report_to_json",
     "report_to_csv",
+    "property2_run",
+    "scan_to_csv",
 ]
 
 RATE_TOLERANCE = 0.4   # fitted slope must reach theory_rate - RATE_TOLERANCE
@@ -218,6 +223,27 @@ def family_kernel(family: str, d: int, k: int | None, gamma: int | None) -> Fami
                         2.0 * (degree + 1) * RHO_MAX)
 
 
+def property2_run(family: str, d: int, k: int | None, gamma: int | None, h: float,
+                  seed: int, budget: int) -> tuple[dict, ErrorKernelScan]:
+    """(report, scan) of the Property-2 envelope scan of one family kernel.
+
+    The point set is the lattice of spacing h on [0, 1]^d with the rate
+    runs' DEFAULT_JITTER and DEFAULT_PAD, and the scan takes kappa, ell,
+    degree and c3 from family_kernel.  The report names the kernel and
+    holds h, kappa, l, C_emp and the sample count.
+    """
+    fam = family_kernel(family, d, k, gamma)
+    X = make_quasi_uniform(Box((0.0,) * d, (1.0,) * d), h, jitter=DEFAULT_JITTER,
+                           seed=seed, pad=DEFAULT_PAD)
+    scan = property2_scan(fam.kernel, X, fam.kappa, fam.ell, budget,
+                          degree=fam.degree, c3=fam.c3, seed=seed)
+    kernel = (f"wendland_d{d}_k{fam.order}" if family == "wendland"
+              else f"sobolev_gamma{fam.order}_d{d}")
+    report = {"kernel": kernel, "h": X.h, "kappa": fam.kappa, "l": fam.ell,
+              "C_emp": scan.c_emp, "samples": len(scan.abs_e)}
+    return report, scan
+
+
 def rate_problem(cfg: ExperimentConfig):
     """(f, source) of cfg, the one owner of which f a (family, witness, d) row
     approximates and which source its quasi witness integrates: Sobolev f =
@@ -319,3 +345,14 @@ def report_to_csv(reports: dict[str, ExperimentReport], path: str | Path) -> Non
                                  lv["n_points"], lv["error"], lv["witness"],
                                  rep.fitted_rate, rep.theory_rate,
                                  rep.config_hash])
+
+
+def scan_to_csv(scan: ErrorKernelScan, path: str | Path) -> None:
+    """CSV mirror of a Property-2 scan: one row per sample."""
+    d = scan.x.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(d)] + [f"t{i}" for i in range(d)]
+                        + ["dist_over_h", "abs_E", "bound", "ratio"])
+        writer.writerows(np.column_stack((scan.x, scan.t, scan.dist_over_h, scan.abs_e,
+                                          scan.bound, scan.ratio)))

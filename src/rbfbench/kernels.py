@@ -39,8 +39,11 @@ from ._exact import (
     RatPoly,
     ZERO,
     binomial_one_minus_r,
+    poly_add,
     poly_derivative,
     poly_eval,
+    poly_integral,
+    poly_scale,
     poly_trim,
 )
 from .geometry import _squared_distances
@@ -122,20 +125,12 @@ def wendland_construct(d: int, k: int) -> PiecewisePolyRadial:
         raise ValueError(f"(d={d}, k={k}) exceeds the exact construction guard "
                          f"(d <= {MAX_DIM}, k <= {MAX_SMOOTHNESS})")
     ell = d // 2 + k + 1
-    p = list(binomial_one_minus_r(ell))
+    p = binomial_one_minus_r(ell)
     for _ in range(k):
-        # I[p](r) = integral_r^1 t p(t) dt: term c_j r^j maps to
-        # c_j/(j+2) - c_j/(j+2) r^{j+2}.
-        out = [ZERO] * (len(p) + 2)
-        const = ZERO
-        for j, c in enumerate(p):
-            if c == 0:
-                continue
-            const += c / (j + 2)
-            out[j + 2] -= c / (j + 2)
-        out[0] += const
-        p = out
-    kernel = PiecewisePolyRadial(poly_trim(p), d, k)
+        # I[p](r) = integral_r^1 t p(t) dt = Q(1) - Q(r), Q = integral_0^r t p(t) dt.
+        Q = poly_integral((ZERO,) + p)
+        p = poly_add((poly_eval(Q, Fraction(1)),), poly_scale(Q, -1))
+    kernel = PiecewisePolyRadial(p, d, k)
     _check_wendland_invariants(kernel)
     return kernel
 

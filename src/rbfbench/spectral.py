@@ -40,6 +40,7 @@ from ._exact import (
     poly_add,
     poly_derivative,
     poly_eval,
+    poly_integral,
     poly_scale,
     poly_trim,
 )
@@ -213,12 +214,12 @@ class _WendlandTransform:
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr < 0):
             raise ValueError("radius must be non-negative")
-        small = poly_eval(self.series, r_arr)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = f_m_eval(self.m, r_arr) * np.power(
-                np.maximum(r_arr, 1e-300), -(3 * self.m + 2))
-        out = self.amplitude * np.where(r_arr < self.series_switch, small, direct)
-        return _shaped(out, r_arr.shape)
+        out = np.empty(r_arr.shape)
+        small = r_arr < self.series_switch
+        out[small] = poly_eval(self.series, r_arr[small])
+        far = r_arr[~small]
+        out[~small] = f_m_eval(self.m, far) * np.power(far, -(3 * self.m + 2))
+        return _shaped(self.amplitude * out, r_arr.shape)
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +368,7 @@ def _abs_poly_integral(p: RatPoly, a: float, b: float) -> float:
     roots = np.roots(list(reversed(fl))) if len(fl) > 1 else np.array([])
     cuts = sorted({a, b} | {float(r.real) for r in roots
                             if abs(r.imag) < 1e-10 and a < r.real < b})
-    anti = poly_trim([ZERO] + [c / (i + 1) for i, c in enumerate(p)])
+    anti = poly_integral(p)
     total = 0.0
     # p has constant sign between consecutive cuts, so on each segment
     # int |p| = |int p| with the integral taken exactly.
@@ -460,23 +461,22 @@ def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray | float:
 # ----------------------------------------------------------------------------
 
 def ratio_diagnostic(d: int, k: int) -> dict:
-    """Tabulate (1 + w^2)^(-gamma/2) / hat(Phi)_{d,k}(w) on a log grid.
+    """Report of (1 + w^2)^(-gamma/2) / hat(Phi)_{d,k}(w) on a log grid.
 
-    Exploratory only: emits the observed ratio with its min and max, no
-    pass/fail.  gamma = d + 2k + 1 is the order matching the transform's
-    decay.
+    Exploratory only: the table of w and the observed ratio with its min
+    and max, no pass/fail.  gamma = d + 2k + 1 is the order matching the
+    transform's decay.
     """
     if k < 1:
         raise ValueError("ratio diagnostic requires k >= 1")
     gamma = d + 2 * k + 1
     omegas = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 121)])
     phat = np.asarray(wendland_hat(d, k, omegas))
-    ghat = (1.0 + omegas ** 2) ** (-gamma / 2.0)
-    ratio = ghat / phat
+    ratio = (1.0 + omegas ** 2) ** (-gamma / 2.0) / phat
     return {
         "d": d, "k": k, "gamma": gamma,
-        "omega": omegas, "ratio": ratio,
         "min": float(ratio.min()), "max": float(ratio.max()),
+        "table": [{"omega": float(w), "ratio": float(r)} for w, r in zip(omegas, ratio)],
     }
 
 

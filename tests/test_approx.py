@@ -611,6 +611,13 @@ def test_lp_error_basics():
         lp_error(f, f, 2, None)
 
 
+@pytest.mark.parametrize("p", [0.5, -1.0, 0.0, np.nan, -np.inf])
+def test_lp_error_refuses_p_outside_one_to_inf(p):
+    f = np.sin(np.linspace(0, 1, 11))
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
+        lp_error(f, f + 0.1, p, trapezoid_weights(11, 0.1))
+
+
 def test_l2_norm_against_parseval():
     # Periodic case: trapezoid over one period against the transform side.
     n = 1024
@@ -659,6 +666,11 @@ def test_fit_rate_guards():
         with pytest.raises(ValueError, match="positive"):
             fit_rate([(1 / 8, 1e-2), (1 / 16, 2.5e-3), (1 / 32, 6e-4), (1 / 64, 1.5e-4),
                       (1 / 128, bad)])
+    # so is a spacing h that is not positive and finite
+    for bad in (np.nan, -1 / 128, 0.0, np.inf):
+        with pytest.raises(ValueError, match="spacings h"):
+            fit_rate([(1 / 8, 1e-2), (1 / 16, 2.5e-3), (1 / 32, 6e-4), (1 / 64, 1.5e-4),
+                      (bad, 4e-5)])
     # levels at the noise floor are dropped
     with pytest.raises(ValueError):
         fit_rate([(1 / 8, 1e-15), (1 / 16, 1e-15), (1 / 32, 1e-15),

@@ -355,7 +355,7 @@ def test_cli_property2_refuses_other_familys_order(argv, message, capsys, monkey
     def no_points(*args, **kwargs):
         raise AssertionError("a point set was built for a refused config")
 
-    monkeypatch.setattr(geometry, "make_quasi_uniform", no_points)
+    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
     assert main(["property2", *argv]) == 2
     assert capsys.readouterr().err == f"rbfbench: {message}\n"
 
@@ -396,6 +396,20 @@ def test_cli_ratio_diag(tmp_path):
     data = json.loads(out.read_text())
     assert data["gamma"] == 6
     assert data["min"] > 0
+
+
+def test_cli_property2_and_ratio_diag_emit_the_library_reports(tmp_path):
+    # Each handler writes what one library call returns, and nothing else.
+    out, csv_path = tmp_path / "p2.json", tmp_path / "p2.csv"
+    assert main(["property2", "--kernel", "sobolev", "--d", "1", "--gamma", "4",
+                 "--h", "0.0625", "--seed", "3", "--budget", "200",
+                 "--out", str(out), "--csv", str(csv_path)]) == 0
+    report, _ = experiments.property2_run("sobolev", 1, None, 4, 0.0625, 3, 200)
+    assert json.loads(out.read_text()) == report
+    with open(csv_path, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + report["samples"]
+    assert main(["ratio-diag", "--d", "3", "--k", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == spectral.ratio_diagnostic(3, 2)
 
 
 def test_cli_rates_with_config_file(tmp_path):
@@ -470,7 +484,10 @@ def test_cli_refuses_out_of_scope_spacing_and_p(argv, capsys, monkeypatch):
     def no_points(*args, **kwargs):
         raise AssertionError("a point set was built for a refused config")
 
-    monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    if argv[0] == "rates":
+        monkeypatch.setattr(experiments, "make_quasi_uniform", no_points)
+    # property2 builds its lattice through make_quasi_uniform, which refuses
+    # h = 0 before it builds any grid.
     monkeypatch.setattr(geometry, "tensor_grid", no_points)
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -402,9 +402,10 @@ def test_ratio_diagnostic_bounded():
 
 def test_ratio_diagnostic_at_zero():
     diag = ratio_diagnostic(3, 1)
-    assert diag["omega"][0] == 0.0
+    first = diag["table"][0]
+    assert first["omega"] == 0.0
     expected = 1.0 / float(wendland_hat(3, 1, 0.0))
-    assert diag["ratio"][0] == pytest.approx(expected, rel=1e-12, abs=0)
+    assert first["ratio"] == pytest.approx(expected, rel=1e-12, abs=0)
     assert diag["min"] > 0.0
 
 
