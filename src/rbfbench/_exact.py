@@ -37,16 +37,24 @@ def poly_scale(p: RatPoly, c) -> RatPoly:
     return poly_trim(x * c for x in p)
 
 
-def poly_eval(p: RatPoly, x):
+def poly_eval(p: RatPoly, x, out=None):
     """Horner evaluation, exact for Fraction p and x.
 
     Also the float evaluator: p a tuple of floats and x an array.  A
     one-coefficient p returns that coefficient, for the caller to broadcast.
+    With out, an array of x's shape that shares no memory with x, the same
+    multiplies and adds run in place in out, which is returned filled.
     """
-    acc = p[-1]
+    if out is None:
+        acc = p[-1]
+        for c in reversed(p[:-1]):
+            acc = acc * x + c
+        return acc
+    out[...] = p[-1]
     for c in reversed(p[:-1]):
-        acc = acc * x + c
-    return acc
+        out *= x
+        out += c
+    return out
 
 
 def poly_derivative(p: RatPoly, order: int = 1) -> RatPoly:

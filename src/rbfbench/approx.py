@@ -72,19 +72,31 @@ class SmoothBump:
     def dim(self) -> int:
         return len(self.center)
 
-    def radial(self, r) -> np.ndarray:
+    def radial(self, r, out=None) -> np.ndarray:
+        """The bump at radius r (vectorized); zero for r >= width and for NaN.
+
+        out, an array of r's shape, receives the values and may be r
+        itself; beyond it one byte per radius is allocated.
+        """
         r = np.asarray(r, dtype=float)
-        u2 = (r / self.width) ** 2
-        safe = np.where(u2 < 1.0, u2, 0.0)
-        vals = np.exp(1.0 - 1.0 / (1.0 - safe))
-        return np.where(u2 < 1.0, vals, 0.0)
+        u2 = np.divide(r, self.width, out=np.empty(r.shape) if out is None else out)
+        np.square(u2, out=u2)
+        outside = ~(u2 < 1.0)
+        u2[outside] = 0.0
+        vals = np.subtract(1.0, u2, out=u2)
+        np.divide(1.0, vals, out=vals)
+        np.subtract(1.0, vals, out=vals)
+        np.exp(vals, out=vals)
+        vals[outside] = 0.0
+        return vals
 
     def __call__(self, x) -> np.ndarray | float:
         """The bump at the points x, read by geometry._points: one value per
         point, a float for one point given as a scalar or flat array.
         """
         pts = _points(x, self.dim)
-        out = self.radial(np.sqrt(_squared_distances(pts.T, np.asarray(self.center))))
+        r = _squared_distances(pts.T, np.asarray(self.center))
+        out = self.radial(np.sqrt(r, out=r), out=r)
         return float(out[0]) if np.ndim(x) <= 1 and len(pts) == 1 else out
 
     @property

@@ -129,12 +129,20 @@ def _squared_distances(a, b, out=None) -> np.ndarray:
 def _points(x, d: int) -> np.ndarray:
     """x as (n, d) points: a 2-D array's rows, d long, or a scalar's or flat
     array's entries, except that the d entries of a flat array are one point.
+
+    A point with a NaN or infinite coordinate is refused, named by its row.
     """
     x = np.asarray(x, dtype=float)
     x = x.reshape(-1, d if x.size == d else 1) if x.ndim < 2 else x
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"points of dimension {x.shape[1] if x.ndim == 2 else x.shape[1:]} "
                          f"in a domain of dimension {d}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        rows = np.flatnonzero(~finite)
+        named = ", ".join(f"row {i} {x[i].tolist()}" for i in rows[:3])
+        raise ValueError(f"non-finite points ({rows.size} of {len(x)}): {named}"
+                         f"{', ...' if rows.size > 3 else ''}")
     return x
 
 

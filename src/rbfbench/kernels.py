@@ -60,13 +60,17 @@ __all__ = [
 MAX_DIM = 9
 MAX_SMOOTHNESS = 5
 
-# Bytes per pair that _kernel_block allocates beyond its output, counted
-# without numpy's temporary elision at each branch's peak.  Compact
-# (Wendland): the support mask and the roots (9) while Horner holds acc,
-# acc * r and acc * r + c (24).  Unbounded, evaluated in place: odd-d
-# Sobolev prefactor * exp(-r) beside that Horner peak (32), or the Bessel
-# form's r > 0 mask, scale * r^nu, kv and their product (25).
-_BLOCK_ENTRY_BYTES = max(9 + 24, 32, 25)
+# Bytes per pair that _kernel_block allocates beyond its output, at each
+# branch's peak; every profile value is formed in place, so no temporary
+# of numpy's arithmetic adds to them.  Compact (Wendland): the roots of the
+# pairs in the support, their values and the profile's mask of roots at or
+# beyond the radius (8 + 8 + 1); the support mask is live only beside the
+# roots or the values.  Unbounded, evaluated in the block: the odd-d
+# Sobolev Horner array (8), or the Bessel form's mask of radii that are
+# not positive and its clipped radii (1 + 8).  The distance helper's
+# scratch in d >= 2 (8) is freed before the profile runs.  One byte more
+# leaves room for the small arrays of a call (the points, the scalars).
+_BLOCK_ENTRY_BYTES = max(8 + 8 + 1, 8, 1 + 8) + 1
 
 
 @dataclass(frozen=True)
@@ -95,11 +99,18 @@ class PiecewisePolyRadial:
     def support_radius(self) -> float:
         return 1.0
 
-    def profile(self, r) -> np.ndarray:
-        """Kernel value at radius r (vectorized); zero for r >= 1."""
+    def profile(self, r, out=None) -> np.ndarray:
+        """Kernel value at radius r (vectorized); zero for r >= 1 and for NaN.
+
+        out, an array of r's shape that shares no memory with r, receives
+        the values; beyond it one byte per radius is allocated.
+        """
         r = np.asarray(r, dtype=float)
-        vals = poly_eval(self._fcoeffs, r)
-        return np.where(r < 1.0, vals, 0.0)
+        out = poly_eval(self._fcoeffs, r, out=np.empty(r.shape) if out is None else out)
+        # An array even for a 0-d r, so that it can be inverted in place.
+        inside = np.less(r, 1.0, out=np.empty(r.shape, dtype=bool))
+        out[np.logical_not(inside, out=inside)] = 0.0      # r >= 1 or NaN
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -177,16 +188,30 @@ class SobolevSpline:
     def support_radius(self) -> float:
         return np.inf
 
-    def profile(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.poly is not None:
-            return self.prefactor * np.exp(-r) * poly_eval(self._fpoly, r)
-        return self.profile_bessel(r)
+    def profile(self, r, out=None) -> np.ndarray:
+        """Kernel value at radius r (vectorized).
 
-    def profile_bessel(self, r) -> np.ndarray:
+        out, an array of r's shape, receives the values; it may be r
+        itself.  Beyond it 8 bytes per radius are allocated in odd dim and
+        9 in even dim (see profile_bessel).
+        """
+        r = np.asarray(r, dtype=float)
+        if self.poly is None:
+            return self.profile_bessel(r, out)
+        out = np.empty(r.shape) if out is None else out
+        poly = poly_eval(self._fpoly, r, out=np.empty(r.shape))
+        np.negative(r, out=out)
+        np.exp(out, out=out)
+        out *= self.prefactor
+        out *= poly
+        return out
+
+    def profile_bessel(self, r, out=None) -> np.ndarray:
         """c r^nu K_nu(r) in any dim: the even-dim profile, and the odd-dim test reference.
 
-        c = 1 / (2^(gamma/2 - 1) Gamma(gamma/2)).
+        c = 1 / (2^(gamma/2 - 1) Gamma(gamma/2)).  out, an array of r's
+        shape, receives the values and may be r itself; beyond it the mask
+        of radii that are not positive and one array of radii are allocated.
         """
         from scipy.special import kv
 
@@ -194,11 +219,13 @@ class SobolevSpline:
         nu = float(self.nu)
         scale = 1.0 / (2 ** (self.gamma / 2 - 1) * factorial(self.gamma // 2 - 1))
         at_zero = 2 ** (nu - 1) * gamma_fn(nu) * scale
-        out = np.where(
-            r > 0.0,
-            scale * np.power(np.maximum(r, 1e-300), nu) * kv(nu, np.maximum(r, 1e-300)),
-            at_zero,
-        )
+        out = np.empty(r.shape) if out is None else out
+        not_positive = ~(r > 0.0)
+        clipped = np.maximum(r, 1e-300, out=np.empty(r.shape))
+        np.power(clipped, nu, out=out)
+        out *= scale
+        out *= kv(nu, clipped, out=clipped)
+        out[not_positive] = at_zero
         return out
 
 
@@ -259,12 +286,17 @@ def _kernel_block(Phi, a, b, out=None) -> np.ndarray:
         D = _squared_distances(a, b, out=out)
     radius = Phi.support_radius
     if np.isfinite(radius):
-        near = D <= radius * radius
-        vals = Phi.profile(np.sqrt(D[near]))
+        square = radius * radius
+        r = D[D <= square]
+        vals = Phi.profile(np.sqrt(r, out=r), out=np.empty_like(r))
+        # The mask is formed again rather than held through the profile,
+        # and the radii go before it, so at most 17 bytes a pair are live.
+        del r
+        near = D <= square
         D.fill(0.0)
         D[near] = vals
     else:
-        D[...] = vals = Phi.profile(np.sqrt(D, out=D))
+        vals = Phi.profile(np.sqrt(D, out=D), out=D)
     if not np.isfinite(vals).all():
         raise ValueError("kernel values are not finite")
     return D

@@ -214,6 +214,8 @@ class _WendlandTransform:
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr < 0):
             raise ValueError("radius must be non-negative")
+        if not np.isfinite(r_arr).all():
+            raise ValueError("radius must be finite")
         out = np.empty(r_arr.shape)
         small = r_arr < self.series_switch
         out[small] = poly_eval(self.series, r_arr[small])
@@ -303,8 +305,8 @@ def hankel_oracle(kernel: PiecewisePolyRadial, r: float) -> float:
     odd d in {1, 3} the Bessel factor is elementary (cos, sin); other
     dimensions use the Bessel function of the first kind.
     """
-    if r <= 0:
-        raise ValueError("oracle radius must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError(f"oracle radius must be positive and finite, got {r}")
     return _hankel_float(kernel.profile, kernel.dim, r, 1.0, ORACLE_NODES)
 
 
@@ -348,7 +350,10 @@ class FiniteMeasure:
         object.__setattr__(self, "tv_norm", sum(abs(w) for _, w in self.atoms) + l1)
 
     def density(self, t) -> np.ndarray | float:
+        """The density at t (vectorized); t must be finite."""
         t = np.asarray(t, dtype=float)
+        if not np.isfinite(t).all():
+            raise ValueError("density argument must be finite")
         a = np.abs(t)
         vals = poly_eval(tuple(float(c) for c in self.density_poly), a)
         return _shaped(np.where(a <= self.support_radius, vals, 0.0), t.shape)
@@ -419,6 +424,8 @@ def measure_ft(mu: FiniteMeasure, omega) -> np.ndarray | float:
     raises with the achieved error estimate.
     """
     omega_arr = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega_arr).all():
+        raise ValueError("frequency must be finite")
     flat = omega_arr.reshape(-1)
     out = np.zeros_like(flat)
     for i, w in enumerate(flat):
@@ -439,7 +446,12 @@ def measure_convolve(mu: FiniteMeasure, f: Callable, x) -> np.ndarray | float:
     The density part uses the fixed rule of CONV_PANELS x CONV_NODES
     Gauss-Legendre nodes on the support.  It is evaluated over the flattened
     x in row blocks of CONV_BLOCK = 2^14 f values each, so memory stays
-    flat in the size of x.
+    flat in the size of x.  The rule is exact to rounding only for f
+    smooth on each panel: against the same rule on 64 times as many
+    panels, at 281 points, k = 1 and 2, a Gaussian f agrees to 1.9e-14 and
+    2.5e-13 of the largest value, and random 40-knot piecewise-linear f
+    (seeds 0-3) differ by 1.2e-5 to 2.6e-4 of it, the kinks of f falling
+    inside panels.  ``python tools/convolve_accuracy.py`` measures this.
     """
     x = np.asarray(x, dtype=float)
     edges = np.linspace(-mu.support_radius, mu.support_radius, CONV_PANELS + 1)

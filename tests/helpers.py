@@ -2,23 +2,24 @@
 partial fraction table and the f_m series, the 1-D asymptotic
 decomposition of the Wendland transform, Fourier quadrature oracles, a
 high-precision derivative reference, a per-point convolution oracle,
-convolution trials, a one-point reproduction functional, the
-per-sample error-kernel scan, the per-cube quasi-interpolant and the
-monomial basis one power at a time."""
+the out-of-place kernel, bump and synthesis formulas, convolution
+trials, a one-point reproduction functional, the per-sample error-kernel
+scan, the per-cube quasi-interpolant and the monomial basis one power
+at a time."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, floor, fsum
+from math import factorial, floor, fsum, gamma as gamma_fn
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from rbfbench._exact import ZERO, GaussianRational, binomial_one_minus_r, poly_trim
-from rbfbench._quad import panel_edges
-from rbfbench.approx import _MIDPOINTS, _green_factor
-from rbfbench.geometry import cube_center, tensor_grid
+from rbfbench._exact import ZERO, GaussianRational, binomial_one_minus_r, poly_eval, poly_trim
+from rbfbench._quad import panel_edges, panel_nodes
+from rbfbench.approx import _BLOCK, _GL_NODES, _MIDPOINTS, _PANELS_PER_SIDE, _green_factor
+from rbfbench.geometry import _squared_distances, cube_center, tensor_grid
 from rbfbench.kernels import PiecewisePolyRadial
 from rbfbench.polyrep import FAR_LIMIT, LocalPolyBuilder
 from rbfbench.spectral import (
@@ -356,6 +357,64 @@ def synth_f_oracle(G, bump, nodes: int = 48, panels_per_side: int = 4):
         return out if np.ndim(xs) else float(out[0])
 
     return f
+
+
+# The kernel, bump and synthesis values as numpy expressions that allocate
+# every intermediate: the library forms each in place, with the same
+# operations in the same order, so the two agree bit for bit.
+
+def profile_out_of_place(Phi, r):
+    """Phi.profile(r) as one expression per kernel form."""
+    r = np.asarray(r, dtype=float)
+    if isinstance(Phi, PiecewisePolyRadial):
+        return np.where(r < 1.0, poly_eval(Phi._fcoeffs, r), 0.0)
+    if Phi.poly is not None:
+        return Phi.prefactor * np.exp(-r) * poly_eval(Phi._fpoly, r)
+    from scipy.special import kv
+    nu = float(Phi.nu)
+    scale = 1.0 / (2 ** (Phi.gamma / 2 - 1) * factorial(Phi.gamma // 2 - 1))
+    at_zero = 2 ** (nu - 1) * gamma_fn(nu) * scale
+    return np.where(r > 0.0,
+                    scale * np.power(np.maximum(r, 1e-300), nu) * kv(nu, np.maximum(r, 1e-300)),
+                    at_zero)
+
+
+def kernel_block_out_of_place(Phi, a, b):
+    """kernels._kernel_block(Phi, a, b) with profile_out_of_place."""
+    D = _squared_distances(a, b)
+    radius = Phi.support_radius
+    if not np.isfinite(radius):
+        return profile_out_of_place(Phi, np.sqrt(D))
+    near = D <= radius * radius
+    vals = profile_out_of_place(Phi, np.sqrt(D[near]))
+    D.fill(0.0)
+    D[near] = vals
+    return D
+
+
+def bump_radial_out_of_place(bump, r):
+    """SmoothBump.radial(r) with a new array at every step."""
+    u2 = (np.asarray(r, dtype=float) / bump.width) ** 2
+    safe = np.where(u2 < 1.0, u2, 0.0)
+    return np.where(u2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
+
+
+def synth_f_out_of_place(G, bump, xs):
+    """synth_test_function(G, bump).f at the 1-D array xs, the product
+    factor * G * g weighted and summed as a new array at every step."""
+    factor = _green_factor(1)
+    (a,), (b,) = bump.box.lo, bump.box.hi
+    u, wu = panel_nodes(np.linspace(0.0, 1.0, _PANELS_PER_SIDE + 1), _GL_NODES)
+    out = np.empty(xs.size)
+    for start in range(0, xs.size, _BLOCK):
+        x = xs[start:start + _BLOCK, None]
+        c = np.clip(x, a, b)
+        t = np.hstack([a + (c - a) * u, c + (b - c) * u])
+        w = np.hstack([(c - a) * wu, (b - c) * wu])
+        vals = (factor * kernel_block_out_of_place(G, x[None], t[None])
+                * bump_radial_out_of_place(bump, np.abs(t - bump.center[0])))
+        out[start:start + _BLOCK] = np.sum(w * vals, axis=1)
+    return out
 
 
 class PiecewiseLinear:

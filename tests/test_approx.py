@@ -33,10 +33,13 @@ from rbfbench.geometry import (
     separation_radius,
     tensor_grid,
 )
-from rbfbench.kernels import sobolev_spline_construct, wendland_construct
+from rbfbench.geometry import _squared_distances
+from rbfbench.kernels import _kernel_block, sobolev_spline_construct, wendland_construct
 from rbfbench.polyrep import LocalPolyBuilder
 
-from helpers import cube_of, quasi_interpolant_per_cube, synth_f_oracle
+from helpers import (bump_radial_out_of_place, cube_of, kernel_block_out_of_place,
+                     profile_out_of_place, quasi_interpolant_per_cube, synth_f_oracle,
+                     synth_f_out_of_place)
 
 UNIT_1D = Box((0.0,), (1.0,))
 G2 = sobolev_spline_construct(2, 1)
@@ -259,6 +262,47 @@ def test_collocation_matrix_bit_identical_to_full_profile(Phi):
         assert np.all(A[outside] == 0.0)
 
 
+@pytest.mark.parametrize("Phi", [
+    pytest.param(wendland_construct(1, 2), id="wendland_d1_k2"),
+    pytest.param(wendland_construct(3, 3), id="wendland_d3_k3"),
+    pytest.param(sobolev_spline_construct(2, 1), id="sobolev_d1_g2_closed_form"),
+    pytest.param(sobolev_spline_construct(6, 3), id="sobolev_d3_g6_closed_form"),
+    pytest.param(sobolev_spline_construct(4, 2), id="sobolev_d2_g4_bessel"),
+    pytest.param(sobolev_spline_construct(8, 4), id="sobolev_d4_g8_bessel")])
+def test_in_place_kernel_values_equal_the_out_of_place_formulas(Phi):
+    # Each _kernel_block branch forms its profile in a buffer it holds,
+    # with the operations of the one-expression formulas in their order.
+    d = Phi.dim
+    rng = np.random.default_rng(d)
+    rows, cols = rng.uniform(-0.3, 1.3, size=(150, d)), rng.uniform(0, 1, size=(90, d))
+    rows[0] = cols[0]                       # r = 0
+    cols[1], rows[1] = 0.0, np.eye(d)[0]    # r = 1, the compact support radius
+    a, b = rows.T[:, :, None], np.ascontiguousarray(cols.T)[:, None, :]
+    r = np.concatenate([rng.uniform(0.0, 3.0, 1000), [0.0, 1.0, 1e-300, np.inf, np.nan]])
+    # The Bessel form meets 0 * inf at r = 0 before it writes the limit there.
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _kernel_block(Phi, a, b).tobytes() == kernel_block_out_of_place(Phi, a, b).tobytes()
+        assert Phi.profile(r).tobytes() == profile_out_of_place(Phi, r).tobytes()
+        assert Phi.profile(r[7]).tobytes() == profile_out_of_place(Phi, r[7]).tobytes()
+
+
+def test_in_place_bump_and_synthesized_f_equal_the_out_of_place_formulas():
+    bump = SmoothBump((0.5,), 0.2)
+    r = np.concatenate([np.random.default_rng(0).uniform(0.0, 0.3, 1000),
+                        [0.0, 0.2, np.inf, np.nan]])
+    assert bump.radial(r).tobytes() == bump_radial_out_of_place(bump, r).tobytes()
+    pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(500, 2))
+    bump2 = SmoothBump((0.5, 0.4), 0.3)
+    want = bump_radial_out_of_place(bump2, np.sqrt(_squared_distances(pts.T, np.array([0.5, 0.4]))))
+    assert bump2(pts).tobytes() == want.tobytes()
+    # Three blocks of the synthesis quadrature, the last one short.
+    xs = np.linspace(-0.5, 1.5, 301)
+    for G in (sobolev_spline_construct(2, 1), sobolev_spline_construct(4, 1),
+              wendland_construct(1, 2)):
+        got = synth_test_function(G, bump).f(xs)
+        assert got.tobytes() == synth_f_out_of_place(G, bump, xs).tobytes()
+
+
 @pytest.mark.parametrize("Phi", [wendland_construct(2, 1), sobolev_spline_construct(4, 2)],
                          ids=["wendland_d2_k1", "sobolev_d2_g4"])
 def test_ls_fit_values_equal_evaluate_combination(Phi):
@@ -277,6 +321,22 @@ def test_ls_fit_values_equal_evaluate_combination(Phi):
                                     lapack_driver="gelsd")
         assert coeffs.shape == (X.n,)
         assert np.array_equal(coeffs, ref) and rank == ref_rank
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 3(a): gelsd at cond = eps counts the rounding-level singular values "
+    "of all-zero columns as rank and puts up to 6.0e12 on them"))
+def test_ls_witness_puts_zero_on_translates_that_vanish_on_the_grid():
+    # The minimum-norm solution is 0 on every all-zero column of the
+    # collocation matrix.  rates_1d's wendland_k2_ls config at op seed 2,
+    # level 1: 48 of 81 columns are nonzero and the solve's rank is 49.
+    cfg = experiments.ExperimentConfig(family="wendland", d=1, k=2, levels=5, h0=1 / 8, seed=2)
+    levels = experiments.rate_levels(cfg)
+    next(levels)
+    lv = next(levels)
+    zero = ~collocation_matrix(lv.grid, lv.X, cfg.fam.kernel).any(axis=0)
+    assert zero.any()
+    assert np.all(lv.coeffs[zero] == 0.0)
 
 
 def test_ls_witness_holds_one_matrix_at_a_time():
@@ -464,6 +524,14 @@ def test_functions_of_points_share_one_point_rule(name, d):
     for x in singles:
         assert _outcome(read, x, d) == one
     assert _outcome(read, pts[:2], d) != _outcome(read, pts[:1], d)
+    # A point with a NaN or infinite coordinate is refused, named by its row.
+    for bad in (np.nan, np.inf, -np.inf):
+        x = pts.copy()
+        x[2, d - 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"non-finite points (1 of 4): row 2 [")):
+            read(x, d)
+        with pytest.raises(ValueError, match="non-finite points"):
+            read(np.full(d, bad), d)
 
 
 def test_rate_levels_hand_f_the_grid_of_points():

@@ -389,6 +389,28 @@ def test_evaluators_share_one_shape_rule(name, kind):
         assert np.array_equal(got, evaluate(np.ravel(x)).reshape(np.shape(x)))
 
 
+# Each evaluator of a radius or frequency as a function of it, with the
+# message of its refusal of a NaN or infinite argument.
+NON_FINITE_REFUSALS = {
+    "wendland_hat": (lambda x: wendland_hat(3, 1, x), "radius must be finite"),
+    "hankel_oracle": (lambda x: hankel_oracle(wendland_construct(3, 1), x),
+                      "oracle radius must be positive and finite"),
+    "measure_ft": (lambda x: measure_ft(build_measure_1d(1), x), "frequency must be finite"),
+    "density": (lambda x: build_measure_1d(1).density(x), "density argument must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", NON_FINITE_REFUSALS)
+def test_evaluators_refuse_non_finite_arguments(name, bad):
+    evaluate, message = NON_FINITE_REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        evaluate(bad)
+    if name != "hankel_oracle":       # the oracle takes one radius
+        with pytest.raises(ValueError, match=message):
+            evaluate(np.array([[0.5, 2.0], [bad, 7.5]]))
+
+
 # ----------------------------------------------------------------------------
 # Ratio diagnostic
 # ----------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""tools/output_digests.py: its command list, and its compare step on tiny saved outputs."""
+"""tools/output_digests.py: its command list, and its compare step on tiny saved
+outputs; tools/convolve_accuracy.py: the accuracy it reports."""
 
 import importlib.util
 import shlex
@@ -8,15 +9,19 @@ import pytest
 
 from rbfbench.cli import build_parser
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def digests():
-    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("output_digests")
 
 
 def _save(digests, root, outputs):
@@ -80,3 +85,15 @@ def test_every_digest_command_parses(digests):
             pytest.fail(f"rbfbench {args!r} does not parse")
         if csv is not None:
             assert "--csv" in argv and argv[argv.index("--csv") + 1] == csv, args
+
+
+def test_convolve_accuracy_reports_the_fixed_rule_within_its_stated_error(capsys):
+    # measure_convolve's docstring states what this measures: rounding
+    # level for a smooth f, below 3e-4 for the piecewise-linear trials.
+    _load("convolve_accuracy").main(["--k", "1", "--seeds", "2"])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    errors = {line.split("  ", 1)[1].rsplit(" ", 1)[0].strip(): float(line.rsplit(" ", 1)[1])
+              for line in lines}
+    assert list(errors) == ["gaussian", "piecewise-linear seed 0", "piecewise-linear seed 1"]
+    assert errors["gaussian"] < 1e-12
+    assert all(1e-7 < errors[f"piecewise-linear seed {seed}"] < 3e-4 for seed in (0, 1))
