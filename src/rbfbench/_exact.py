@@ -42,19 +42,20 @@ def poly_eval(p: RatPoly, x, out=None):
 
     Also the float evaluator: p a tuple of floats and x an array.  A
     one-coefficient p returns that coefficient, for the caller to broadcast.
-    With out, an array of x's shape that shares no memory with x, the same
-    multiplies and adds run in place in out, which is returned filled.
+    With out, an array of x's shape that shares no memory with x, the
+    evaluation runs in out, which is returned filled.  The steps are
+    augmented assignments: they rebind a Fraction, float or numpy scalar,
+    and run in place on an array, which the first multiply already makes
+    fresh when out is not given.
     """
-    if out is None:
-        acc = p[-1]
-        for c in reversed(p[:-1]):
-            acc = acc * x + c
-        return acc
-    out[...] = p[-1]
+    acc = p[-1]
+    if out is not None:
+        out[...] = acc
+        acc = out
     for c in reversed(p[:-1]):
-        out *= x
-        out += c
-    return out
+        acc *= x
+        acc += c
+    return acc
 
 
 def poly_derivative(p: RatPoly, order: int = 1) -> RatPoly:

@@ -99,14 +99,13 @@ class PiecewisePolyRadial:
     def support_radius(self) -> float:
         return 1.0
 
-    def profile(self, r, out=None) -> np.ndarray:
+    def profile(self, r) -> np.ndarray:
         """Kernel value at radius r (vectorized); zero for r >= 1 and for NaN.
 
-        out, an array of r's shape that shares no memory with r, receives
-        the values; beyond it one byte per radius is allocated.
+        Beyond the values, one byte per radius is allocated.
         """
         r = np.asarray(r, dtype=float)
-        out = poly_eval(self._fcoeffs, r, out=np.empty(r.shape) if out is None else out)
+        out = poly_eval(self._fcoeffs, r, out=np.empty(r.shape))
         # An array even for a 0-d r, so that it can be inverted in place.
         inside = np.less(r, 1.0, out=np.empty(r.shape, dtype=bool))
         out[np.logical_not(inside, out=inside)] = 0.0      # r >= 1 or NaN
@@ -288,7 +287,7 @@ def _kernel_block(Phi, a, b, out=None) -> np.ndarray:
     if np.isfinite(radius):
         square = radius * radius
         r = D[D <= square]
-        vals = Phi.profile(np.sqrt(r, out=r), out=np.empty_like(r))
+        vals = Phi.profile(np.sqrt(r, out=r))
         # The mask is formed again rather than held through the profile,
         # and the radii go before it, so at most 17 bytes a pair are live.
         del r
@@ -296,6 +295,9 @@ def _kernel_block(Phi, a, b, out=None) -> np.ndarray:
         D.fill(0.0)
         D[near] = vals
     else:
+        # The values overwrite the radii.  A count of entries below the
+        # support radius reads the same on either: the radius is infinite,
+        # and a block with a value that is not finite is refused below.
         vals = Phi.profile(np.sqrt(D, out=D), out=D)
     if not np.isfinite(vals).all():
         raise ValueError("kernel values are not finite")

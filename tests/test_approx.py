@@ -323,19 +323,31 @@ def test_ls_fit_values_equal_evaluate_combination(Phi):
         assert np.array_equal(coeffs, ref) and rank == ref_rank
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP 3(a): gelsd at cond = eps counts the rounding-level singular values "
-    "of all-zero columns as rank and puts up to 6.0e12 on them"))
-def test_ls_witness_puts_zero_on_translates_that_vanish_on_the_grid():
-    # The minimum-norm solution is 0 on every all-zero column of the
-    # collocation matrix.  rates_1d's wendland_k2_ls config at op seed 2,
-    # level 1: 48 of 81 columns are nonzero and the solve's rank is 49.
+def _wendland_k2_ls_level1():
+    # rates_1d's wendland_k2_ls config at op seed 2, level 1, and the mask
+    # of its all-zero collocation columns.
     cfg = experiments.ExperimentConfig(family="wendland", d=1, k=2, levels=5, h0=1 / 8, seed=2)
     levels = experiments.rate_levels(cfg)
     next(levels)
     lv = next(levels)
-    zero = ~collocation_matrix(lv.grid, lv.X, cfg.fam.kernel).any(axis=0)
-    assert zero.any()
+    return lv, ~collocation_matrix(lv.grid, lv.X, cfg.fam.kernel).any(axis=0)
+
+
+def test_wendland_k2_ls_level1_has_zero_columns():
+    # The case the strict xfail below runs on: 48 of 81 columns are
+    # nonzero, yet the solve's rank is 49.
+    lv, zero = _wendland_k2_ls_level1()
+    assert zero.size == 81 and zero.sum() == 81 - 48
+    assert lv.rank == 49
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP 3(a): gelsd at cond = eps counts the rounding-level singular values "
+    "of all-zero columns as rank and puts up to 6.0e12 on them"))
+def test_ls_witness_puts_zero_on_translates_that_vanish_on_the_grid():
+    # The minimum-norm solution is 0 on every all-zero column of the
+    # collocation matrix.
+    lv, zero = _wendland_k2_ls_level1()
     assert np.all(lv.coeffs[zero] == 0.0)
 
 
