@@ -14,13 +14,16 @@ Two routes into the translate space S_X(G) are provided:
 Kernel matrices are built in row blocks into one preallocated array, each
 block written by kernels._kernel_block, the one owner of kernel values at
 point pairs.  The least-squares solve overwrites its matrix in place, so
-a witness holds one dense matrix at a time; a matrix that does not fit in
-the available memory, with the workspace of one block, is refused before
-it is allocated.  A witness is evaluated one row block at a time and
-summed without BLAS, so no dense evaluation matrix is made and the values
-do not depend on the BLAS thread count.  Errors are
-composite-quadrature L^p norms on an interior region; fitted log-log
-slopes against the fill distance are the empirical convergence rates.
+a witness holds one dense matrix at a time.  Before each solve's matrix
+is allocated, the heap the previous one freed is returned to the system
+(glibc's malloc_trim; a no-op elsewhere), so no freed matrix stays
+resident beside it; a matrix that does not fit in the available memory,
+with the workspace of one block, is then refused before it is allocated.
+A witness is evaluated one row block at a time and summed without BLAS,
+so no dense evaluation matrix is made and the values do not depend on
+the BLAS thread count.  Errors are composite-quadrature L^p norms on an
+interior region; fitted log-log slopes against the fill distance are the
+empirical convergence rates.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import os
 import resource
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 from typing import Callable
 
@@ -286,6 +290,33 @@ def _flapack():
     return importlib.import_module(name)
 
 
+@lru_cache(maxsize=None)
+def _malloc_trim():
+    """The C library's malloc_trim, looked up once on first use; None where it has none."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    return trim
+
+
+def _release_free_heap() -> None:
+    """Return the free pages of the heap to the system, where the C library can.
+
+    glibc raises its mmap threshold to the size of the last freed mapped
+    block, up to 32 MB, so after a large matrix is freed the next smaller
+    ones are served from the heap, and their pages stay resident after
+    they are freed.  malloc_trim(0) gives them back.  Without malloc_trim
+    (not glibc) this does nothing.  No value is changed by it.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _gelsd_workspace(m: int, n: int) -> tuple[int, int]:
     """(lwork, liwork) of a one-column gelsd solve with an m x n matrix."""
     work, iwork, info = _flapack().dgelsd_lwork(m, n, 1)
@@ -346,19 +377,24 @@ def ls_witness(f_vals: np.ndarray, grid: np.ndarray, Phi,
     effective rank shows the deficiency.  The solve overwrites the
     collocation matrix, about 8 rows cols bytes, in place and releases it
     before returning; evaluate_combination then forms the fitted values
-    one row block at a time, never holding a second full matrix.  A level
-    whose matrix and solver workspace do not fit in the available memory
-    is refused with a ValueError before the matrix is allocated, and so
-    are function values that are not one per grid point.
+    one row block at a time, never holding a second full matrix.  The
+    free heap is returned to the system first (_release_free_heap), so
+    what earlier levels freed is neither resident beside this matrix nor
+    missing from the available memory.  A level whose matrix and solver
+    workspace do not fit in the available memory is refused with a
+    ValueError before the matrix is allocated, and so are function values
+    that are not one per grid point.
     """
     grid = _points(grid, X.dim)
     if np.shape(f_vals) != (len(grid),):
         raise ValueError(f"function values of shape {np.shape(f_vals)} on {len(grid)} grid points")
     if not np.isfinite(f_vals).all():
         raise ValueError("function values must be finite")
+    workspace = _ls_workspace_bytes(len(grid), X.n)
+    _release_free_heap()
     # Rows are centres, so the transpose is the Fortran-order collocation
     # matrix, which the solve overwrites without a copy.
-    A = _kernel_matrix(X.points, grid, Phi, _ls_workspace_bytes(len(grid), X.n)).T
+    A = _kernel_matrix(X.points, grid, Phi, workspace).T
     return lstsq(A, f_vals)
 
 

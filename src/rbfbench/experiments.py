@@ -11,9 +11,12 @@ against the measured fill distance.  Star parameters are derived, not
 configured (family_kernel, polyrep.C2_CAP, RHO_MAX).  A least-squares
 level holds one dense collocation matrix at a time, about 8 rows cols
 bytes, and a Level holds none: the solve overwrites it in place and
-releases it.  evaluate_combination then evaluates either witness on the
-grid one row block at a time, so no level holds a dense evaluation
-matrix and a quasi level holds no dense matrix at all.  Every point set
+releases it, and the heap the previous level freed is returned to the
+system before the next matrix is allocated (glibc; a no-op elsewhere),
+so that matrix is the only dense array resident.  evaluate_combination
+then evaluates either witness on the grid one row block at a time, so
+no level holds a dense evaluation matrix and a quasi level holds no
+dense matrix at all.  Every point set
 is built first, and a least-squares level whose matrix and solver
 workspace do not fit in the available memory is refused with a
 ValueError before any level is solved.  property2_run scans the

@@ -208,9 +208,13 @@ class SobolevSpline:
     def profile_bessel(self, r, out=None) -> np.ndarray:
         """c r^nu K_nu(r) in any dim: the even-dim profile, and the odd-dim test reference.
 
-        c = 1 / (2^(gamma/2 - 1) Gamma(gamma/2)).  out, an array of r's
-        shape, receives the values and may be r itself; beyond it the mask
-        of radii that are not positive and one array of radii are allocated.
+        c = 1 / (2^(gamma/2 - 1) Gamma(gamma/2)).  Radii that are not
+        positive (NaN included) get the limit at r = 0; r^nu and K_nu run
+        on a stand-in radius of 1 there, since at the clip 1e-300 r^nu
+        underflows to 0 and K_nu overflows for nu >= 2.  out, an array of
+        r's shape, receives the values and may be r itself; beyond it the
+        mask of radii that are not positive and one array of radii are
+        allocated.
         """
         from scipy.special import kv
 
@@ -221,6 +225,7 @@ class SobolevSpline:
         out = np.empty(r.shape) if out is None else out
         not_positive = ~(r > 0.0)
         clipped = np.maximum(r, 1e-300, out=np.empty(r.shape))
+        clipped[not_positive] = 1.0
         np.power(clipped, nu, out=out)
         out *= scale
         out *= kv(nu, clipped, out=clipped)

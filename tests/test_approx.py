@@ -369,6 +369,96 @@ def test_ls_witness_holds_one_matrix_at_a_time():
     assert peak <= 1.25 * matrix_bytes + 4e6
 
 
+def _record_releases(monkeypatch) -> list[str]:
+    """Events, in order: "release" per free-heap release, "matrix" per kernel matrix build."""
+    events = []
+    build = approx._kernel_matrix
+
+    def kernel_matrix(*args, **kwargs):
+        events.append("matrix")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "_release_free_heap", lambda: events.append("release"))
+    monkeypatch.setattr(approx, "_kernel_matrix", kernel_matrix)
+    return events
+
+
+def test_ls_witness_releases_the_free_heap_before_each_matrix(monkeypatch):
+    events = _record_releases(monkeypatch)
+    cfg = experiments.ExperimentConfig(family="wendland", d=1, k=1, levels=3)
+    levels = list(experiments.rate_levels(cfg))
+    assert events == ["release", "matrix"] * 3
+    # A direct solve, and the refusal of a matrix that does not fit: the
+    # release comes first, so the refusal counts the returned pages.
+    lv = levels[0]
+    events.clear()
+    ls_witness(lv.f_vals, lv.grid, cfg.fam.kernel, lv.X)
+    monkeypatch.setattr(approx, "_available_bytes", lambda: (0.0, "MemAvailable"))
+    with pytest.raises(ValueError, match="kernel matrix needs"):
+        ls_witness(lv.f_vals, lv.grid, cfg.fam.kernel, lv.X)
+    assert events == ["release", "matrix"] * 2
+
+
+def test_only_the_least_squares_solve_releases_the_free_heap(monkeypatch):
+    events = _record_releases(monkeypatch)
+    cfg = experiments.ExperimentConfig(family="sobolev", d=1, gamma=2, levels=3, witness="quasi")
+    experiments.run_rate_experiment(cfg)
+    X = make_quasi_uniform(UNIT_1D, 1 / 8, seed=1, pad=1.0)
+    coeffs = quasi_interpolant(SmoothBump((0.5,), 0.2), X, 2, 24.0)
+    evaluate_combination(coeffs, X, G2, np.linspace(0, 1, 9))
+    experiments.property2_run("sobolev", 1, None, 4, 0.0625, 3, 200)
+    assert "matrix" in events and "release" not in events
+
+
+def test_release_without_malloc_trim_does_nothing(monkeypatch):
+    import ctypes
+
+    class NoTrim:
+        def __init__(self, name):
+            pass
+
+    def no_library(name):
+        raise OSError("no such library")
+
+    try:
+        for lookup in (NoTrim, no_library):
+            monkeypatch.setattr(ctypes, "CDLL", lookup)
+            approx._malloc_trim.cache_clear()
+            assert approx._release_free_heap() is None
+            assert approx._malloc_trim() is None
+    finally:
+        monkeypatch.undo()
+        approx._malloc_trim.cache_clear()
+
+
+def test_ls_fit_is_no_worse_than_the_constructive_witness():
+    # The ls coefficients minimize the unweighted l2 error on the grid over
+    # the translates of X, and the constructive coefficients are one point
+    # of that space, on the same f, X and grid: so ||f - s_ls|| <=
+    # ||f - s_quasi|| up to rounding.  A stable solve is exact for a matrix
+    # within about max(m, n) eps ||A|| of A, and evaluate_combination's
+    # rounding is at most n eps ||A|| ||c||; both count on each witness.
+    eps = np.finfo(float).eps
+    for gamma in (2, 4):
+        cfgs = [experiments.ExperimentConfig(family="sobolev", d=1, gamma=gamma, witness=w)
+                for w in ("ls", "quasi")]
+        G = cfgs[0].fam.kernel
+        for ls, quasi in zip(*map(experiments.rate_levels, cfgs)):
+            assert np.array_equal(ls.grid, quasi.grid) and np.array_equal(ls.f_vals, quasi.f_vals)
+            A = collocation_matrix(ls.grid, ls.X, G)
+            allowance = (2 * max(A.shape) * eps * np.linalg.norm(A)
+                         * (np.linalg.norm(ls.coeffs) + np.linalg.norm(quasi.coeffs)))
+
+            def error(coeffs):
+                return np.linalg.norm(ls.f_vals - evaluate_combination(coeffs, ls.X, G, ls.grid))
+
+            bound = error(quasi.coeffs) + allowance
+            assert error(ls.coeffs) <= bound
+            # No coefficients, or twice the fitted ones, are far off.
+            for wrong in (0.0 * ls.coeffs, 2.0 * ls.coeffs):
+                assert error(wrong) > bound
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:

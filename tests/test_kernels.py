@@ -1,6 +1,8 @@
 """Kernel construction and evaluation tests, and the Sobolev decay envelope."""
 
+import warnings
 from fractions import Fraction
+from math import gamma as gamma_fn
 
 import numpy as np
 import pytest
@@ -88,6 +90,21 @@ def test_sobolev_nu_half_closed_form():
     assert G.nu == Fraction(1, 2)
     xs = np.geomspace(0.1, 10.0, 25)
     assert np.allclose(G.profile(xs), G.profile_bessel(xs), rtol=1e-8)
+
+
+@pytest.mark.parametrize("gamma,d", [(8, 4), (6, 2), (8, 2), (6, 1), (4, 2), (4, 3)])
+def test_bessel_profile_at_zero_is_the_limit_without_warning(gamma, d):
+    # G(0) = (2 pi)^(-d/2) int (1 + |w|^2)^(-gamma/2) dw
+    #      = 2^(-d/2) Gamma((gamma - d)/2) / Gamma(gamma/2).
+    G = sobolev_spline_construct(gamma, d)
+    limit = 2.0 ** (-d / 2) * gamma_fn((gamma - d) / 2) / gamma_fn(gamma / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = G.profile_bessel(np.array([0.0, -0.0, 0.5, 1.0]))
+        at_zero = G.profile_bessel(0.0)
+    assert vals[:2] == pytest.approx([limit, limit], rel=1e-14)
+    assert float(at_zero) == vals[0]
+    assert np.all(np.isfinite(vals)) and np.all(vals[2:] < limit)
 
 
 @pytest.mark.parametrize("gamma,d", [(2, 1), (4, 1), (4, 3), (6, 3)])

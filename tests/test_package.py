@@ -332,3 +332,58 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+# Counts the lookups of the process's own C library (ctypes.CDLL(None))
+# made by importing the package and by two releases of the free heap.
+_CDLL_LOOKUPS = """
+import ctypes
+
+lookups = []
+CDLL = ctypes.CDLL
+
+def counted(name, *args, **kwargs):
+    if name is None:
+        lookups.append(name)
+    return CDLL(name, *args, **kwargs)
+
+ctypes.CDLL = counted
+import rbfbench.approx, rbfbench.experiments
+on_import = len(lookups)
+rbfbench.approx._release_free_heap()
+rbfbench.approx._release_free_heap()
+print(json.dumps([on_import, len(lookups)]))
+"""
+
+
+def test_c_library_is_looked_up_on_first_release_only(tmp_path):
+    assert _run_fresh(_CDLL_LOOKUPS, tmp_path) == [0, 1]
+
+
+# A 24 MB array, freed, raises glibc's mmap threshold to its size; four
+# 4 MB arrays then come from the heap and stay resident once freed, until
+# the release returns them.  Prints VmRSS in MB before and after it.
+_HEAP_RELEASE = """
+import numpy as np
+from rbfbench import approx
+
+def rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
+big = np.ones(3 << 20)
+del big
+blocks = [np.ones(1 << 19) for _ in range(4)]
+del blocks
+before = rss_mb()
+approx._release_free_heap()
+print(json.dumps([approx._malloc_trim() is not None, before - rss_mb()]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_release_returns_the_freed_heap_under_glibc(tmp_path):
+    found, returned_mb = _run_fresh(_HEAP_RELEASE, tmp_path)
+    if not found:
+        pytest.skip("the C library has no malloc_trim")
+    assert returned_mb > 12
